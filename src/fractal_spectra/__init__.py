@@ -8,6 +8,8 @@ symmetric matrices, a symplectic reduction on Lagrangian frames, and a
 polynomial lift on Grassmann-algebra coefficient tables.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AtInfinity,
     ConfigError,
@@ -110,4 +112,8 @@ from .symplectic import (
 )
 from .config import StructureConfig, load_config
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

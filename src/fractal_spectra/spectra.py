@@ -13,8 +13,6 @@ Sign convention: Q in the network cone gives nonpositive spectra
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,7 +133,12 @@ def nd_kernel_dimension(q_n, b_n, boundary, lam):
 
 
 def char_det(q_n, b_n, lam, condition="neumann", boundary=()):
-    """det(Q + lam I_b), or its interior principal minor for 'dirichlet'."""
+    """det(Q + lam I_b), or its interior principal minor for 'dirichlet'.
+
+    The dense reference for small matrices: the tests and the determinant
+    bridge compare against it.  The product is formed in floating point and
+    overflows once |V| is about 400 or more; green_proxy takes log|det|
+    from the spectrum instead."""
     q_n = np.asarray(q_n, dtype=complex)
     b_n = np.asarray(b_n, dtype=float)
     m = q_n + lam * np.diag(b_n)
@@ -186,28 +189,18 @@ def dos_histogram(reports, num_copies, bins, lo=None, hi=None):
     return edges, masses
 
 
-def _max_workers():
-    raw = os.environ.get("FRACTAL_SPECTRA_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    return max(1, cap) if cap > 0 else min(8, os.cpu_count() or 1)
-
-
 def green_proxy(q_n, b_n, lam_grid, num_copies, level, eps=1e-6):
     """(1/N^n) ln |det(Q + (lam + i eps) I_b)| over a real grid.
 
     The finite-level stand-in for the Green potential along the spectral
-    curve; eps keeps logs finite across eigenvalues."""
-    lam_grid = np.asarray(lam_grid, dtype=float)
+    curve; eps keeps logs finite across eigenvalues.  One pencil eigensolve
+    gives every grid value through
 
-    def one(lam):
-        return float(
-            np.log(abs(char_det(q_n, b_n, lam + 1j * eps))) / num_copies**level
-        )
+        det(Q + z I_b) = prod_i b_i * prod_k (z - lam_k),   z = lam + i eps,
 
-    if lam_grid.size >= 64 and _max_workers() > 1:
-        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            return np.array(list(pool.map(one, lam_grid)))
-    return np.array([one(lam) for lam in lam_grid])
+    summed as logs, so the value stays finite where the determinant itself
+    overflows."""
+    lam, _ = generalized_sym_eig(q_n, b_n)
+    dist = np.hypot(np.asarray(lam_grid, dtype=float)[:, None] - lam[None, :], eps)
+    log_det = np.log(dist).sum(axis=1) + np.log(np.asarray(b_n, dtype=float)).sum()
+    return log_det / num_copies**level

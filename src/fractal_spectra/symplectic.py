@@ -37,7 +37,7 @@ from .linalg import (
     nullspace,
     orthonormalize,
 )
-from .network import VertexPartition, trace_map
+from .network import VertexPartition
 from .selfsim import build_lattice
 
 
@@ -363,14 +363,3 @@ def orthogonal_lagrangian(l: LagrangianFrame) -> LagrangianFrame:
     j[k:, :k] = np.eye(k)
     return LagrangianFrame(np.conj(j @ l.columns))
 
-
-def frame_trace(l: LagrangianFrame, boundary) -> LagrangianFrame:
-    """Boundary-trace reduction of a frame (convenience wrapper)."""
-    return reduce_frame(l, w_trace(l.half_dim, boundary))
-
-
-def check_trace_identity(q, boundary, tol=1e-9):
-    """Residual of t_{W_dF}(L_Q) = L_{Q_dF} (for tests and verify)."""
-    lhs = reduce_frame(from_sym(q), w_trace(np.asarray(q).shape[0], boundary))
-    rhs = from_sym(trace_map(q, boundary))
-    return subspace_distance(lhs, rhs)

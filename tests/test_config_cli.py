@@ -1,8 +1,10 @@
 import json
+import types
 
 import numpy as np
 import pytest
 
+import fractal_spectra
 from fractal_spectra import cli
 from fractal_spectra.config import (
     BUILTIN_NAMES,
@@ -169,3 +171,8 @@ def test_exit_code_numeric_failure(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "load_config", boom)
     assert cli.main(["spectrum", "--config", "sierpinski", "--level", "1"]) == 3
+
+
+def test_public_names_exclude_submodules():
+    exported = [getattr(fractal_spectra, name) for name in fractal_spectra.__all__]
+    assert not [obj for obj in exported if isinstance(obj, types.ModuleType)]

@@ -152,15 +152,17 @@ def test_green_proxy_finite_and_divergent(gasket, triangle):
     assert near[0] < far[0]  # logarithmic dip at the eigenvalue
 
 
-def test_green_proxy_respects_thread_env(monkeypatch, gasket, triangle):
-    q1 = assemble_network(gasket, triangle, 1).real
-    b1 = assemble_measure(gasket, np.ones(3), 1)
-    monkeypatch.setenv("FRACTAL_SPECTRA_THREADS", "2")
-    grid = np.linspace(-4, 1, 100)
-    vals = green_proxy(q1, b1, grid, 3, 1)
-    monkeypatch.setenv("FRACTAL_SPECTRA_THREADS", "1")
-    vals1 = green_proxy(q1, b1, grid, 3, 1)
-    assert np.allclose(vals, vals1)
+def test_green_proxy_finite_past_det_overflow(gasket, triangle):
+    # Below about -5.6 the level-5 determinant overflows a float; the grid
+    # has three points there.
+    q5 = assemble_network(gasket, triangle, 5).real
+    b5 = assemble_measure(gasket, np.ones(3), 5)
+    grid = np.linspace(-6.5, 0.5, 25)
+    vals = green_proxy(q5, b5, grid, 3, 5)
+    assert np.isfinite(vals).all()
+    for lam, val in zip(grid, vals):
+        oracle = np.linalg.slogdet(q5 + (lam + 1e-6j) * np.diag(b5))[1] / 3**5
+        assert abs(val - oracle) <= 1e-10
 
 
 def test_cluster_eigenvalues_grouping():
