@@ -41,6 +41,7 @@ from .grassmann import (
 from .linalg import (
     Subspace,
     generalized_sym_eig,
+    generalized_sym_eigvals,
     is_positive_definite,
     kernel_basis,
     sym_eig,

@@ -13,15 +13,20 @@ cross-inversion parities between bitmasks, which keeps the determinant
 identities (boundary reduction, gluing morphism, top pairing) exact with
 plus signs throughout.
 
-Products of disjoint copies and the boundary reduction are what the
-renormalization lift is made of; copies are glued one at a time so the
-big intermediate algebra of the disjoint union is never materialized.
+`mul`, `reindex`, `interior_reduce` and `reduced_product` are the
+general-purpose reference kernel: dict convolutions over any element.  The
+renormalization lift glues N copies and traces out the interior; for a fixed
+structure that is a fixed multilinear map of the cell coefficients, so
+`_lift_plan` compiles it once into integer index tables (one gather-multiply-
+scatter per copy, then one sparse reduction map) and `renorm_lift` runs the
+tables on dense coefficient vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,11 +131,15 @@ def exp_eta(q) -> GrassmannElement:
     support = [i for i in range(k) if np.any(q[i, :] != 0) or np.any(q[:, i] != 0)]
     coeffs = {(0, 0): 1.0 + 0j}
     for size in range(1, len(support) + 1):
-        for rows in combinations(support, size):
-            for cols in combinations(support, size):
-                d = complex(np.linalg.det(q[np.ix_(rows, cols)]))
+        subsets = list(combinations(support, size))
+        masks = [_mask(c) for c in subsets]
+        cols = np.array(subsets)
+        for i_mask, rows in zip(masks, subsets):
+            # one batched det per row set: block[b] = q[rows, cols[b]]
+            block = q[np.array(rows)[:, None, None], cols].transpose(1, 0, 2)
+            for j_mask, d in zip(masks, np.linalg.det(block)):
                 if d != 0:
-                    coeffs[(_mask(rows), _mask(cols))] = d
+                    coeffs[(i_mask, j_mask)] = complex(d)
     return GrassmannElement(k, coeffs)
 
 
@@ -161,14 +170,23 @@ def reindex(x: GrassmannElement, mapping, new_ground) -> GrassmannElement:
     re-sorting the mapped index lists."""
     out = {}
     for (i, j), c in x.coeffs.items():
-        img_i = [int(mapping[t]) for t in _indices(i)]
-        img_j = [int(mapping[t]) for t in _indices(j)]
-        if len(set(img_i)) != len(img_i) or len(set(img_j)) != len(img_j):
+        image = _reindex_key(i, j, mapping)
+        if image is None:
             continue
-        sign = -1 if (_perm_inversions(img_i) + _perm_inversions(img_j)) % 2 else 1
-        key = (_mask(img_i), _mask(img_j))
+        key, sign = image
         out[key] = out.get(key, 0j) + sign * c
     return GrassmannElement(new_ground, out)
+
+
+def _reindex_key(i, j, mapping):
+    """(image key, sign) of monomial (i, j) under reindex, or None if the
+    image collides."""
+    img_i = [int(mapping[t]) for t in _indices(i)]
+    img_j = [int(mapping[t]) for t in _indices(j)]
+    if len(set(img_i)) != len(img_i) or len(set(img_j)) != len(img_j):
+        return None
+    sign = -1 if (_perm_inversions(img_i) + _perm_inversions(img_j)) % 2 else 1
+    return (_mask(img_i), _mask(img_j)), sign
 
 
 def glue_morphism(x: GrassmannElement, part) -> GrassmannElement:
@@ -209,8 +227,8 @@ def reduced_product(x: GrassmannElement, y: GrassmannElement, interior):
     """interior_reduce(mul(x, y), interior), without forming the product.
 
     Convolves over the monomials of the sparser factor for each target
-    key; used by the renormalization lift where the full product would be
-    large."""
+    key.  Reference kernel: the compiled renormalization lift is tested
+    against it."""
     if x.ground_size != y.ground_size:
         raise ValueError("ground sets differ")
     n = x.ground_size
@@ -266,53 +284,135 @@ def pair(x: GrassmannElement, sign) -> complex:
     raise ValueError("sign must be '+' or '-'")
 
 
+def _balanced_keys(k):
+    """All C(2k, k) balanced keys over k generators, by degree."""
+    keys = []
+    for size in range(k + 1):
+        masks = [_mask(c) for c in combinations(range(k), size)]
+        keys.extend((i, j) for i in masks for j in masks)
+    return keys
+
+
+class _LiftPlan(NamedTuple):
+    cell_keys: list  # dense order of the cell's balanced keys
+    cell_index: dict  # key -> position in cell_keys
+    copies: tuple  # per copy: (z_idx, x_idx, dst_idx, sign, size)
+    reduce_rows: np.ndarray  # sparse reduction map, final key -> cell key
+    reduce_cols: np.ndarray
+    reduce_vals: np.ndarray
+
+
+def _merge_signs(i1, j1, i2, j2, nbits):
+    """_merge_sign over integer mask arrays (broadcasting), as +-1 ints."""
+    parity = np.zeros(np.broadcast(i1, i2).shape, dtype=np.int64)
+    below_i = np.zeros_like(parity)  # parity of the bits of i2 (j2) below t
+    below_j = np.zeros_like(parity)
+    for t in range(nbits):
+        parity ^= ((i1 >> t) & below_i) ^ ((j1 >> t) & below_j)
+        below_i ^= (i2 >> t) & 1
+        below_j ^= (j2 >> t) & 1
+    return 1 - 2 * (parity & 1)
+
+
 def _lift_plan(structure):
+    """Index tables of the renormalization lift of `structure`, built once.
+
+    Copy i multiplies the running product z (a dense vector over the keys
+    reachable after i copies; the unit before the first) by the reindexed,
+    weighted cell element:  z'[dst] += sign * z[z_idx] * x[x_idx], where
+    sign carries the reindex parity, the merge parity and w_i^deg.  The
+    reduction map folds the product with the weak-network exponential (the
+    unit without a weak network), the interior reduction and the relabelling
+    of the boundary to the cell into one sparse matrix from the final keys
+    to the cell keys.  A key (I, J) of the level-1 algebra is packed as the
+    integer I << V | J, V its vertex count."""
     cache = structure._cache
     if "lift_plan" in cache:
         return cache["lift_plan"]
     lat = build_lattice(structure, 1)
-    k = structure.cell_size
-    copy_maps = [list(cm) for cm in lat.copy_maps]
+    k, nv = structure.cell_size, lat.num_vertices
+    cell_keys = _balanced_keys(k)
+    cell_index = {key: pos for pos, key in enumerate(cell_keys)}
+    w = structure.copy_weights()
+    keys = np.zeros(1, dtype=np.int64)  # the unit
+    copies = []
+    for i, cmap in enumerate(lat.copy_maps):
+        images = []  # (cell key position, image I, image J, sign * w_i^deg)
+        for pos, (ci, cj) in enumerate(cell_keys):
+            image = _reindex_key(ci, cj, cmap)
+            if image is not None:
+                (ii, ij), sign = image
+                images.append((pos, ii, ij, sign * w[i] ** ci.bit_count()))
+        x_pos, ii, ij, scale = (np.array(col) for col in zip(*images))
+        zi, zj = keys >> nv, keys & ((1 << nv) - 1)
+        z_idx, m = np.nonzero(((zi[:, None] & ii) | (zj[:, None] & ij)) == 0)
+        keys, dst = np.unique((zi[z_idx] | ii[m]) << nv | zj[z_idx] | ij[m],
+                              return_inverse=True)
+        sign = scale[m] * _merge_signs(zi[z_idx], zj[z_idx], ii[m], ij[m], nv)
+        copies.append((z_idx, x_pos[m], dst, sign, len(keys)))
+
     interior = lat.interior()
+    imask = _mask(interior)
     # compacted complement slots are the boundary vertices in increasing
     # vertex order; send slot -> cell vertex of F
-    rest = sorted(set(range(lat.num_vertices)) - set(interior))
+    rest = sorted(set(range(nv)) - set(interior))
     vert_to_cell = {b: x for x, b in enumerate(lat.boundary)}
     out_map = [vert_to_cell[b] for b in rest]
-    weak_exp = None
-    if structure.weak is not None:
-        qw = q_matrix(structure.weak)
-        glued = np.zeros((lat.num_vertices, lat.num_vertices), dtype=complex)
-        idx = np.array([copy_maps[p // k][p % k] for p in range(structure.num_points)])
-        np.add.at(glued, (idx[:, None], idx[None, :]), qw)
+    targets = []  # (output cell key position, level-1 I, level-1 J, sign)
+    for ri, rj in _balanced_keys(len(rest)):
+        ni = imask | _mask(rest[t] for t in _indices(ri))
+        nj = imask | _mask(rest[t] for t in _indices(rj))
+        out_key, out_sign = _reindex_key(ri, rj, out_map)
+        sign = out_sign * _merge_sign(imask, imask, ni ^ imask, nj ^ imask)
+        targets.append((cell_index[out_key], ni, nj, sign))
+    t_pos, ti, tj, t_sign = (np.array(col) for col in zip(*targets))
+    if structure.weak is None:
+        weak_exp = GrassmannElement.unit(nv)
+    else:
+        glued = np.zeros((nv, nv), dtype=complex)
+        idx = np.array([lat.copy_maps[p // k][p % k] for p in range(structure.num_points)])
+        np.add.at(glued, (idx[:, None], idx[None, :]), q_matrix(structure.weak))
         weak_exp = exp_eta(glued)
-    plan = (lat, copy_maps, interior, out_map, weak_exp)
+    wi, wj = (np.array(col) for col in zip(*weak_exp.coeffs))
+    wc = np.array(list(weak_exp.coeffs.values()), dtype=complex)
+    # target (I, J) = (z key) * (weak key): z key = target ^ weak key
+    t, g = np.nonzero(((wi & ~ti[:, None]) | (wj & ~tj[:, None])) == 0)
+    fi, fj = ti[t] ^ wi[g], tj[t] ^ wj[g]
+    col = np.minimum(np.searchsorted(keys, fi << nv | fj), len(keys) - 1)
+    hit = keys[col] == fi << nv | fj
+    vals = t_sign[t] * _merge_signs(fi, fj, wi[g], wj[g], nv) * wc[g]
+    plan = _LiftPlan(cell_keys, cell_index, tuple(copies), t_pos[t][hit], col[hit], vals[hit])
     cache["lift_plan"] = plan
     return plan
+
+
+def _scatter_add(idx, vals, size):
+    """Complex vector of length size with vals summed into positions idx."""
+    return np.bincount(idx, vals.real, size) + 1j * np.bincount(idx, vals.imag, size)
 
 
 def renorm_lift(x: GrassmannElement, structure) -> GrassmannElement:
     """One renormalization step on coefficients.
 
-    Copies of x (scaled per copy when weights are present) are glued one
-    at a time into the level-1 algebra, the weak-network exponential is
-    multiplied in, and the interior is reduced away; the result is
-    relabelled to the cell through the boundary identification.
-    Homogeneous of degree N in the coefficients of x for strong
-    connections."""
+    Copies of x (scaled per copy when weights are present) are glued into
+    the level-1 algebra, the weak-network exponential is multiplied in, and
+    the interior is reduced away; the result is relabelled to the cell
+    through the boundary identification.  Runs the compiled tables of
+    `_lift_plan` on the dense coefficient vector of x; equal to the same
+    composition of the reference kernel.  Homogeneous of degree N in the
+    coefficients of x for strong connections."""
     if x.ground_size != structure.cell_size:
         raise ValueError("element must live on the cell")
-    lat, copy_maps, interior, out_map, weak_exp = _lift_plan(structure)
-    w = structure.copy_weights()
-    z = GrassmannElement.unit(lat.num_vertices)
-    for i in range(structure.num_copies):
-        xi = x if w[i] == 1.0 else tau_scale(x, w[i])
-        z = mul(z, reindex(xi, copy_maps[i], lat.num_vertices))
-    if weak_exp is not None:
-        reduced = reduced_product(z, weak_exp, interior)
-    else:
-        reduced = interior_reduce(z, interior)
-    return reindex(reduced, out_map, structure.cell_size)
+    plan = _lift_plan(structure)
+    v = np.zeros(len(plan.cell_keys), dtype=complex)
+    for key, c in x.coeffs.items():
+        v[plan.cell_index[key]] = c
+    z = np.ones(1, dtype=complex)
+    for z_idx, x_idx, dst_idx, sign, size in plan.copies:
+        z = _scatter_add(dst_idx, z[z_idx] * v[x_idx] * sign, size)
+    out = _scatter_add(plan.reduce_rows, z[plan.reduce_cols] * plan.reduce_vals,
+                       len(plan.cell_keys))
+    return GrassmannElement(structure.cell_size, dict(zip(plan.cell_keys, out)))
 
 
 def phi_curve(q_rho, b):

@@ -20,12 +20,19 @@ RANK_TOL = 1e-9
 
 def check_symmetric(a, tol=1e-12):
     """Return ``a`` as a complex array, raising NotSymmetric if a != a^T."""
-    a = np.asarray(a, dtype=complex)
+    return _require_symmetric(np.asarray(a, dtype=complex), tol)
+
+
+def _require_symmetric(a, tol=1e-12):
+    """Raise NotSymmetric unless ``a`` is square with |a - a^T| <= tol *
+    max(1, max|a|) entrywise; returns ``a`` in its own dtype, so real input
+    is checked in real arithmetic."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if np.max(np.abs(a - a.T)) > tol * scale:
-        raise NotSymmetric("matrix is not symmetric within tolerance")
+    if a.size:
+        scale = max(1.0, float(np.max(np.abs(a))))
+        if np.max(np.abs(a - a.T)) > tol * scale:
+            raise NotSymmetric("matrix is not symmetric within tolerance")
     return a
 
 
@@ -59,10 +66,22 @@ def sym_eig(a):
 
     Returns (eigenvalues ascending, orthonormal eigenvector columns).
     """
-    a = np.asarray(a, dtype=float)
-    check_symmetric(a)
+    a = _require_symmetric(np.asarray(a, dtype=float))
     w, v = np.linalg.eigh(a)
     return w, v
+
+
+def _pencil(q, b):
+    """Validate the pencil (Q + lam I_b) and return its symmetric transform
+    D^{-1/2} Q D^{-1/2} together with d = diag(D^{-1/2}), D = I_b."""
+    q = _require_symmetric(np.asarray(q, dtype=float))
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 1 or b.shape[0] != q.shape[0]:
+        raise ValueError("weight vector must match matrix dimension")
+    if np.any(b <= 0):
+        raise NonPositiveWeight("all weights must be strictly positive")
+    d = 1.0 / np.sqrt(b)
+    return (q * d).T * d, d
 
 
 def generalized_sym_eig(q, b):
@@ -73,20 +92,19 @@ def generalized_sym_eig(q, b):
     eigenvectors (v^T I_b v = Id).  Computed through the symmetric
     transform I_b^{-1/2} Q I_b^{-1/2}.
     """
-    q = np.asarray(q, dtype=float)
-    check_symmetric(q)
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.shape[0] != q.shape[0]:
-        raise ValueError("weight vector must match matrix dimension")
-    if np.any(b <= 0):
-        raise NonPositiveWeight("all weights must be strictly positive")
-    d = 1.0 / np.sqrt(b)
-    m = (q * d).T * d  # D^{-1/2} Q D^{-1/2}
+    m, d = _pencil(q, b)
     mu, u = np.linalg.eigh(m)
     # Q v = mu I_b v  with v = D^{-1/2} u, so H-eigenvalues are -mu.
     lam = -mu[::-1]
     v = (u * d[:, None])[:, ::-1]
     return lam, v
+
+
+def generalized_sym_eigvals(q, b):
+    """The eigenvalues of generalized_sym_eig alone, ascending, without
+    forming eigenvectors."""
+    m, _ = _pencil(q, b)
+    return -np.linalg.eigvalsh(m)[::-1]
 
 
 def kernel_basis(a, tol=RANK_TOL) -> Subspace:

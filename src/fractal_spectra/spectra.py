@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import generalized_sym_eig, kernel_basis
+from .linalg import generalized_sym_eig, generalized_sym_eigvals, kernel_basis
 from .selfsim import assemble_measure, assemble_network, build_lattice
 
 # Relative clustering width: eigenvalues this close (times spectral width)
@@ -73,8 +73,13 @@ def cluster_eigenvalues(values, tol=CLUSTER_TOL):
 
 
 def neumann_spectrum(q_n, b_n, level=0, cluster_tol=CLUSTER_TOL) -> SpectrumReport:
-    """All eigenvalues lam with (Q + lam I_b) f = 0."""
-    lam, _ = generalized_sym_eig(np.asarray(q_n, dtype=float), b_n)
+    """All eigenvalues lam with (Q + lam I_b) f = 0.
+
+    Takes the values of the full solve that nd_spectrum uses.  Exact,
+    highly degenerate eigenvalues (Sierpinski's -3 has multiplicity 42 at
+    level 4) spread over a few ulps, and the eigenvalues-only driver rounds
+    them differently, which moves `cdf` at a point lying on one."""
+    lam, _ = generalized_sym_eig(q_n, b_n)
     return SpectrumReport(level, "neumann", lam, cluster_eigenvalues(lam, cluster_tol))
 
 
@@ -86,7 +91,7 @@ def dirichlet_spectrum(q_n, b_n, boundary, level=0, cluster_tol=CLUSTER_TOL) -> 
     if not interior:
         lam = np.zeros(0)
     else:
-        lam, _ = generalized_sym_eig(q_n[np.ix_(interior, interior)], b_n[interior])
+        lam = generalized_sym_eigvals(q_n[np.ix_(interior, interior)], b_n[interior])
     return SpectrumReport(level, "dirichlet", lam, cluster_eigenvalues(lam, cluster_tol))
 
 
@@ -200,7 +205,7 @@ def green_proxy(q_n, b_n, lam_grid, num_copies, level, eps=1e-6):
 
     summed as logs, so the value stays finite where the determinant itself
     overflows."""
-    lam, _ = generalized_sym_eig(q_n, b_n)
+    lam = generalized_sym_eigvals(q_n, b_n)
     dist = np.hypot(np.asarray(lam_grid, dtype=float)[:, None] - lam[None, :], eps)
     log_det = np.log(dist).sum(axis=1) + np.log(np.asarray(b_n, dtype=float)).sum()
     return log_det / num_copies**level

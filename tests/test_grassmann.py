@@ -21,12 +21,14 @@ from fractal_spectra.grassmann import (
     tau_translate,
     vanishing_order,
 )
-from fractal_spectra.network import VertexPartition, glue, trace_map
-from fractal_spectra.renorm import t_map
+from fractal_spectra.network import VertexPartition, glue, q_matrix, trace_map
+from fractal_spectra.renorm import HomogeneousPoint, s_hat, symmetric_chart, t_map
 from fractal_spectra.selfsim import (
+    SelfSimilarStructure,
     assemble_measure,
     assemble_q,
     build_lattice,
+    builtin_structures,
 )
 from fractal_spectra.spectra import char_det, level_spectrum
 
@@ -196,6 +198,51 @@ def test_renorm_lift_weak_structure_matches_matrix_path(gbar, gsemi, rng):
         scale = pair(lift, "-")  # det of the level-1 interior block
         rhs = exp_eta(t_map(q, st_)).scaled(scale)
         assert (lift - rhs).norm() <= 1e-8 * rhs.norm()
+
+
+def _dict_kernel_lift(x, structure):
+    """renorm_lift composed from the reference kernel: glue the weighted
+    copies with mul/reindex/tau_scale, multiply in the weak exponential and
+    reduce the interior, then relabel the boundary to the cell."""
+    lat = build_lattice(structure, 1)
+    k = structure.cell_size
+    interior = lat.interior()
+    rest = sorted(set(range(lat.num_vertices)) - set(interior))
+    vert_to_cell = {b: v for v, b in enumerate(lat.boundary)}
+    out_map = [vert_to_cell[b] for b in rest]
+    w = structure.copy_weights()
+    z = GrassmannElement.unit(lat.num_vertices)
+    for i, cmap in enumerate(lat.copy_maps):
+        xi = x if w[i] == 1.0 else tau_scale(x, w[i])
+        z = mul(z, reindex(xi, cmap, lat.num_vertices))
+    weak_exp = None
+    if structure.weak is not None:
+        glued = np.zeros((lat.num_vertices, lat.num_vertices), dtype=complex)
+        idx = np.array([lat.copy_maps[p // k][p % k] for p in range(structure.num_points)])
+        np.add.at(glued, (idx[:, None], idx[None, :]), q_matrix(structure.weak))
+        weak_exp = exp_eta(glued)
+    reduced = (reduced_product(z, weak_exp, interior) if weak_exp is not None
+               else interior_reduce(z, interior))
+    return reindex(reduced, out_map, k)
+
+
+def test_compiled_lift_matches_dict_kernel(rng):
+    structures = builtin_structures()
+    base = structures["gamma_bar"]
+    structures["gamma_bar_weighted"] = SelfSimilarStructure(
+        base.cell_size, base.num_copies, base.glue_classes, base.boundary_map,
+        weights_w=(0.5, 1.5, 2.0), weak=base.weak,
+    )
+    for name, st_ in structures.items():
+        k = st_.cell_size
+        inputs = [exp_eta(random_sym(rng, k)) for _ in range(3)]
+        if k == 3:
+            chart = symmetric_chart(3)
+            inputs.append(s_hat(HomogeneousPoint(((0.7 - 0.2j, 1.0), (0.0, 1.3))), chart))
+        for x in inputs:
+            want = _dict_kernel_lift(x, st_)
+            got = renorm_lift(x, st_)
+            assert (got - want).norm() <= 1e-12 * want.norm(), name
 
 
 def test_determinant_bridge(gasket, gbar, triangle_q):

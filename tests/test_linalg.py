@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractal_spectra.errors import NonPositiveWeight, NotHermitian
+from fractal_spectra.errors import NonPositiveWeight, NotHermitian, NotSymmetric
 from fractal_spectra.linalg import (
     generalized_sym_eig,
+    generalized_sym_eigvals,
     is_positive_definite,
     kernel_basis,
     sym_eig,
@@ -63,6 +64,26 @@ def test_generalized_residual_and_orthonormality(rng):
 def test_generalized_rejects_bad_weights():
     with pytest.raises(NonPositiveWeight):
         generalized_sym_eig(np.eye(2), np.array([1.0, 0.0]))
+
+
+def test_generalized_eigvals_match_full_solve(rng):
+    for dim in (1, 5, 12):
+        q = random_sym(rng, dim, complex_=False)
+        b = rng.uniform(0.5, 2.0, size=dim)
+        lam, _ = generalized_sym_eig(q, b)
+        vals = generalized_sym_eigvals(q, b)
+        width = max(float(lam[-1] - lam[0]), 1.0)
+        assert vals.shape == lam.shape
+        assert np.max(np.abs(vals - lam)) <= 1e-12 * width
+
+
+def test_generalized_eigvals_rejects_same_inputs():
+    bad_q = np.array([[1.0, 2.0], [0.0, 1.0]])
+    for solve in (generalized_sym_eig, generalized_sym_eigvals):
+        with pytest.raises(NotSymmetric):
+            solve(bad_q, np.ones(2))
+        with pytest.raises(NonPositiveWeight):
+            solve(np.eye(2), np.array([1.0, 0.0]))
 
 
 def test_kernel_basis_cases():
