@@ -7,6 +7,14 @@ Neumann-Dirichlet eigenfunctions satisfy both conditions at once and are
 counted per eigenvalue by the dimension of the boundary-vanishing part of
 the Neumann eigenspace.
 
+Above the crossover `CHAIN_MIN_VERTICES`, and when the structure satisfies
+hypothesis H, level spectra come from the Schur chain instead of a dense
+eigensolve: one renormalization step per level, each inverting only the
+interior block of a level-1 assembly, counts eigenvalues exactly through
+Haynsworth inertia additivity, and bisection on those counts isolates every
+distinct eigenvalue with its multiplicity (spectral decimation, carried
+through Sabot's map).
+
 Sign convention: Q in the network cone gives nonpositive spectra
 (report with flipped sign for Laplacian-style output via the CLI flag).
 """
@@ -17,12 +25,48 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import generalized_sym_eig, generalized_sym_eigvals, kernel_basis
-from .selfsim import assemble_measure, assemble_network, build_lattice
+from .errors import InvalidStructure, SingularInterior
+from .linalg import _pencil, generalized_sym_eig, generalized_sym_eigvals, kernel_basis
+from .network import ElectricalNetwork, q_matrix
+from .selfsim import _weak_indices, assemble_measure, assemble_network, build_lattice
 
 # Relative clustering width: eigenvalues this close (times spectral width)
 # count as one cluster, so multiplicities survive floating-point splits.
 CLUSTER_TOL = 1e-7
+
+# Schur-chain spectra.  Each constant states its scale.
+#
+# Final bisection width, relative to the width of the bracket that holds
+# the whole spectrum (a small multiple of the spectral width): each distinct
+# eigenvalue is located to about this fraction of it.
+BISECT_TOL = 1e-12
+# Robin boundary shifts t, relative to the largest entry of the cell form
+# Q_0.  Irrational, so no Robin eigenvalue meets a Neumann one except through
+# an eigenfunction vanishing on the boundary; two of them, so one chance
+# coincidence cannot pass as a Neumann-Dirichlet eigenvalue.
+ROBIN_SHIFTS = (0.7071067811865476, 1.3247179572447460)
+# An interior block whose smallest |eigenvalue| is at most this fraction of
+# the largest entry of its rows in the level-1 assembly is treated as
+# singular (x sits on a pole of the trace map), and the point is moved
+# inside its bracket.  A few ulps: above it every sign is resolved.
+PIVOT_TOL = 8 * np.finfo(float).eps
+# Near a pole of the trace map that is itself an eigenvalue (an exceptional
+# value of spectral decimation), the Schur complement mixes 1/delta and O(1)
+# parts, and counts are only resolved to about sqrt(eps) of the bracket
+# width.  A cluster whose interior block is within SNAP_RHO of singular
+# (on the scale of PIVOT_TOL) is checked against the pole, found by a secant
+# started SNAP_TOL of the bracket width away, and by a rerun with the whole
+# problem scaled by the irrational SNAP_RESCALE (see _snap_exceptional).
+SNAP_RHO = 1e-7
+SNAP_TOL = 1e-10
+SNAP_RESCALE = 1.4142135623730951
+# Crossover: the chain takes over from the dense eigensolve at this many
+# level-n vertices.  Measured on a 2-core host, one thread (table in
+# CHANGES.md): below it the chain loses (gamma_bar level 5, 729 vertices:
+# 0.19 s against 0.07 s dense; interval level 10, 1025: Neumann 0.30 s
+# against 0.23 s), above it the chain wins (Sierpinski level 6, 1095:
+# 0.08 s against 0.24 s; gamma_bar level 6, 2187: 0.43 s against 2.0 s).
+CHAIN_MIN_VERTICES = 1050
 
 
 @dataclass
@@ -39,8 +83,13 @@ class SpectrumReport:
         return len(self.eigenvalues)
 
     def cdf(self, xs):
-        """Counting function x -> #{lam <= x} (unnormalized)."""
-        return np.searchsorted(np.sort(self.eigenvalues), xs, side="right")
+        """Counting function x -> #{lam <= x} (unnormalized).
+
+        An eigenvalue within the width tolerance of x counts as <= x, so a
+        point on a degenerate eigenvalue counts its whole cluster, however
+        its copies are rounded."""
+        tol = self._width_tol(None)
+        return np.searchsorted(np.sort(self.eigenvalues), np.asarray(xs) + tol, side="right")
 
     def multiplicity_at(self, lam, tol=None):
         tol = self._width_tol(tol)
@@ -73,13 +122,8 @@ def cluster_eigenvalues(values, tol=CLUSTER_TOL):
 
 
 def neumann_spectrum(q_n, b_n, level=0, cluster_tol=CLUSTER_TOL) -> SpectrumReport:
-    """All eigenvalues lam with (Q + lam I_b) f = 0.
-
-    Takes the values of the full solve that nd_spectrum uses.  Exact,
-    highly degenerate eigenvalues (Sierpinski's -3 has multiplicity 42 at
-    level 4) spread over a few ulps, and the eigenvalues-only driver rounds
-    them differently, which moves `cdf` at a point lying on one."""
-    lam, _ = generalized_sym_eig(q_n, b_n)
+    """All eigenvalues lam with (Q + lam I_b) f = 0."""
+    lam = generalized_sym_eigvals(q_n, b_n)
     return SpectrumReport(level, "neumann", lam, cluster_eigenvalues(lam, cluster_tol))
 
 
@@ -156,9 +200,348 @@ def char_det(q_n, b_n, lam, condition="neumann", boundary=()):
         raise ValueError("condition must be 'neumann' or 'dirichlet'")
     return complex(np.linalg.det(m))
 
+# ---------------------------------------------------------------------------
+# Spectrum slicing along the Schur chain
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _ChainPlan:
+    """Level-1 assembly of a structure as index data: ``scatter`` maps the
+    flattened cell matrix to the flattened level-1 matrix, copy weights
+    included; ``weak`` is the weak network on the level-1 vertices, which
+    are numbered boundary first."""
+
+    cell_size: int
+    num_copies: int
+    num_vertices: int
+    gamma: float
+    scatter: np.ndarray
+    weak: np.ndarray
+
+
+def _chain_plan(structure):
+    ok, gamma = structure.hypothesis_h()
+    if not ok:
+        raise InvalidStructure("the Schur chain needs hypothesis H (w_i / b_i constant)")
+    if "chain_plan" not in structure._cache:
+        lat = build_lattice(structure, 1)
+        k, v = structure.cell_size, lat.num_vertices
+        scatter = np.zeros((k * k, v * v))
+        for w, cm in zip(structure.copy_weights(), lat.copy_maps):
+            scatter[np.arange(k * k), (cm[:, None] * v + cm[None, :]).ravel()] += w
+        weak = np.zeros((v, v))
+        if structure.weak is not None:
+            idx = _weak_indices(structure, lat)
+            np.add.at(weak, (idx[:, None], idx[None, :]), structure.weak_q())
+        structure._cache["chain_plan"] = _ChainPlan(
+            k, structure.num_copies, v, gamma, scatter, weak)
+    return structure._cache["chain_plan"]
+
+
+def _num_vertices(structure, n):
+    """|V_n| from |V_n| = N |V_{n-1}| - (N K - |V_1|), without a lattice."""
+    k, ncopies = structure.cell_size, structure.num_copies
+    v = k
+    for _ in range(n):
+        v = ncopies * v - (ncopies * k - len(structure.glue_classes))
+    return v
+
+
+def _eliminate(a, k):
+    """Eliminate the interior (indices k and up) of each symmetric matrix in
+    the stack `a` through an eigendecomposition of the interior block.
+
+    Returns (negatives, logdet, near, singular, schur): the number of
+    negative eigenvalues of the interior block, log|det| of it, its
+    smallest |eigenvalue| relative to the largest entry of the interior rows
+    of `a` (signed), whether it is singular (void results), and the Schur
+    complement onto the first k indices."""
+    p, v = a.shape[0], a.shape[1]
+    if v == k:
+        return np.zeros(p, dtype=np.int64), np.zeros(p), np.ones(p), np.zeros(p, dtype=bool), a
+    big = np.abs(a[:, k:, :]).max(axis=(1, 2))
+    d, u = np.linalg.eigh(a[:, k:, k:])
+    absd = np.abs(d)
+    j = absd.argmin(axis=1)
+    dmin = absd[np.arange(p), j]
+    singular = dmin <= PIVOT_TOL * big
+    near = np.sign(d[np.arange(p), j]) * np.divide(dmin, big, out=np.zeros(p), where=~singular)
+    d = np.where(singular[:, None], 1.0, d)
+    g = a[:, :k, k:] @ u
+    schur = a[:, :k, :k] - (g / d[:, None, :]) @ g.transpose(0, 2, 1)
+    return (np.count_nonzero(d < 0, axis=1), np.log(np.abs(d)).sum(axis=1), near, singular,
+            0.5 * (schur + schur.transpose(0, 2, 1)))
+
+
+def _chain(plan, q, b, n, xs, shifts, scale=1.0):
+    """One pass of the Schur chain at every x.
+
+    Returns (counts, logdet, near, singular): counts[:, 0] is the Dirichlet
+    count #{lam > x}, counts[:, 1] the Neumann count and counts[:, 2 + j]
+    the count with Robin shift shifts[j] on the boundary; logdet[:, 0] and
+    logdet[:, 1] are log|det| of the level-n Dirichlet and Neumann matrices
+    (Q + x I_b, restricted to the interior for Dirichlet); near[:, m] is the
+    `near` of _eliminate at step m; singular marks points whose results are
+    void because an interior block was singular.  `scale` multiplies the
+    whole problem, which leaves every count unchanged in exact arithmetic
+    but not its rounding."""
+    k, ncopies, v = plan.cell_size, plan.num_copies, plan.num_vertices
+    p = xs.size
+    c = scale * (q + (xs / plan.gamma**n)[:, None, None] * np.diag(b))
+    weak = scale * plan.weak
+    dirichlet = np.zeros(p, dtype=np.int64)
+    logdet = np.zeros((p, 2))
+    near = np.ones((p, n))
+    singular = np.zeros(p, dtype=bool)
+    for m in range(n):
+        a = (c.reshape(p, k * k) @ plan.scatter).reshape(p, v, v) + weak
+        negatives, logs, near[:, m], sing, c = _eliminate(a, k)
+        singular |= sing
+        dirichlet += ncopies ** (n - 1 - m) * negatives
+        logdet[:, 0] += ncopies ** (n - 1 - m) * logs
+    shifted = c[:, None] + np.multiply.outer(scale * np.array((0.0,) + tuple(shifts)), np.eye(k))
+    ev = np.linalg.eigvalsh(shifted)
+    logdet[:, 1] = logdet[:, 0] + np.log(np.maximum(np.abs(ev[:, 0]), np.finfo(float).tiny)).sum(axis=1)
+    boundary = np.count_nonzero(ev < 0, axis=2)
+    counts = np.column_stack([dirichlet, dirichlet[:, None] + boundary])
+    return counts, logdet, near, singular
+
+
+# Offsets, as fractions of the room above a point, tried in turn when the
+# chain meets a singular interior block there.
+_NUDGES = (0.25, 0.5, 0.375, 0.625, 0.125, 0.75, 0.0625, 0.875)
+
+
+def _chain_counts_at(plan, q, b, n, xs, room, shifts, scale=1.0):
+    """_chain at every x, each moved up into (x, x + room) until no interior
+    block is singular.  Returns (points used, counts, logdet, near)."""
+    xs = np.array(xs, dtype=float)
+    counts, logdet, near, singular = _chain(plan, q, b, n, xs, shifts, scale)
+    start = xs.copy()
+    for frac in _NUDGES:
+        if not singular.any():
+            break
+        idx = np.flatnonzero(singular)
+        xs[idx] = start[idx] + frac * room[idx]
+        counts[idx], logdet[idx], near[idx], singular[idx] = _chain(
+            plan, q, b, n, xs[idx], shifts, scale)
+    if singular.any():
+        raise SingularInterior(f"interior block singular near x = {xs[singular][0]!r}")
+    return xs, counts, logdet, near
+
+
+def _cell_data(structure, rho, b):
+    q = np.real(q_matrix(rho) if isinstance(rho, ElectricalNetwork) else np.asarray(rho))
+    k = structure.cell_size
+    if q.shape != (k, k):
+        raise ValueError("Q must be a cell-sized square matrix")
+    _pencil(q, b)  # symmetric, weights positive
+    return q.astype(float), np.asarray(b, dtype=float)
+
+
+def chain_counts(structure, rho, b, n, xs):
+    """Eigenvalue counts #{lam > x} of the level-n lattice of (rho, b) at
+    each x, from the Schur chain alone: one row per x, columns Dirichlet and
+    Neumann.  A point on a pole of the trace map is counted just above it."""
+    plan = _chain_plan(structure)
+    q, b = _cell_data(structure, rho, b)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    room = BISECT_TOL * np.maximum(1.0, np.abs(xs))
+    return _chain_counts_at(plan, q, b, n, xs, room, ())[1]
+
+
+def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
+    """Level-n spectrum of (rho, b) by bracketing on Schur-chain counts.
+
+    Never assembles the level-n lattice.  Each distinct eigenvalue is
+    isolated to BISECT_TOL of the bracket width and its multiplicity is the
+    jump of the count across it.  Neumann-Dirichlet multiplicities are the
+    Robin count jumps across each Neumann cluster, the least over the
+    ROBIN_SHIFTS: for generic t a Robin eigenvalue equal to a Neumann one has
+    an eigenfunction vanishing on the boundary, since otherwise
+    d lam / d t = -|f_boundary|^2 / |f|_b^2 moves it."""
+    if condition not in ("neumann", "dirichlet", "nd"):
+        raise ValueError(f"unknown condition {condition!r}")
+    plan = _chain_plan(structure)
+    q, b = _cell_data(structure, rho, b)
+    col = 0 if condition == "dirichlet" else 1
+    total = _num_vertices(structure, n) - (plan.cell_size if col == 0 else 0)
+    shifts = tuple(t * float(np.max(np.abs(q), initial=0.0) or 1.0) for t in ROBIN_SHIFTS)
+    if total == 0:
+        return SpectrumReport(n, condition, np.zeros(0), [])
+
+    def count(xs, room, scale=1.0):
+        xs = np.asarray(xs, dtype=float)
+        return _chain_counts_at(
+            plan, q, b, n, xs, np.broadcast_to(room, xs.shape), shifts, scale)
+
+    # Bracket the spectrum, starting from the cell's Gershgorin scale.
+    span = float(np.max(np.abs(q).sum(axis=1) / b)) * plan.gamma**n or 1.0
+    lo, hi = -span, span
+    for _ in range(64):
+        if count([hi], BISECT_TOL * hi)[1][0, col] == 0:
+            break
+        hi *= 2
+    for _ in range(64):
+        if count([lo], BISECT_TOL * -lo)[1][0, col] == total:
+            break
+        lo *= 2
+    width = hi - lo
+    tol = BISECT_TOL * width
+    _, ends, logs, _ = count([lo, hi], tol)
+    if ends[0, col] != total or ends[1, col] != 0:
+        raise SingularInterior("could not bracket the spectrum")
+    # Bracketing by counts, with each new point from the Illinois rule on
+    # h(x) = -+|det(x)|^(1/m): m is the count jump across the interval, so h
+    # is nearly linear at an isolated eigenvalue, and the sign is that of
+    # x's side, read from the count.  A point whose count falls strictly
+    # inside the jump splits the interval; an interval that fails to halve
+    # three times running is bisected.
+    a, bb, ca, cb = np.array([lo]), np.array([hi]), ends[:1], ends[1:]
+    la, lb = logs[:1, col], logs[1:, col]
+    wa, wb, side, slow = np.ones(1), np.ones(1), np.zeros(1), np.zeros(1)
+    done = []
+    while a.size:
+        fin = bb - a <= tol
+        done.append((a[fin], bb[fin], ca[fin], cb[fin]))
+        a, bb, ca, cb, la, lb, wa, wb, side, slow = (
+            arr[~fin] for arr in (a, bb, ca, cb, la, lb, wa, wb, side, slow))
+        if not a.size:
+            break
+        m = ca[:, col] - cb[:, col]
+        ref = np.maximum(la, lb)
+        ha, hb = -wa * np.exp((la - ref) / m), wb * np.exp((lb - ref) / m)
+        x = np.where(slow >= 3, 0.5 * (a + bb), (a * hb - bb * ha) / (hb - ha))
+        x = np.clip(x, a + 0.25 * tol, bb - 0.25 * tol)
+        x, cx, lx, _ = count(x, bb - x)
+        lx = lx[:, col]
+        lower = ca[:, col] > cx[:, col]  # eigenvalues in (a, x]
+        upper = cx[:, col] > cb[:, col]  # eigenvalues in (x, b]
+        split = lower & upper
+        old = bb - a
+        # Illinois: an end kept twice running has its h halved; a new end
+        # and both halves of a split start afresh.
+        keep_a = np.where(split, 1.0, np.where(side > 0, 0.5, 1.0) * wa)
+        keep_b = np.where(split, 1.0, np.where(side < 0, 0.5, 1.0) * wb)
+        nl, nu = np.count_nonzero(lower), np.count_nonzero(upper)
+        a, bb = np.concatenate([a[lower], x[upper]]), np.concatenate([x[lower], bb[upper]])
+        ca, cb = np.concatenate([ca[lower], cx[upper]]), np.concatenate([cx[lower], cb[upper]])
+        la, lb = np.concatenate([la[lower], lx[upper]]), np.concatenate([lx[lower], lb[upper]])
+        wa = np.concatenate([keep_a[lower], np.ones(nu)])
+        wb = np.concatenate([np.ones(nl), keep_b[upper]])
+        side = np.concatenate([np.where(split, 0.0, 1.0)[lower], np.where(split, 0.0, -1.0)[upper]])
+        halved = (bb - a) <= 0.5 * np.concatenate([old[lower], old[upper]])
+        prev = np.concatenate([slow[lower], slow[upper]])
+        slow = np.where(halved, 0.0, prev + 1)
+    a, bb, ca, cb = (np.concatenate(parts) for parts in zip(*done))
+    order = np.argsort(a)
+    a, bb, ca, cb = a[order], bb[order], ca[order], cb[order]
+    # A point that lands on an eigenvalue splits it between two finished
+    # intervals that share that endpoint: join them.
+    first = np.flatnonzero(np.concatenate([[True], a[1:] != bb[:-1]]))
+    last = np.concatenate([first[1:], [a.size]]) - 1
+    a, bb, ca, cb = a[first], bb[last], ca[first], cb[last]
+    values, ca, cb = _snap_exceptional(count, a, bb, ca, cb, width, col)
+    mult = ca[:, col] - cb[:, col]
+    # Group distinct eigenvalues by the rule of cluster_eigenvalues (gaps of
+    # at most CLUSTER_TOL of the spectral width), so both paths list the
+    # same clusters.
+    gap = CLUSTER_TOL * (float(values[-1] - values[0]) or 1.0)
+    group = np.concatenate([[0], np.cumsum(np.diff(values) > gap)])
+    size = np.bincount(group, mult)
+    values = np.bincount(group, values * mult) / size
+    if condition == "nd":
+        # Robin jumps across each whole group, as nd_spectrum takes the
+        # boundary-vanishing part of each whole cluster.
+        first = np.flatnonzero(np.concatenate([[True], np.diff(group) > 0]))
+        last = np.concatenate([first[1:], [group.size]]) - 1
+        robin = np.min(ca[first, 2:] - cb[last, 2:], axis=1)
+        size = np.minimum(size, robin)
+    keep = size > 0
+    values, size = values[keep], size[keep].astype(int)
+    clusters = [(float(val), int(m)) for val, m in zip(values, size)]
+    return SpectrumReport(n, condition, np.repeat(values, size), clusters)
+
+
+def _snap_exceptional(count, a, b, ca, cb, width, col):
+    """Cluster values, moving those that sit on a pole of the trace map onto
+    the pole.
+
+    Within r = sqrt(eps * width / s) / 2 of a pole (at most sqrt(eps) * width
+    / 2), where s is the slope of the nearly singular interior eigenvalue on
+    the scale of `near`, the Schur
+    complement loses the O(1) part of the trace to rounding, and bisection
+    can leave an exceptional eigenvalue off by up to ~r or split it.  The
+    pole is located to full precision by a secant on that eigenvalue; a
+    cluster within r of it moves onto it, every cluster within r joins it,
+    and the joined counts are taken r away on either side.  A cluster near a
+    pole moves only if its bracket (a, b] stops holding its count jump when
+    the whole problem is scaled by SNAP_RESCALE, that is, if rounding
+    places it: an eigenvalue near a pole but off it stays where it is.
+
+    Only a Schur complement formed after the pole loses precision, so for
+    Dirichlet counts (col 0), which end at the last interior block, poles of
+    the last step need no care: they are the new Dirichlet eigenvalues."""
+    room = BISECT_TOL * width
+    values = 0.5 * (a + b)
+    near = count(values, room)[3]
+    if col == 0:
+        near = near[:, :-1]
+    if near.shape[1] == 0:
+        return values, ca, cb
+    step = np.abs(near).argmin(axis=1)
+    flagged = np.flatnonzero(np.abs(near[np.arange(values.size), step]) <= SNAP_RHO)
+    if flagged.size:
+        ends = count(np.concatenate([a[flagged], b[flagged]]), room, SNAP_RESCALE)[1][:, col]
+        moved = (ends[:flagged.size] != ca[flagged, col]) | (ends[flagged.size:] != cb[flagged, col])
+        flagged, step = flagged[moved], step[flagged[moved]]
+    if not flagged.size:
+        return values, ca, cb
+    rows = np.arange(flagged.size)
+    x0, f0 = values[flagged], near[flagged, step]
+    x1, _, _, nxt = count(x0 + SNAP_TOL * width, room)
+    f1 = nxt[rows, step]
+    slope = np.abs(f1 - f0) / np.abs(x1 - values[flagged])
+    for _ in range(3):
+        df = f1 - f0
+        ok = df != 0
+        x2 = np.where(ok, x1 - f1 * (x1 - x0) / np.where(ok, df, 1.0), x1)
+        x0, f0 = x1, f1
+        x1, _, _, nxt = count(x2, room)
+        f1 = nxt[rows, step]
+    inverse = np.divide(1.0, slope, out=np.full(rows.size, width), where=slope > 0)
+    reach = 0.5 * np.sqrt(np.finfo(float).eps * width * np.minimum(width, inverse))
+    hit = np.abs(x1 - values[flagged]) <= reach
+    if not hit.any():
+        return values, ca, cb
+    poles, reach = x1[hit], reach[hit]
+    # Every cluster within reach of a pole joins it; poles are taken in order.
+    lo = np.searchsorted(values, poles - reach)
+    hi = np.searchsorted(values, poles + reach, side="right")
+    keep = np.ones(values.size, dtype=bool)
+    values, ca, cb = values.copy(), ca.copy(), cb.copy()
+    joined = []
+    for pole, r, i, j in zip(poles, reach, lo, hi):
+        if not keep[i:j].all():
+            continue  # already joined to an earlier pole
+        keep[i + 1:j] = False
+        values[i] = pole
+        joined.append((i, pole, r))
+    if joined:
+        idx, pole, r = (np.array(v) for v in zip(*joined))
+        ca[idx] = count(pole - r, room)[1]
+        cb[idx] = count(pole + r, room)[1]
+    return values[keep], ca[keep], cb[keep]
+
 
 def level_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
-    """Assemble level n of (rho, b) and take the requested spectrum."""
+    """Level-n spectrum of (rho, b) under the requested boundary condition.
+
+    From the Schur chain (chain_spectrum) when the structure satisfies
+    hypothesis H and the lattice has at least CHAIN_MIN_VERTICES vertices;
+    otherwise level n is assembled and solved densely."""
+    if structure.hypothesis_h()[0] and _num_vertices(structure, n) >= CHAIN_MIN_VERTICES:
+        return chain_spectrum(structure, rho, b, n, condition)
     q_n = assemble_network(structure, rho, n).real
     b_n = assemble_measure(structure, np.asarray(b, dtype=float), n)
     boundary = build_lattice(structure, n).boundary
