@@ -146,12 +146,12 @@ def test_counts_on_interior_pole(gasket, triangle):
 
 def test_chain_deep_level_counts_every_vertex(gasket, triangle):
     # 88575 vertices: a dense solve would need a 63 GB matrix.  The chain
-    # takes 1.0-1.3 s on a 2-core host; the bound leaves room for load.
+    # takes 1.0-1.3 s on a 2-core host; the bound leaves room for a loaded host.
     start = time.perf_counter()
     rep = chain_spectrum(gasket, triangle, np.ones(3), 10)
     elapsed = time.perf_counter() - start
     assert sum(m for _, m in rep.clusters) == rep.count == 88575
-    assert elapsed < 2.0
+    assert elapsed < 5.0
 
 
 @pytest.mark.parametrize("solve", [generalized_sym_eig, generalized_sym_eigvals])
