@@ -246,7 +246,7 @@ def build_lattice(structure: SelfSimilarStructure, n: int) -> Lattice:
                     nxt += 1
                 cm[v] = index[root]
             copy_maps.append(cm)
-        expected = ncopies * kp - (ncopies * k - _level1_size(structure))
+        expected = num_vertices(structure, n)
         if nxt != expected:
             raise InvalidStructure(
                 f"level-{n} vertex count {nxt} breaks the gluing recursion "
@@ -257,8 +257,14 @@ def build_lattice(structure: SelfSimilarStructure, n: int) -> Lattice:
     return lat
 
 
-def _level1_size(structure):
-    return len(structure.glue_classes)
+def num_vertices(structure, n):
+    """|V_n| from the gluing recursion |V_n| = N |V_{n-1}| - (N K - |V_1|),
+    without building a lattice (|V_1| is the number of glue classes)."""
+    k, ncopies = structure.cell_size, structure.num_copies
+    v = k
+    for _ in range(n):
+        v = ncopies * v - (ncopies * k - len(structure.glue_classes))
+    return v
 
 
 def assemble_q(structure: SelfSimilarStructure, q, n: int):
