@@ -559,20 +559,21 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
     else:
         raise SingularInterior("could not bracket the spectrum")
     # Each round cuts every open interval (a, b], with count jump m across
-    # it, into equal parts.  Where the Newton steps x - m / rate(x) from both
-    # ends agree to a quarter of the interval (rate = d/dx log|det|, about
-    # m / (x - lam) near a cluster of m eigenvalues at lam), it is halved,
-    # elsewhere cut into min(m + 1, 16) parts; where they agree or m is 1, it
-    # is also cut tol / 4 either side of the shorter step's target (where
-    # inside).  The parts that hold
-    # eigenvalues stay open until narrower than tol.
+    # it.  Where the Newton steps x - m / rate(x) from both ends agree to a
+    # quarter of the interval (rate = d/dx log|det|, about m / (x - lam)
+    # near a cluster of m eigenvalues at lam), or m is 1, it is cut tol / 4
+    # either side of the shorter step's target.  Where they agree it is also
+    # halved, unless it already halved in the last round; elsewhere it is
+    # cut into min(m + 1, 16) equal parts.  The parts that hold eigenvalues
+    # stay open until narrower than tol.
     a, bb, ca, cb = np.array([lo]), np.array([hi]), ends[:1], ends[1:]
     ra, rb = rates[:1, col], rates[1:, col]
+    last = np.array([np.inf])  # each interval's width a round earlier
     done = []
     while a.size:
         fin = bb - a <= tol
         done.append((a[fin], bb[fin], ca[fin], cb[fin], ra[fin], rb[fin]))
-        a, bb, ca, cb, ra, rb = (v[~fin] for v in (a, bb, ca, cb, ra, rb))
+        a, bb, ca, cb, ra, rb, last = (v[~fin] for v in (a, bb, ca, cb, ra, rb, last))
         if not a.size:
             break
         m = ca[:, col] - cb[:, col]
@@ -583,7 +584,8 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
         newton = newton[:, None] + 0.25 * tol * np.array([-1.0, 1.0])
         newton[(newton <= a[:, None]) | (newton >= bb[:, None])] = np.nan
         agree = np.abs(target[:, 0] - target[:, 1]) <= 0.25 * (bb - a)
-        parts = np.where(agree, 2, np.clip(m + 1, 2, 16))
+        halving = (bb - a <= 0.5 * last) & np.isfinite(newton).any(axis=1)
+        parts = np.where(agree, np.where(halving, 1, 2), np.clip(m + 1, 2, 16))
         cuts = np.arange(1, 16) / parts[:, None]
         x = np.column_stack([a[:, None] + (bb - a)[:, None] * np.where(cuts < 1, cuts, np.nan),
                              np.where((agree | (m == 1))[:, None], newton, np.nan)])
@@ -606,6 +608,7 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
             x[bad[:, j], j], cx[bad[:, j], j], rx[bad[:, j], j] = (
                 x[bad[:, j], j + 1], cx[bad[:, j], j + 1], rx[bad[:, j], j + 1])
         i, j = np.nonzero((cx[:, :-1, col] > cx[:, 1:, col]) & ~stuck[:, None])
+        last = (bb - a)[i]
         a, bb, ca, cb, ra, rb = x[i, j], x[i, j + 1], cx[i, j], cx[i, j + 1], rx[i, j], rx[i, j + 1]
     a, bb, ca, cb, ra, rb = (np.concatenate(parts) for parts in zip(*done))
     order = np.argsort(a)
