@@ -73,6 +73,14 @@ DEGENERATE_TOL = 1e-12
 # every crossing within the bracket of an eigenvalue is kept.  Eliminating
 # a direction above it scales slopes of later steps by at most 1 / ND_NEAR_TOL.
 ND_NEAR_TOL = 1e-2
+# Crossover: the chain takes over from the dense eigensolve at this many
+# level-n vertices.  Measured on a 2-core host, one thread, seconds for
+# Neumann / Dirichlet / Neumann-Dirichlet (table in CHANGES.md): below it
+# the chain loses (gamma_bar level 5, 729 vertices: 0.16-0.22 against
+# 0.06-0.11 dense), at 1025 (interval level 10) the two are about even
+# (0.18-0.24 against 0.20-0.42), above it the chain wins (Sierpinski
+# level 6, 1095: 0.14-0.15 against 0.22-0.39; gamma_bar level 6, 2187:
+# 0.39-0.48 against 1.50-2.61).
 CHAIN_MIN_VERTICES = 1050
 
 
