@@ -33,7 +33,7 @@ import numpy as np
 from .errors import OrderUnstable, ZeroScale
 from .linalg import check_symmetric
 from .network import q_matrix
-from .selfsim import build_lattice
+from .selfsim import _weak_indices, build_lattice
 
 
 def _mask(indices):
@@ -370,7 +370,7 @@ def _lift_plan(structure):
         weak_exp = GrassmannElement.unit(nv)
     else:
         glued = np.zeros((nv, nv), dtype=complex)
-        idx = np.array([lat.copy_maps[p // k][p % k] for p in range(structure.num_points)])
+        idx = _weak_indices(structure, lat)
         np.add.at(glued, (idx[:, None], idx[None, :]), q_matrix(structure.weak))
         weak_exp = exp_eta(glued)
     wi, wj = (np.array(col) for col in zip(*weak_exp.coeffs))
@@ -429,12 +429,12 @@ def phi_curve(q_rho, b):
 DEFAULT_SCALES = (1e-2, 1e-3, 1e-4, 1e-5)
 
 
-def vanishing_order(curve, lam0, scales=DEFAULT_SCALES, tol=0.2):
+def vanishing_order(curve, lam0, scales=DEFAULT_SCALES):
     """Numeric order of vanishing of a holomorphic curve of elements.
 
     Compares norms at lam0 + t and lam0 + 2t over a decreasing scale
-    ladder; the dyadic log-ratios must agree on one integer within
-    ``tol`` or OrderUnstable is raised."""
+    ladder; the last two dyadic log-ratios must agree on one integer
+    within 0.2 or OrderUnstable is raised."""
     if not scales:
         raise ValueError("need at least one scale")
     scales = sorted(scales, reverse=True)
@@ -451,6 +451,6 @@ def vanishing_order(curve, lam0, scales=DEFAULT_SCALES, tol=0.2):
         raise OrderUnstable("norms fell to the noise floor before settling")
     order = int(round(float(estimates[-1])))
     settled = estimates[-2:] if len(estimates) > 1 else estimates
-    if any(abs(e - order) > tol for e in settled):
+    if any(abs(e - order) > 0.2 for e in settled):
         raise OrderUnstable(f"ladder estimates {estimates} do not settle")
     return order

@@ -133,18 +133,19 @@ class CoordinateChart:
             out = out + u * p
         return out
 
-    def coords(self, q, tol=1e-8):
+    def coords(self, q):
         """Read coordinates off an invariant matrix; NotEquivariant when Q
-        does not commute with every projector within tolerance."""
+        does not commute with every projector within 1e-8 of its largest
+        entry."""
         q = np.asarray(q, dtype=complex)
-        scale = max(1.0, float(np.max(np.abs(q))))
+        tol = 1e-8 * max(1.0, float(np.max(np.abs(q))))
         out = []
         for p in self.projectors:
-            if np.max(np.abs(p @ q - q @ p)) > tol * scale:
+            if np.max(np.abs(p @ q - q @ p)) > tol:
                 raise NotEquivariant("matrix does not commute with the chart")
             out.append(complex(np.trace(p @ q)) / round(np.trace(p)))
         rebuilt = self.matrix(out)
-        if np.max(np.abs(rebuilt - q)) > tol * scale:
+        if np.max(np.abs(rebuilt - q)) > tol:
             raise NotEquivariant("matrix is not a combination of the projectors")
         return np.array(out)
 
@@ -245,22 +246,26 @@ def _rational_fit_residual(xs, ys, d):
     return s[-1] / s[0]
 
 
-def bidegree_estimate(structure, chart: CoordinateChart, max_degree=8, tol=1e-7, seed=7):
+# Largest rational degree bidegree_estimate fits before DegreeUnresolved.
+MAX_DEGREE = 8
+
+
+def bidegree_estimate(structure, chart: CoordinateChart):
     """Degree matrix d[i][j]: homogeneity in input pair i of the lifted
     numerator/denominator pair of output coordinate j.
 
     With this orientation the balance identity reads
     N p_i = sum_j d[i][j] p_j + h_i, with h_i the divisor degree in pair i.
     Samples the coordinate map along complex affine lines and fits minimal
-    (d, d) rational functions; retried with fresh base points to dodge
-    degenerations."""
+    (d, d) rational functions of degree at most MAX_DEGREE; retried with
+    fresh base points to dodge degenerations."""
     r = len(chart.projectors)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     out = np.zeros((r, r), dtype=int)
     for i in range(r):
         for attempt in range(3):
             try:
-                degs = _degrees_along(structure, chart, i, max_degree, tol, rng)
+                degs = _degrees_along(structure, chart, i, rng)
                 break
             except (SingularInterior, NotEquivariant, DegreeUnresolved):
                 if attempt == 2:
@@ -269,10 +274,10 @@ def bidegree_estimate(structure, chart: CoordinateChart, max_degree=8, tol=1e-7,
     return out
 
 
-def _degrees_along(structure, chart, j, max_degree, tol, rng):
+def _degrees_along(structure, chart, j, rng):
     r = len(chart.projectors)
     base = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-    npts = 2 * max_degree + 3
+    npts = 2 * MAX_DEGREE + 3
     angles = np.exp(2j * np.pi * np.arange(npts) / npts)
     xs = 1.5 * angles + 0.2 + 0.1j
     ys = np.empty((npts, r), dtype=complex)
@@ -282,25 +287,24 @@ def _degrees_along(structure, chart, j, max_degree, tol, rng):
         ys[s_i] = coords_eval(coords, chart, structure)
     degs = np.empty(r, dtype=int)
     for i in range(r):
-        for d in range(max_degree + 1):
-            if _rational_fit_residual(xs, ys[:, i], d) < tol:
+        for d in range(MAX_DEGREE + 1):
+            if _rational_fit_residual(xs, ys[:, i], d) < 1e-7:
                 degs[i] = d
                 break
         else:
             raise DegreeUnresolved(
-                f"no rational fit of degree <= {max_degree} for output {i}"
+                f"no rational fit of degree <= {MAX_DEGREE} for output {i}"
             )
     return degs
 
 
-def divisor_orders(structure, chart: CoordinateChart, loci, seed=11, samples=3,
-                   scales=(1e-2, 1e-3, 1e-4)):
+def divisor_orders(structure, chart: CoordinateChart, loci):
     """Vanishing order of the lift along each locus a u_j + b v_j = 0.
 
     Each locus is (j, a, b).  Orders are measured by the dyadic ladder on
-    curves through generic base points of the locus, minimized over base
-    points (the generic multiplicity)."""
-    rng = np.random.default_rng(seed)
+    curves through three generic base points of the locus, minimized over
+    base points (the generic multiplicity)."""
+    rng = np.random.default_rng(11)
     r = len(chart.projectors)
     orders = []
     for (j, a, b) in loci:
@@ -308,7 +312,7 @@ def divisor_orders(structure, chart: CoordinateChart, loci, seed=11, samples=3,
         on_locus = (b / norm, -a / norm)
         transversal = (np.conj(a) / norm, np.conj(b) / norm)
         best = None
-        for _ in range(samples):
+        for _ in range(3):
             others = rng.standard_normal((r, 2)) + 1j * rng.standard_normal((r, 2))
 
             def path(t, others=others):
@@ -319,20 +323,19 @@ def divisor_orders(structure, chart: CoordinateChart, loci, seed=11, samples=3,
                 )
                 return pairs
 
-            order = vanishing_order(lift_curve(structure, chart, path), 0.0, scales)
+            curve = lift_curve(structure, chart, path)
+            order = vanishing_order(curve, 0.0, (1e-2, 1e-3, 1e-4))
             best = order if best is None else min(best, order)
         orders.append(best)
     return orders
 
 
-def balance_report(structure, chart: CoordinateChart, loci, degrees=None, orders=None):
+def balance_report(structure, chart: CoordinateChart, loci):
     """Check N p_i = sum_j d[i][j] p_j + h_i with h_i the total located
     order on loci in pair i; a full balance certifies that the located
     loci exhaust the divisor.  Returns (degrees, orders, h, flags)."""
-    if degrees is None:
-        degrees = bidegree_estimate(structure, chart)
-    if orders is None:
-        orders = divisor_orders(structure, chart, loci)
+    degrees = bidegree_estimate(structure, chart)
+    orders = divisor_orders(structure, chart, loci)
     r = len(chart.projectors)
     ranks = chart.ranks
     h = [0] * r

@@ -81,14 +81,15 @@ class SelfSimilarStructure:
     def measure_weights(self):
         return self.weights_b or (1.0,) * self.num_copies
 
-    def hypothesis_h(self, rtol=1e-12):
-        """Is gamma_i = w_i / b_i constant across copies?  Returns
-        (status, gamma); gamma is the common value when status is True."""
+    def hypothesis_h(self):
+        """Is gamma_i = w_i / b_i constant across copies (to 1e-12
+        relative)?  Returns (status, gamma); gamma is the common value
+        when status is True."""
         w = self.copy_weights()
         b = self.measure_weights()
         gammas = [wi / bi for wi, bi in zip(w, b)]
         g0 = gammas[0]
-        ok = all(abs(g - g0) <= rtol * max(1.0, abs(g0)) for g in gammas)
+        ok = all(abs(g - g0) <= 1e-12 * max(1.0, abs(g0)) for g in gammas)
         return ok, (g0 if ok else None)
 
     def weak_q(self):

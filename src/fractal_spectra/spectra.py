@@ -103,16 +103,14 @@ class SpectrumReport:
         An eigenvalue within the width tolerance of x counts as <= x, so a
         point on a degenerate eigenvalue counts its whole cluster, however
         its copies are rounded."""
-        tol = self._width_tol(None)
+        tol = self._width_tol()
         return np.searchsorted(np.sort(self.eigenvalues), np.asarray(xs) + tol, side="right")
 
-    def multiplicity_at(self, lam, tol=None):
-        tol = self._width_tol(tol)
+    def multiplicity_at(self, lam):
+        tol = self._width_tol()
         return sum(m for v, m in self.clusters if abs(v - lam) <= tol)
 
-    def _width_tol(self, tol):
-        if tol is not None:
-            return tol
+    def _width_tol(self):
         if len(self.eigenvalues) == 0:
             return CLUSTER_TOL
         width = float(self.eigenvalues[-1] - self.eigenvalues[0]) or 1.0
@@ -136,13 +134,13 @@ def cluster_eigenvalues(values, tol=CLUSTER_TOL):
     return clusters
 
 
-def neumann_spectrum(q_n, b_n, level=0, cluster_tol=CLUSTER_TOL) -> SpectrumReport:
+def neumann_spectrum(q_n, b_n, level=0) -> SpectrumReport:
     """All eigenvalues lam with (Q + lam I_b) f = 0."""
     lam = generalized_sym_eigvals(q_n, b_n)
-    return SpectrumReport(level, "neumann", lam, cluster_eigenvalues(lam, cluster_tol))
+    return SpectrumReport(level, "neumann", lam, cluster_eigenvalues(lam))
 
 
-def dirichlet_spectrum(q_n, b_n, boundary, level=0, cluster_tol=CLUSTER_TOL) -> SpectrumReport:
+def dirichlet_spectrum(q_n, b_n, boundary, level=0) -> SpectrumReport:
     """Spectrum of the pencil restricted to {f : f = 0 on the boundary}."""
     q_n = np.asarray(q_n, dtype=float)
     b_n = np.asarray(b_n, dtype=float)
@@ -151,10 +149,10 @@ def dirichlet_spectrum(q_n, b_n, boundary, level=0, cluster_tol=CLUSTER_TOL) -> 
         lam = np.zeros(0)
     else:
         lam = generalized_sym_eigvals(q_n[np.ix_(interior, interior)], b_n[interior])
-    return SpectrumReport(level, "dirichlet", lam, cluster_eigenvalues(lam, cluster_tol))
+    return SpectrumReport(level, "dirichlet", lam, cluster_eigenvalues(lam))
 
 
-def nd_spectrum(q_n, b_n, boundary, level=0, cluster_tol=CLUSTER_TOL, nd_tol=ND_TOL) -> SpectrumReport:
+def nd_spectrum(q_n, b_n, boundary, level=0, cluster_tol=CLUSTER_TOL) -> SpectrumReport:
     """Neumann-Dirichlet spectrum: per Neumann cluster, the dimension of
     the boundary-vanishing subspace of the eigenspace.
 
@@ -177,7 +175,7 @@ def nd_spectrum(q_n, b_n, boundary, level=0, cluster_tol=CLUSTER_TOL, nd_tol=ND_
             dim = 0
         else:
             s = np.linalg.svd(block[boundary, :], compute_uv=False)
-            cut = nd_tol * max(1.0, float(np.max(np.abs(block))), s[0] if s.size else 0.0)
+            cut = ND_TOL * max(1.0, float(np.max(np.abs(block))), s[0] if s.size else 0.0)
             dim = int(np.sum(s <= cut)) + max(0, mult - len(s))
         if dim > 0:
             out_clusters.append((value, dim))

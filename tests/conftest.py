@@ -41,9 +41,3 @@ def gsemi():
 def segment():
     return interval()
 
-
-def random_sym(rng, k, complex_=True):
-    q = rng.standard_normal((k, k))
-    if complex_:
-        q = q + 1j * rng.standard_normal((k, k))
-    return (q + q.T) / 2.0

@@ -1,67 +1,25 @@
 """Acceptance suite: one test per criterion, each printing a PASS line
 with its worst residual (run with -s to see them inline).
 
-Criteria are exercised at their stated tolerances and trial counts; the
-timing-bounded ones assert wall-clock limits with comfortable margins.
+The identity criteria run the `verify` check of their group on every
+builtin config, drawing from one seeded stream per criterion, so this
+suite and `fractal-spectra verify` share one implementation.  The
+timing-bounded ones assert wall-clock limits, with comfortable margins,
+around each check call.
 """
 
 import time
 
 import numpy as np
+import pytest
 
-from fractal_spectra import cli
-from fractal_spectra.grassmann import (
-    exp_eta,
-    glue_morphism,
-    interior_reduce,
-    pair,
-    phi_curve,
-    renorm_lift,
-    vanishing_order,
-)
-from fractal_spectra.network import (
-    VertexPartition,
-    glue,
-    q_matrix,
-    trace_map,
-)
-from fractal_spectra.renorm import (
-    balance_report,
-    bidegree_estimate,
-    coords_eval,
-    gamma_bar_closed_form,
-    gamma_bar_semi_closed_form,
-    gasket_closed_form,
-    symmetric_chart,
-    t_iterate,
-    t_map,
-)
-from fractal_spectra.selfsim import (
-    assemble_measure,
-    assemble_q,
-    build_lattice,
-    builtin_structures,
-    gamma_bar,
-    gamma_bar_semi,
-)
+from fractal_spectra import cli, verify
+from fractal_spectra.config import BUILTIN_NAMES, load_config
 from fractal_spectra.spectra import level_spectrum
-from fractal_spectra.symplectic import (
-    LagrangianFrame,
-    compose,
-    from_sym,
-    random_lagrangian,
-    reduce_frame,
-    reduction_defect,
-    subspace_distance,
-    w_glue,
-    w_renorm,
-    w_trace,
-)
-from fractal_spectra.verify import brute_force_trace_energy, random_conservative_network
+from fractal_spectra.symplectic import LagrangianFrame, from_sym, reduction_defect, w_renorm
 
-from conftest import random_sym
-
-CHART3 = symmetric_chart(3)
+BUILTINS = [load_config(name) for name in BUILTIN_NAMES]
+CHECKS = {group: check for suite in verify.SUITES.values() for group, check in suite.items()}
 
 
 def _report(num, name, residual=None, extra=""):
@@ -69,184 +27,65 @@ def _report(num, name, residual=None, extra=""):
     print(f"[acceptance] C{num:02d} {name}: PASS{tail} {extra}".rstrip())
 
 
+def _run_check(group, seed):
+    """The verify check of one group on every builtin; returns the worst
+    residual and the slowest call in seconds."""
+    rng = np.random.default_rng(seed)
+    worst = slowest = 0.0
+    for cfg in BUILTINS:
+        start = time.perf_counter()
+        res = CHECKS[group](cfg, rng)
+        slowest = max(slowest, time.perf_counter() - start)
+        assert res.passed, f"{cfg.name}: {res.line()}"
+        worst = max(worst, res.residual)
+    return worst, slowest
+
+
 def test_c01_trace_variational_oracle():
-    rng = np.random.default_rng(101)
-    start = time.perf_counter()
-    worst = 0.0
-    for _ in range(50):
-        k = int(rng.integers(3, 7))
-        net = random_conservative_network(rng, k)
-        q = q_matrix(net)
-        assert net.is_irreducible()
-        p = int(rng.integers(1, k))
-        boundary = sorted(rng.permutation(k)[:p].tolist())
-        f = rng.standard_normal(p)
-        direct = float(np.real(f @ trace_map(q, boundary) @ f))
-        oracle = brute_force_trace_energy(q, boundary, f)
-        worst = max(worst, abs(direct - oracle) / max(1.0, abs(oracle)))
-    elapsed = time.perf_counter() - start
-    assert worst <= 1e-9
-    assert elapsed < 2.0
-    _report(1, "trace-map variational oracle", worst, f"({elapsed:.2f}s)")
+    worst, slowest = _run_check("trace-variational", 101)
+    assert slowest < 2.0
+    _report(1, "trace-map variational oracle", worst, f"({slowest:.2f}s)")
 
 
 def test_c02_boundary_reduction_identity():
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for _ in range(100):
-        k = int(rng.choice([2, 3, 4]))
-        q = random_sym(rng, k)
-        p = int(rng.integers(1, k + 1))
-        boundary = sorted(rng.permutation(k)[:p].tolist())
-        interior = [i for i in range(k) if i not in set(boundary)]
-        lhs = interior_reduce(exp_eta(q), interior)
-        det_int = np.linalg.det(q[np.ix_(interior, interior)]) if interior else 1.0
-        rhs = exp_eta(trace_map(q, boundary)).scaled(det_int)
-        scale = max(abs(c) for c in rhs.coeffs.values())
-        for key in set(lhs.coeffs) | set(rhs.coeffs):
-            d = abs(lhs.get(*key) - rhs.get(*key))
-            worst = max(worst, d / max(abs(rhs.get(*key)), 1e-9 * scale))
-    assert worst <= 1e-9
+    worst, _ = _run_check("grassmann-boundary", 102)
     _report(2, "boundary reduction determinant identity", worst)
 
 
 def test_c03_gluing_identity_and_frame_equalities():
-    rng = np.random.default_rng(103)
-    worst = 0.0
-    for _ in range(50):
-        k = int(rng.choice([2, 3, 4]))
-        q = random_sym(rng, k)
-        m = int(rng.integers(1, k + 1))
-        labels = list(range(m)) + [int(rng.integers(0, m)) for _ in range(k - m)]
-        rng.shuffle(labels)
-        part = VertexPartition(k, tuple(labels))
-        lhs = glue_morphism(exp_eta(q), part)
-        rhs = exp_eta(glue(q, part))
-        worst = max(worst, (lhs - rhs).norm() / rhs.norm())
-        worst = max(
-            worst,
-            subspace_distance(
-                reduce_frame(from_sym(q), w_glue(part)), from_sym(glue(q, part))
-            ),
-        )
-        p = int(rng.integers(1, k + 1))
-        boundary = sorted(rng.permutation(k)[:p].tolist())
-        worst = max(
-            worst,
-            subspace_distance(
-                reduce_frame(from_sym(q), w_trace(k, boundary)),
-                from_sym(trace_map(q, boundary)),
-            ),
-        )
-    assert worst <= 1e-9
+    worst, _ = _run_check("grassmann-gluing", 103)
     _report(3, "gluing identity and frame equalities", worst)
 
 
 def test_c04_composition_law():
-    rng = np.random.default_rng(104)
-    worst = 0.0
-    for t in range(30):
-        k = 4
-        l = random_lagrangian(k, rng, at_infinity=(t % 2 == 0))
-        w1 = w_trace(k, [0, 1, 3])
-        if t % 2 == 0:
-            w2 = w_trace(3, [0, 2])
-        else:
-            w2 = w_glue(VertexPartition.from_classes(3, [[0, 1]]))
-        lhs = reduce_frame(reduce_frame(l, w1), w2)
-        rhs = reduce_frame(l, compose(w1, w2))
-        worst = max(worst, subspace_distance(lhs, rhs))
-    assert worst <= 1e-8
+    worst, _ = _run_check("reduction-composition", 104)
     _report(4, "reduction composition law", worst)
 
 
-def test_c05_iterates_match_level_traces(gasket):
-    rng = np.random.default_rng(105)
-    worst = 0.0
-    elapsed3 = 0.0
-    for _ in range(5):
-        q = random_sym(rng, 3)
-        for n in (1, 2, 3):
-            start = time.perf_counter()
-            lhs = t_iterate(q, gasket, n)
-            rhs = trace_map(assemble_q(gasket, q, n), build_lattice(gasket, n).boundary)
-            if n == 3:
-                elapsed3 = max(elapsed3, time.perf_counter() - start)
-            worst = max(worst, np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
-    assert worst <= 1e-8
-    assert elapsed3 < 1.0
-    _report(5, "iterates equal level traces", worst, f"(level-3 {elapsed3:.3f}s)")
+def test_c05_iterates_match_level_traces():
+    worst, slowest = _run_check("iterate-consistency", 105)
+    assert slowest < 1.0
+    _report(5, "iterates equal level traces", worst, f"(levels 1-3 {slowest:.3f}s)")
 
 
-def test_c06_closed_forms(gasket):
-    rng = np.random.default_rng(106)
-    worst = 0.0
-    for _ in range(20):
-        u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        got = coords_eval(u, CHART3, gasket)
-        worst = max(worst, float(np.max(np.abs(got - gasket_closed_form(u)) / np.abs(got))))
-    assert worst <= 1e-10
-    fixed = coords_eval(np.array([0.0, 3.0]), CHART3, gasket)
-    assert np.max(np.abs(fixed - [0.0, 1.8])) <= 1e-12
-    for _ in range(20):
-        r, v = rng.uniform(0.3, 3.0, size=2)
-        u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        got = coords_eval(u, CHART3, gamma_bar(r, v))
-        want = gamma_bar_closed_form(u, r, v)
-        worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
-    for _ in range(10):
-        r, rp, v, vp = rng.uniform(0.3, 3.0, size=4)
-        u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        got = coords_eval(u, CHART3, gamma_bar_semi(r, rp, v, vp))
-        want = gamma_bar_semi_closed_form(u, r, rp, v, vp)
-        worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
-    z = 0.8 + 0.6j
-    st = gamma_bar_semi(2.0, 4.0, 1.0, 2.0)
-    assert np.max(np.abs(coords_eval(np.array([z, z]), CHART3, st) - z)) <= 1e-10
-    assert worst <= 1e-10
+def test_c06_closed_forms():
+    worst, _ = _run_check("closed-form", 106)
     _report(6, "closed coordinate forms", worst)
 
 
-def test_c07_degree_matrices(gasket, gbar, gsemi):
-    got = {
-        "sierpinski": bidegree_estimate(gasket, CHART3).tolist(),
-        "gamma_bar": bidegree_estimate(gbar, CHART3).tolist(),
-        "gamma_bar_semi": bidegree_estimate(gsemi, CHART3).tolist(),
-    }
-    assert got["sierpinski"] == [[1, 1], [1, 2]]
-    assert got["gamma_bar"] == [[1, 1], [1, 1]]
-    assert got["gamma_bar_semi"] == [[1, 1], [2, 2]]
-    _report(7, "degree matrices", 0.0, f"{got}")
+def test_c07_degree_matrices():
+    worst, _ = _run_check("degree-matrix", 107)
+    _report(7, "degree matrices", worst)
 
 
-def test_c08_divisor_orders_and_balance(gasket, gbar, gsemi):
-    degrees, orders, h, flags = balance_report(gasket, CHART3, [(1, 0.0, 1.0)])
-    assert orders == [1] and all(flags)
-    assert 3 * 2 == (degrees[1][0] * 1 + degrees[1][1] * 2) + h[1] == 5 + 1
-    degrees, orders, h, flags = balance_report(
-        gbar, CHART3, [(1, 1.0, 2.0), (1, 1.0, 5.0)]
-    )
-    assert orders == [1, 2] and all(flags)
-    degrees, orders, h, flags = balance_report(
-        gsemi, CHART3, [(1, 1.0, 1.0), (1, 1.0, 3.0)]
-    )
-    assert orders == [0, 0] and all(flags)
-    _report(8, "divisor orders and balance", 0.0)
+def test_c08_divisor_orders_and_balance():
+    worst, _ = _run_check("divisor-balance", 108)
+    _report(8, "divisor orders and balance", worst)
 
 
 def test_c09_siegel_invariance():
-    rng = np.random.default_rng(109)
-    worst = np.inf
-    for name, st in builtin_structures().items():
-        k = st.cell_size
-        for _ in range(200):
-            re = random_sym(rng, k, complex_=False)
-            g = rng.standard_normal((k, k))
-            q = re + 1j * (g @ g.T + 0.05 * np.eye(k))
-            tq = t_map(q, st)
-            worst = min(worst, float(np.linalg.eigvalsh((tq - tq.conj().T) / 2j)[0]))
-    assert worst >= -1e-10
-    _report(9, "Siegel invariance", max(0.0, -worst), f"(min Im eig {worst:.2e})")
+    worst, _ = _run_check("siegel-invariance", 109)
+    _report(9, "Siegel invariance", worst)
 
 
 def _block_frame(q, copies):
@@ -261,26 +100,9 @@ def _block_frame(q, copies):
     return LagrangianFrame(cols)
 
 
-def test_c10_nd_machinery_coherence(gasket, gbar, triangle, triangle_q):
-    b = np.ones(3)
-    counts = [level_spectrum(gasket, triangle, b, n, "nd").count for n in range(1, 6)]
-    for small, big in zip(counts, counts[1:]):
-        assert big >= 3 * small
-
-    # level-1 lift orders against N-D multiplicities; the gasket has no
-    # level-1 N-D spectrum (all orders 0) and gamma_bar has a nontrivial one
-    phi = phi_curve(triangle_q, b)
-    checked = 0
-    for st in (gasket, gbar):
-        nd1 = level_spectrum(st, triangle, b, 1, "nd")
-        neu1 = level_spectrum(st, triangle, b, 1, "neumann")
-        for value, _ in neu1.clusters:
-            order = vanishing_order(lambda lam: renorm_lift(phi(lam), st), value)
-            assert order == nd1.multiplicity_at(value)
-            checked += 1
-    assert checked >= 8
-
+def test_c10_nd_machinery_coherence(gasket, triangle, triangle_q):
     # defect of the block frame against W_n^o equals the N-D count, n <= 2
+    b = np.ones(3)
     for n in (1, 2):
         w = w_renorm(gasket, n)
         nd = level_spectrum(gasket, triangle, b, n, "nd")
@@ -288,31 +110,11 @@ def test_c10_nd_machinery_coherence(gasket, gbar, triangle, triangle_q):
         for lam in test_values:
             frame = _block_frame(triangle_q + lam * np.eye(3), 3**n)
             assert reduction_defect(frame, w) == nd.multiplicity_at(lam)
-    _report(10, "N-D machinery coherence", 0.0, f"(gasket nd counts {counts})")
+    _report(10, "N-D machinery coherence", 0.0)
 
 
 def test_c11_determinant_bridge():
-    rng = np.random.default_rng(111)
-    worst = 0.0
-    for name, st in builtin_structures().items():
-        k = st.cell_size
-        q_rho = q_matrix(random_conservative_network(rng, k))
-        b = rng.uniform(0.5, 2.0, size=k)
-        phi = phi_curve(q_rho, b)
-        q1 = assemble_q(st, q_rho, 1)
-        b1 = assemble_measure(st, b, 1)
-        interior = build_lattice(st, 1).interior()
-        for _ in range(20):
-            lam = complex(rng.standard_normal(), rng.standard_normal())
-            lifted = renorm_lift(phi(lam), st)
-            full = q1 + lam * np.diag(b1)
-            want_p = np.linalg.det(full)
-            want_m = (
-                np.linalg.det(full[np.ix_(interior, interior)]) if interior else 1.0
-            )
-            worst = max(worst, abs(pair(lifted, "+") - want_p) / abs(want_p))
-            worst = max(worst, abs(pair(lifted, "-") - want_m) / abs(want_m))
-    assert worst <= 1e-8
+    worst, _ = _run_check("nd-bridge", 111)
     _report(11, "determinant bridge", worst)
 
 
@@ -342,3 +144,24 @@ def test_c13_end_to_end_verify_suite(capsys):
     capsys.readouterr()
     assert elapsed < 60.0
     _report(13, "end-to-end verify suite", 0.0, f"(all builtins {elapsed:.1f}s)")
+
+
+@pytest.mark.parametrize("group, target", [
+    ("trace-variational", "trace_map"),
+    ("grassmann-boundary", "interior_reduce"),
+    ("grassmann-gluing", "glue"),
+    ("iterate-consistency", "t_iterate"),
+    ("closed-form", "coords_eval"),
+    ("nd-bridge", "renorm_lift"),
+])
+def test_check_fails_on_perturbed_output(group, target, monkeypatch):
+    # a relative error of 1e-6 in one function the check relies on must fail it
+    original = getattr(verify, target)
+
+    def perturbed(*args):
+        out = original(*args)
+        return out.scaled(1 + 1e-6) if hasattr(out, "scaled") else out * (1 + 1e-6)
+
+    monkeypatch.setattr(verify, target, perturbed)
+    res = CHECKS[group](load_config("sierpinski"), np.random.default_rng(0))
+    assert res.passed is False

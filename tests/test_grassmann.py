@@ -21,18 +21,18 @@ from fractal_spectra.grassmann import (
     tau_translate,
     vanishing_order,
 )
-from fractal_spectra.network import VertexPartition, glue, q_matrix, trace_map
+from fractal_spectra.network import VertexPartition, glue, q_matrix
 from fractal_spectra.renorm import HomogeneousPoint, s_hat, symmetric_chart, t_map
 from fractal_spectra.selfsim import (
     SelfSimilarStructure,
+    _weak_indices,
     assemble_measure,
     assemble_q,
     build_lattice,
     builtin_structures,
 )
 from fractal_spectra.spectra import char_det, level_spectrum
-
-from conftest import random_sym
+from fractal_spectra.verify import random_sym
 
 
 def test_exp_eta_small():
@@ -87,19 +87,6 @@ def test_interior_reduce_degenerate_cases(rng):
     full = interior_reduce(x, [0, 1, 2])
     assert full.ground_size == 0
     assert full.get(0, 0) == pytest.approx(np.linalg.det(q))
-
-
-def test_boundary_reduction_identity(rng):
-    for _ in range(10):
-        k = int(rng.choice([2, 3, 4]))
-        q = random_sym(rng, k)
-        p = int(rng.integers(1, k + 1))
-        boundary = sorted(rng.permutation(k)[:p].tolist())
-        interior = [i for i in range(k) if i not in set(boundary)]
-        lhs = interior_reduce(exp_eta(q), interior)
-        det_int = np.linalg.det(q[np.ix_(interior, interior)]) if interior else 1.0
-        rhs = exp_eta(trace_map(q, boundary)).scaled(det_int)
-        assert (lhs - rhs).norm() <= 1e-9 * rhs.norm()
 
 
 def test_glue_morphism_cases(rng):
@@ -218,7 +205,7 @@ def _dict_kernel_lift(x, structure):
     weak_exp = None
     if structure.weak is not None:
         glued = np.zeros((lat.num_vertices, lat.num_vertices), dtype=complex)
-        idx = np.array([lat.copy_maps[p // k][p % k] for p in range(structure.num_points)])
+        idx = _weak_indices(structure, lat)
         np.add.at(glued, (idx[:, None], idx[None, :]), q_matrix(structure.weak))
         weak_exp = exp_eta(glued)
     reduced = (reduced_product(z, weak_exp, interior) if weak_exp is not None
@@ -254,8 +241,7 @@ def test_determinant_bridge(gasket, gbar, triangle_q):
         lat = build_lattice(st_, 1)
         for lam in (0.3 + 0.2j, -1.5, 2.0 - 1.0j):
             lifted = renorm_lift(phi(lam), st_)
-            full = q1 + lam * np.diag(b1)
-            want_p = np.linalg.det(full)
+            want_p = char_det(q1, b1, lam, "neumann")
             assert abs(pair(lifted, "+") - want_p) <= 1e-8 * abs(want_p)
             want_m = char_det(q1, b1, lam, "dirichlet", lat.boundary)
             assert abs(pair(lifted, "-") - want_m) <= 1e-8 * abs(want_m)

@@ -11,8 +11,7 @@ from fractal_spectra.linalg import (
     kernel_basis,
     sym_eig,
 )
-
-from conftest import random_sym
+from fractal_spectra.verify import random_sym
 
 
 def test_sym_eig_identity():

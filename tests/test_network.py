@@ -19,7 +19,11 @@ from fractal_spectra.network import (
 )
 from fractal_spectra.renorm import symmetric_chart
 from fractal_spectra.selfsim import assemble_q, build_lattice, gamma_bar_semi
-from fractal_spectra.verify import brute_force_trace_energy, random_conservative_network
+from fractal_spectra.verify import (
+    brute_force_trace_energy,
+    random_conservative_network,
+    random_sym,
+)
 
 PATH_Q = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [-1.0, -1.0, 2.0]])
 
@@ -164,6 +168,7 @@ def test_variational_identity(rng):
     for _ in range(50):
         k = int(rng.integers(3, 7))
         net = random_conservative_network(rng, k)
+        assert net.is_irreducible()
         q = q_matrix(net)
         p = int(rng.integers(1, k))
         bnd = sorted(rng.permutation(k)[:p].tolist())
@@ -199,8 +204,6 @@ def test_cone_preservation_and_conservativity(seed):
 
 def test_tower_property(rng):
     for _ in range(10):
-        from conftest import random_sym
-
         q = random_sym(rng, 6)
         try:
             once = trace_map(q, [0, 1, 2, 3])

@@ -20,8 +20,7 @@ from fractal_spectra.selfsim import (
     validate,
 )
 from fractal_spectra.network import trace_map
-
-from conftest import random_sym
+from fractal_spectra.verify import random_sym
 
 
 def test_validate_good_structure(gasket):

@@ -24,8 +24,7 @@ from fractal_spectra.symplectic import (
     w_renorm,
     w_trace,
 )
-
-from conftest import random_sym
+from fractal_spectra.verify import random_sym
 
 
 def test_from_sym_cases():
