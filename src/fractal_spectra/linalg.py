@@ -14,24 +14,30 @@ import numpy as np
 
 from .errors import NonPositiveWeight, NotHermitian, NotSymmetric
 
-# Default relative singular-value threshold for rank / kernel decisions.
+# Relative singular-value threshold for rank / kernel decisions: singular
+# values <= RANK_TOL * sigma_max count as zero.
 RANK_TOL = 1e-9
+# Entrywise symmetry (or Hermitian) threshold, relative to max(1, max|a|).
+SYMMETRY_TOL = 1e-12
+# Absolute eigenvalue threshold: a Hermitian matrix is positive definite
+# when its smallest eigenvalue exceeds -DEFINITE_TOL.
+DEFINITE_TOL = 1e-10
 
 
-def check_symmetric(a, tol=1e-12):
+def check_symmetric(a):
     """Return ``a`` as a complex array, raising NotSymmetric if a != a^T."""
-    return _require_symmetric(np.asarray(a, dtype=complex), tol)
+    return _require_symmetric(np.asarray(a, dtype=complex))
 
 
-def _require_symmetric(a, tol=1e-12):
-    """Raise NotSymmetric unless ``a`` is square with |a - a^T| <= tol *
-    max(1, max|a|) entrywise; returns ``a`` in its own dtype, so real input
-    is checked in real arithmetic."""
+def _require_symmetric(a):
+    """Raise NotSymmetric unless ``a`` is square with |a - a^T| <=
+    SYMMETRY_TOL * max(1, max|a|) entrywise; returns ``a`` in its own dtype,
+    so real input is checked in real arithmetic."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     if a.size:
         scale = max(1.0, float(np.max(np.abs(a))))
-        if np.max(np.abs(a - a.T)) > tol * scale:
+        if np.max(np.abs(a - a.T)) > SYMMETRY_TOL * scale:
             raise NotSymmetric("matrix is not symmetric within tolerance")
     return a
 
@@ -127,32 +133,33 @@ def kernel_basis(a, tol=RANK_TOL) -> Subspace:
     return Subspace(n, vh[ns:].conj().T)
 
 
-def numerical_rank(a, tol=RANK_TOL):
-    """Rank of ``a`` by the same relative singular-value threshold."""
+def numerical_rank(a):
+    """Rank of ``a`` by the RANK_TOL relative singular-value threshold."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
-def is_positive_definite(a, tol=1e-10):
-    """True iff the Hermitian matrix ``a`` has smallest eigenvalue > -tol."""
+def is_positive_definite(a):
+    """True iff the Hermitian matrix ``a`` has smallest eigenvalue >
+    -DEFINITE_TOL."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if np.max(np.abs(a - a.conj().T)) > 1e-12 * scale:
+    if np.max(np.abs(a - a.conj().T)) > SYMMETRY_TOL * scale:
         raise NotHermitian("matrix is not Hermitian within tolerance")
     if a.shape[0] == 0:
         return True
     w = np.linalg.eigvalsh(a)
-    return bool(w[0] > -tol)
+    return bool(w[0] > -DEFINITE_TOL)
 
 
-def orthonormalize(cols, tol=RANK_TOL):
+def orthonormalize(cols):
     """Orthonormal basis of the column span (rank-trimmed SVD)."""
     cols = np.asarray(cols, dtype=complex)
     if cols.ndim != 2:
@@ -162,16 +169,11 @@ def orthonormalize(cols, tol=RANK_TOL):
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((cols.shape[0], 0), dtype=complex)
-    r = int(np.sum(s > tol * s[0]))
+    r = int(np.sum(s > RANK_TOL * s[0]))
     return u[:, :r]
 
 
-def nullspace(a, tol=RANK_TOL):
-    """Orthonormal right-nullspace columns of ``a`` (possibly 0 columns)."""
-    return kernel_basis(a, tol).basis
-
-
-def intersect_columns(b1, b2, tol=RANK_TOL):
+def intersect_columns(b1, b2):
     """Orthonormal basis of span(b1) intersected with span(b2).
 
     Both arguments are matrices of (not necessarily orthonormal) column
@@ -181,7 +183,7 @@ def intersect_columns(b1, b2, tol=RANK_TOL):
     b2 = np.asarray(b2, dtype=complex)
     if b1.shape[1] == 0 or b2.shape[1] == 0:
         return np.zeros((b1.shape[0], 0), dtype=complex)
-    ns = nullspace(np.hstack([b1, -b2]), tol)
+    ns = kernel_basis(np.hstack([b1, -b2])).basis
     if ns.shape[1] == 0:
         return np.zeros((b1.shape[0], 0), dtype=complex)
-    return orthonormalize(b1 @ ns[: b1.shape[1], :], tol)
+    return orthonormalize(b1 @ ns[: b1.shape[1], :])

@@ -25,6 +25,9 @@ from .linalg import check_symmetric
 # Relative threshold below which the interior block counts as singular
 # (the pole set of the boundary-trace map).
 SINGULAR_TOL = 1e-10
+# is_dirichlet_form's cone threshold, relative to max(1, max|q|); looser
+# than network_from_q's 1e-12 to absorb rounding in traced and glued forms.
+DIRICHLET_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,8 @@ class ElectricalNetwork:
         ):
             raise ValueError("conductances and dissipative terms must be >= 0")
 
-    def is_conservative(self, tol=0.0):
-        return all(v <= tol for v in self.dissipative)
+    def is_conservative(self):
+        return all(v <= 0.0 for v in self.dissipative)
 
     def is_irreducible(self):
         """Is the graph of strictly positive conductances connected?"""
@@ -119,11 +122,11 @@ class VertexPartition:
                 nxt += 1
         return cls(size, tuple(class_of))
 
-    def members(self):
-        out = [[] for _ in range(self.num_classes)]
-        for v, c in enumerate(self.class_of):
-            out[c].append(v)
-        return out
+    def matrix(self):
+        """The size x num_classes incidence matrix s of the identification."""
+        s = np.zeros((self.size, self.num_classes))
+        s[np.arange(self.size), self.class_of] = 1.0
+        return s
 
 
 def q_matrix(net: ElectricalNetwork):
@@ -161,10 +164,10 @@ def network_from_q(q, tol=1e-12) -> ElectricalNetwork:
     return ElectricalNetwork(k, cond, diss)
 
 
-def is_dirichlet_form(q, tol=1e-9):
-    """Real symmetric, off-diagonals <= 0, row sums >= 0."""
+def is_dirichlet_form(q):
+    """Real symmetric, off-diagonals <= 0, row sums >= 0 (to DIRICHLET_TOL)."""
     try:
-        network_from_q(q, tol)
+        network_from_q(q, DIRICHLET_TOL)
     except NotADirichletForm:
         return False
     return True
@@ -181,6 +184,15 @@ def _split(q, boundary):
     return boundary, interior
 
 
+def _solve_interior(q, interior, rhs):
+    """(Q|int)^{-1} rhs; raises SingularInterior on the pole set."""
+    qii = q[np.ix_(interior, interior)]
+    s = np.linalg.svd(qii, compute_uv=False)
+    if s[0] == 0.0 or s[-1] <= SINGULAR_TOL * s[0]:
+        raise SingularInterior("interior block is numerically singular")
+    return np.linalg.solve(qii, rhs)
+
+
 def trace_map(q, boundary):
     """Schur complement of Q onto the vertex subset ``boundary``.
 
@@ -192,13 +204,8 @@ def trace_map(q, boundary):
     bnd, interior = _split(q, boundary)
     if not interior:
         return q[np.ix_(bnd, bnd)]
-    qbb = q[np.ix_(bnd, bnd)]
     b = q[np.ix_(bnd, interior)]
-    qii = q[np.ix_(interior, interior)]
-    s = np.linalg.svd(qii, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= SINGULAR_TOL * s[0]:
-        raise SingularInterior("interior block is numerically singular")
-    out = qbb - b @ np.linalg.solve(qii, b.T)
+    out = q[np.ix_(bnd, bnd)] - b @ _solve_interior(q, interior, b.T)
     return (out + out.T) / 2.0
 
 
@@ -216,12 +223,7 @@ def harmonic_extension(q, boundary, f):
     h = np.zeros(q.shape[0], dtype=complex)
     h[bnd] = f
     if interior:
-        qii = q[np.ix_(interior, interior)]
-        s = np.linalg.svd(qii, compute_uv=False)
-        if s[0] == 0.0 or s[-1] <= SINGULAR_TOL * s[0]:
-            raise SingularInterior("interior block is numerically singular")
-        b = q[np.ix_(bnd, interior)]
-        h[interior] = -np.linalg.solve(qii, b.T @ f)
+        h[interior] = -_solve_interior(q, interior, q[np.ix_(interior, bnd)] @ f)
     return h
 
 
@@ -230,10 +232,7 @@ def glue(q, part: VertexPartition):
     q = check_symmetric(q)
     if part.size != q.shape[0]:
         raise ValueError("partition size must match matrix dimension")
-    m = part.num_classes
-    s = np.zeros((part.size, m))
-    for v, c in enumerate(part.class_of):
-        s[v, c] = 1.0
+    s = part.matrix()
     return s.T @ q @ s
 
 

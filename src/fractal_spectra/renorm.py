@@ -28,7 +28,6 @@ from .symplectic import (
     in_siegel,
     reduce_frame,
     reduction_defect,
-    tau_scale_frame,
     tau_translate_frame,
     to_sym,
     w_renorm,
@@ -58,11 +57,11 @@ def block_copy_frame(l: LagrangianFrame, structure) -> LagrangianFrame:
     w = structure.copy_weights()
     cols = np.zeros((2 * n * k, n * k), dtype=complex)
     for i in range(n):
-        li = l if w[i] == 1.0 else tau_scale_frame(l, w[i])
-        top = li.columns[:k, :]
-        bot = li.columns[k:, :]
-        cols[i * k : (i + 1) * k, i * k : (i + 1) * k] = top
-        cols[n * k + i * k : n * k + (i + 1) * k, i * k : (i + 1) * k] = bot
+        # copy i carries the scaling lift of Q -> w_i Q: E*-rows times w_i
+        cols[i * k : (i + 1) * k, i * k : (i + 1) * k] = l.columns[:k, :]
+        cols[n * k + i * k : n * k + (i + 1) * k, i * k : (i + 1) * k] = (
+            w[i] * l.columns[k:, :]
+        )
     frame = LagrangianFrame(cols)
     weak = structure.weak_q()
     if weak is not None:
@@ -391,6 +390,11 @@ def gasket_closed_form(u):
     return np.array(
         [3 * u0 * u1 / (2 * u0 + u1), 3 * u1 * (u0 + u1) / (5 * u1 + u0)]
     )
+
+
+def interval_closed_form(u):
+    u0, u1 = u
+    return np.array([2 * u0 * u1 / (u0 + u1), (u0 + u1) / 2])
 
 
 def gamma_bar_closed_form(u, r, v):

@@ -25,16 +25,16 @@ indeterminacy indicator of the induced rational map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .errors import AtInfinity, NotSymmetric, ZeroScale
+from .errors import AtInfinity, ZeroScale
 from .linalg import (
-    RANK_TOL,
     check_symmetric,
     intersect_columns,
     is_positive_definite,
-    nullspace,
+    kernel_basis,
     orthonormalize,
 )
 from .network import VertexPartition
@@ -63,7 +63,7 @@ class LagrangianFrame:
         if cols.ndim != 2 or cols.shape[0] != 2 * cols.shape[1]:
             raise ValueError("frame must be 2K x K")
         cols = orthonormalize(cols)
-        if cols.shape[1] != self.half_dim_of(cols):
+        if cols.shape[1] != cols.shape[0] // 2:
             raise ValueError("frame does not have full rank K")
         k = cols.shape[1]
         iso = cols.T @ omega_matrix(k) @ cols
@@ -71,10 +71,6 @@ class LagrangianFrame:
             raise ValueError("frame is not isotropic")
         cols.flags.writeable = False
         self.columns = cols
-
-    @staticmethod
-    def half_dim_of(cols):
-        return cols.shape[0] // 2
 
     @property
     def half_dim(self):
@@ -92,11 +88,7 @@ def subspace_distance(l1: LagrangianFrame, l2: LagrangianFrame):
 
 def from_sym(q) -> LagrangianFrame:
     """Graph frame [I; Q] of a symmetric matrix."""
-    q = np.asarray(q, dtype=complex)
-    try:
-        q = check_symmetric(q)
-    except NotSymmetric:
-        raise
+    q = check_symmetric(q)
     k = q.shape[0]
     return LagrangianFrame(np.vstack([np.eye(k), q]))
 
@@ -131,11 +123,11 @@ def tau_translate_frame(frame: LagrangianFrame, q0) -> LagrangianFrame:
     return LagrangianFrame(cols)
 
 
-def random_symplectic(k, rng, shears=3):
-    """Random real symplectic matrix: alternating lower/upper shears by
-    random symmetric blocks, finished with the rotation J."""
+def random_symplectic(k, rng):
+    """Random real symplectic matrix: three alternating lower/upper shears
+    by random symmetric blocks, finished with the rotation J = Omega^T."""
     m = np.eye(2 * k)
-    for step in range(shears):
+    for step in range(3):
         s = rng.standard_normal((k, k))
         s = (s + s.T) / 2.0
         shear = np.eye(2 * k)
@@ -144,10 +136,7 @@ def random_symplectic(k, rng, shears=3):
         else:
             shear[:k, k:] = s
         m = shear @ m
-    j = np.zeros((2 * k, 2 * k))
-    j[:k, k:] = -np.eye(k)
-    j[k:, :k] = np.eye(k)
-    return j @ m
+    return omega_matrix(k).T @ m
 
 
 def random_lagrangian(k, rng, at_infinity=False) -> LagrangianFrame:
@@ -208,47 +197,27 @@ class CoisotropicSubspace:
 def w_trace(k, boundary) -> CoisotropicSubspace:
     """W = C^F + (C^{dF})*; reduction by it is the boundary trace."""
     boundary = list(boundary)
-    p = len(boundary)
     interior = [i for i in range(k) if i not in set(boundary)]
-    frame = np.zeros((2 * k, k + p))
-    for c, i in enumerate(range(k)):
-        frame[i, c] = 1.0
-    for c, b in enumerate(boundary):
-        frame[k + b, k + c] = 1.0
-    wo = np.zeros((2 * k, k - p))
-    for c, i in enumerate(interior):
-        wo[i, c] = 1.0
-    proj = np.zeros((2 * p, 2 * k))
-    for c, b in enumerate(boundary):
-        proj[c, b] = 1.0
-        proj[p + c, k + b] = 1.0
-    return CoisotropicSubspace(frame, wo, proj)
+    dual = [k + b for b in boundary]
+    eye = np.eye(2 * k)
+    return CoisotropicSubspace(
+        eye[:, list(range(k)) + dual], eye[:, interior], eye[boundary + dual]
+    )
 
 
 def w_glue(part: VertexPartition) -> CoisotropicSubspace:
     """W = Im(s) + (C^F)*; reduction by it is the gluing pushforward."""
-    k = part.size
-    members = part.members()
-    m = len(members)
-    frame = np.zeros((2 * k, m + k))
-    for c, group in enumerate(members):
-        for v in group:
-            frame[v, c] = 1.0
-    for c in range(k):
-        frame[k + c, m + c] = 1.0
-    wo_cols = []
-    for group in members:
-        for v in group[1:]:
-            col = np.zeros(2 * k)
-            col[k + group[0]] = 1.0
-            col[k + v] = -1.0
-            wo_cols.append(col)
-    wo = np.stack(wo_cols, axis=1) if wo_cols else np.zeros((2 * k, 0))
-    proj = np.zeros((2 * m, 2 * k))
-    for c, group in enumerate(members):
-        for v in group:
-            proj[c, v] = 1.0 / len(group)  # class average reads g from s(g)
-            proj[m + c, k + v] = 1.0  # class sum is s* on the dual block
+    k, m = part.size, part.num_classes
+    s = part.matrix()
+    eye, zero = np.eye(k), np.zeros((k, m))
+    frame = np.block([[s, np.zeros((k, k))], [zero, eye]])
+    # W^o = ker(s*) on the dual block: each class's first vertex minus
+    # each of its other members
+    first = s.argmax(axis=0)[list(part.class_of)]
+    rest = [v for v in range(k) if first[v] != v]
+    wo = np.vstack([np.zeros((k, len(rest))), (eye[:, first] - eye)[:, rest]])
+    # the class average reads g from s(g); the class sum is s* on the dual block
+    proj = np.block([[s.T / s.sum(axis=0)[:, None], zero.T], [zero.T, s.T]])
     return CoisotropicSubspace(frame, wo, proj)
 
 
@@ -256,51 +225,15 @@ def w_renorm(structure, level=1) -> CoisotropicSubspace:
     """The renormalization subspace inside V of {copies}^n x F.
 
     W = Im(s) + (s*)^{-1}((C^{dF_n})*) for the level-n identification map
-    s; reducing the block-diagonal frame of N^n copies by it is the whole
-    n-step renormalization, and the quotient chart lands in V_F through
-    the boundary identification."""
-    from itertools import product
-
+    s, composed from the gluing along s and the boundary trace of the
+    level-n lattice; reducing the block-diagonal frame of N^n copies by it
+    is the whole n-step renormalization, and the quotient chart lands in
+    V_F through the boundary identification."""
     lat = build_lattice(structure, level)
-    k = structure.cell_size
-    addresses = list(product(range(structure.num_copies), repeat=level))
-    npts = len(addresses) * k
-    fibers = [[] for _ in range(lat.num_vertices)]
-    for a, addr in enumerate(addresses):
-        cm = lat.cell_map(addr)
-        for x in range(k):
-            fibers[cm[x]].append(a * k + x)
-    bset = set(lat.boundary)
-    frame_cols = []
-    wo_cols = []
-    for w, fiber in enumerate(fibers):
-        col = np.zeros(2 * npts)
-        for p in fiber:
-            col[p] = 1.0
-        frame_cols.append(col)  # Im(s)
-        if w not in bset:
-            wo_cols.append(col)  # s(C^{F_1 \ dF_1})
-    for fiber in fibers:
-        for p in fiber[1:]:  # ker(s*): fiber differences on the dual block
-            col = np.zeros(2 * npts)
-            col[npts + fiber[0]] = 1.0
-            col[npts + p] = -1.0
-            frame_cols.append(col)
-            wo_cols.append(col)
-    for b in lat.boundary:  # dual directions over boundary fibers
-        col = np.zeros(2 * npts)
-        for p in fibers[b]:
-            col[npts + p] = 1.0
-        frame_cols.append(col)
-    frame = np.stack(frame_cols, axis=1)
-    wo = np.stack(wo_cols, axis=1) if wo_cols else np.zeros((2 * npts, 0))
-    proj = np.zeros((2 * k, 2 * npts))
-    for c, b in enumerate(lat.boundary):
-        fiber = fibers[b]
-        for p in fiber:
-            proj[c, p] = 1.0 / len(fiber)
-            proj[k + c, npts + p] = 1.0
-    return CoisotropicSubspace(frame, wo, proj)
+    addresses = product(range(structure.num_copies), repeat=level)
+    vertex_of = np.concatenate([lat.cell_map(a) for a in addresses])
+    part = VertexPartition(len(vertex_of), tuple(vertex_of))
+    return compose(w_glue(part), w_trace(lat.num_vertices, lat.boundary))
 
 
 def compose(w: CoisotropicSubspace, w_next: CoisotropicSubspace) -> CoisotropicSubspace:
@@ -337,29 +270,24 @@ def reduce_frame(l: LagrangianFrame, w: CoisotropicSubspace) -> LagrangianFrame:
     return LagrangianFrame(reduced)
 
 
-def reduction_defect(l: LagrangianFrame, w: CoisotropicSubspace, tol=RANK_TOL):
+def reduction_defect(l: LagrangianFrame, w: CoisotropicSubspace):
     """dim(L cap W^o): zero exactly where the rational reduction is regular."""
     if w.wo_frame.shape[1] == 0:
         return 0
-    ns = nullspace(np.hstack([l.columns, -w.wo_frame]), tol)
-    return ns.shape[1]
+    return kernel_basis(np.hstack([l.columns, -w.wo_frame])).dim
 
 
-def in_siegel(l: LagrangianFrame, tol=1e-10):
+def in_siegel(l: LagrangianFrame):
     """Membership in the Siegel domain: -i omega(conj X, X) > 0 on L.
 
     For graph frames this is positive definiteness of Im Q."""
     k = l.half_dim
     h = -1j * (l.columns.conj().T @ omega_matrix(k) @ l.columns)
     h = (h + h.conj().T) / 2.0
-    return is_positive_definite(h, tol)
+    return is_positive_definite(h)
 
 
 def orthogonal_lagrangian(l: LagrangianFrame) -> LagrangianFrame:
     """conj(J L): the Hermitian-orthogonal complement of a Lagrangian."""
-    k = l.half_dim
-    j = np.zeros((2 * k, 2 * k))
-    j[:k, k:] = -np.eye(k)
-    j[k:, :k] = np.eye(k)
-    return LagrangianFrame(np.conj(j @ l.columns))
+    return LagrangianFrame(np.conj(omega_matrix(l.half_dim).T @ l.columns))
 

@@ -32,6 +32,7 @@ from .renorm import (
     gamma_bar_closed_form,
     gamma_bar_semi_closed_form,
     gasket_closed_form,
+    interval_closed_form,
     t_iterate,
     t_map,
 )
@@ -222,6 +223,8 @@ def _closed_form(cfg):
         return lambda u: gamma_bar_semi_closed_form(
             u, p["r"], p["r_prime"], p["v"], p["v_prime"]
         )
+    if cfg.family == "interval":
+        return interval_closed_form
     return None
 
 
@@ -230,6 +233,7 @@ def expected_degrees(cfg):
         "sierpinski": np.array([[1, 1], [1, 2]]),
         "gamma_bar": np.array([[1, 1], [1, 1]]),
         "gamma_bar_semi": np.array([[1, 1], [2, 2]]),
+        "interval": np.array([[1, 1], [1, 1]]),
     }.get(cfg.family)
 
 
@@ -245,6 +249,8 @@ def divisor_loci(cfg):
     if cfg.family == "gamma_bar_semi":
         z0, z1 = p["v"], p["r"] + p["v"]
         return [(1, 1.0, z0), (1, 1.0, z1)], [0, 0]
+    if cfg.family == "interval":
+        return [], []  # no divisor: balance certifies h = [0, 0]
     return None, None
 
 
@@ -343,6 +349,8 @@ def check_nd_bridge(cfg, rng) -> CheckResult:
     levels = 5 if cfg.family == "sierpinski" else 4
     reports = [level_spectrum(structure, cfg.network, b, n, "nd") for n in range(1, levels + 1)]
     counts = [rep.count for rep in reports]
+    # with no N-D eigenvalue below the top level, every bound reads >= 0
+    vacuous = not any(counts[:-1])
     replication = all(
         counts[i + 1] >= structure.num_copies * counts[i] for i in range(len(counts) - 1)
     )
@@ -357,9 +365,10 @@ def check_nd_bridge(cfg, rng) -> CheckResult:
         if order != nd1.multiplicity_at(value):
             order_ok = False
             break
+    detail = f"replication vacuous: N-D counts {counts}" if vacuous else f"nd counts {counts}"
     return CheckResult(
         "nd-bridge", order_ok, worst,
-        f"nd counts {counts}" + ("" if order_ok else "; lift order mismatch"),
+        detail + ("" if order_ok else "; lift order mismatch"),
     )
 
 

@@ -1,8 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from fractal_spectra.network import ElectricalNetwork
-from fractal_spectra.selfsim import gamma_bar, gamma_bar_semi, interval, sierpinski
+# One BLAS thread: with two threads on a two-core host the first small
+# solve of a run sometimes stalls for about a second, which trips the
+# wall-clock bounds of the acceptance tests.  Must be set before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from fractal_spectra.network import ElectricalNetwork  # noqa: E402
+from fractal_spectra.selfsim import gamma_bar, gamma_bar_semi, interval, sierpinski  # noqa: E402
 
 
 @pytest.fixture

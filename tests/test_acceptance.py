@@ -118,6 +118,19 @@ def test_c11_determinant_bridge():
     _report(11, "determinant bridge", worst)
 
 
+@pytest.mark.parametrize("name, vacuous", [
+    ("sierpinski", False),
+    ("gamma_bar", False),
+    ("gamma_bar_semi", True),
+    ("interval", True),
+])
+def test_nd_bridge_says_when_replication_is_vacuous(name, vacuous):
+    # with N-D counts [0, 0, 0, 0] the replication bounds compare nothing
+    res = CHECKS["nd-bridge"](load_config(name), np.random.default_rng(111))
+    assert res.passed
+    assert ("vacuous" in res.detail) == vacuous, res.line()
+
+
 def test_c12_spectrum_cardinalities_and_interlacing(gasket, triangle):
     b = np.ones(3)
     elapsed5 = None
@@ -141,7 +154,9 @@ def test_c13_end_to_end_verify_suite(capsys):
     for name in ("sierpinski", "gamma_bar", "gamma_bar_semi", "interval"):
         assert cli.main(["verify", "--config", name, "--suite", "all"]) == 0
     elapsed = time.perf_counter() - start
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    # every builtin has closed-form, degree and divisor expectations
+    assert "no expectations" not in out and "no loci" not in out
     assert elapsed < 60.0
     _report(13, "end-to-end verify suite", 0.0, f"(all builtins {elapsed:.1f}s)")
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fractal_spectra.config import BUILTIN_NAMES, load_config
 from fractal_spectra.errors import NotEquivariant, SingularInterior
 from fractal_spectra.grassmann import exp_eta, pair, renorm_lift
 from fractal_spectra.renorm import (
@@ -8,18 +9,20 @@ from fractal_spectra.renorm import (
     HomogeneousPoint,
     balance_report,
     bidegree_estimate,
+    block_copy_frame,
     coords_eval,
     frame_from_pairs,
     g_map,
     gamma_bar_closed_form,
     gamma_bar_semi_closed_form,
+    interval_closed_form,
     orbit,
     s_hat,
     symmetric_chart,
     t_iterate,
     t_map,
 )
-from fractal_spectra.network import trace_map
+from fractal_spectra.network import VertexPartition, trace_map
 from fractal_spectra.selfsim import (
     SelfSimilarStructure,
     assemble_q,
@@ -28,7 +31,17 @@ from fractal_spectra.selfsim import (
     gamma_bar_semi,
     sierpinski,
 )
-from fractal_spectra.symplectic import from_sym, in_siegel, to_sym
+from fractal_spectra.symplectic import (
+    from_sym,
+    in_siegel,
+    random_lagrangian,
+    reduce_frame,
+    subspace_distance,
+    to_sym,
+    w_glue,
+    w_renorm,
+    w_trace,
+)
 from fractal_spectra.verify import random_sym
 
 CHART3 = symmetric_chart(3)
@@ -72,6 +85,31 @@ def test_gamma_bar_semi_closed_form(gsemi, rng):
         got = coords_eval(u, CHART3, gamma_bar_semi(r, rp, v, vp))
         want = gamma_bar_semi_closed_form(u, r, rp, v, vp)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+
+
+def test_interval_closed_form(segment, rng):
+    for _ in range(20):
+        u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        got = coords_eval(u, symmetric_chart(2), segment)
+        want = interval_closed_form(u)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_w_renorm_is_gluing_then_trace(name, rng):
+    # one reduction by W_renorm equals the gluing of the N copies onto the
+    # level-1 vertices followed by the boundary trace, on copies of random
+    # frames, half of them pushed to meet the divisor at infinity
+    st = load_config(name).structure
+    lat = build_lattice(st, 1)
+    part = VertexPartition(st.num_points, tuple(np.concatenate(lat.copy_maps)))
+    w, w_g, w_t = w_renorm(st), w_glue(part), w_trace(lat.num_vertices, lat.boundary)
+    for t in range(10):
+        l = random_lagrangian(st.cell_size, rng, at_infinity=t % 2 == 1)
+        tilde = block_copy_frame(l, st)
+        once = reduce_frame(tilde, w)
+        twice = reduce_frame(reduce_frame(tilde, w_g), w_t)
+        assert subspace_distance(once, twice) <= 1e-12
 
 
 def test_one_homogeneity_strong_vs_weak(gasket, gbar, rng):
@@ -154,7 +192,7 @@ def test_degree_matrices(gasket, gbar, gsemi, segment):
     assert bidegree_estimate(segment, symmetric_chart(2)).tolist() == [[1, 1], [1, 1]]
 
 
-def test_divisor_orders_and_balance(gasket, gbar, gsemi):
+def test_divisor_orders_and_balance(gasket, gbar, gsemi, segment):
     degrees, orders, h, flags = balance_report(gasket, CHART3, [(1, 0.0, 1.0)])
     assert orders == [1] and h == [0, 1] and all(flags)
     # balance spells out 3*2 = (1*1 + 2*2) + 1 for the second pair
@@ -171,6 +209,10 @@ def test_divisor_orders_and_balance(gasket, gbar, gsemi):
         gsemi, CHART3, [(1, 1.0, z0), (1, 1.0, z1)]
     )
     assert orders == [0, 0] and h == [0, 0] and all(flags)
+
+    # the interval map has no divisor: balance holds with no loci at all
+    degrees, orders, h, flags = balance_report(segment, symmetric_chart(2), [])
+    assert orders == [] and h == [0, 0] and all(flags)
 
 
 def test_s_hat_identities(rng):
