@@ -32,8 +32,7 @@ import numpy as np
 
 from .errors import OrderUnstable, ZeroScale
 from .linalg import check_symmetric
-from .network import q_matrix
-from .selfsim import _weak_indices, build_lattice
+from .selfsim import assemble_q, build_lattice
 
 
 def _mask(indices):
@@ -322,10 +321,10 @@ def _lift_plan(structure):
     weighted cell element:  z'[dst] += sign * z[z_idx] * x[x_idx], where
     sign carries the reindex parity, the merge parity and w_i^deg.  The
     reduction map folds the product with the weak-network exponential (the
-    unit without a weak network), the interior reduction and the relabelling
-    of the boundary to the cell into one sparse matrix from the final keys
-    to the cell keys.  A key (I, J) of the level-1 algebra is packed as the
-    integer I << V | J, V its vertex count."""
+    unit without a weak network) and the interior reduction into one sparse
+    matrix from the final keys to the cell keys.  A key (I, J) of the
+    level-1 algebra is packed as the integer I << V | J, V its vertex
+    count."""
     cache = structure._cache
     if "lift_plan" in cache:
         return cache["lift_plan"]
@@ -351,28 +350,13 @@ def _lift_plan(structure):
         sign = scale[m] * _merge_signs(zi[z_idx], zj[z_idx], ii[m], ij[m], nv)
         copies.append((z_idx, x_pos[m], dst, sign, len(keys)))
 
-    interior = lat.interior()
-    imask = _mask(interior)
-    # compacted complement slots are the boundary vertices in increasing
-    # vertex order; send slot -> cell vertex of F
-    rest = sorted(set(range(nv)) - set(interior))
-    vert_to_cell = {b: x for x, b in enumerate(lat.boundary)}
-    out_map = [vert_to_cell[b] for b in rest]
-    targets = []  # (output cell key position, level-1 I, level-1 J, sign)
-    for ri, rj in _balanced_keys(len(rest)):
-        ni = imask | _mask(rest[t] for t in _indices(ri))
-        nj = imask | _mask(rest[t] for t in _indices(rj))
-        out_key, out_sign = _reindex_key(ri, rj, out_map)
-        sign = out_sign * _merge_sign(imask, imask, ni ^ imask, nj ^ imask)
-        targets.append((cell_index[out_key], ni, nj, sign))
-    t_pos, ti, tj, t_sign = (np.array(col) for col in zip(*targets))
-    if structure.weak is None:
-        weak_exp = GrassmannElement.unit(nv)
-    else:
-        glued = np.zeros((nv, nv), dtype=complex)
-        idx = _weak_indices(structure, lat)
-        np.add.at(glued, (idx[:, None], idx[None, :]), q_matrix(structure.weak))
-        weak_exp = exp_eta(glued)
+    # the boundary is vertices 0..K-1 in F order, so cell key (I, J) is
+    # reduced from the level-1 key (I | interior, J | interior)
+    imask = _mask(lat.interior())
+    ki, kj = (np.array(col) for col in zip(*cell_keys))
+    ti, tj = imask | ki, imask | kj
+    t_sign = _merge_signs(imask, imask, ki, kj, nv)
+    weak_exp = exp_eta(assemble_q(structure, np.zeros((k, k)), 1))
     wi, wj = (np.array(col) for col in zip(*weak_exp.coeffs))
     wc = np.array(list(weak_exp.coeffs.values()), dtype=complex)
     # target (I, J) = (z key) * (weak key): z key = target ^ weak key
@@ -381,7 +365,7 @@ def _lift_plan(structure):
     col = np.minimum(np.searchsorted(keys, fi << nv | fj), len(keys) - 1)
     hit = keys[col] == fi << nv | fj
     vals = t_sign[t] * _merge_signs(fi, fj, wi[g], wj[g], nv) * wc[g]
-    plan = _LiftPlan(cell_keys, cell_index, tuple(copies), t_pos[t][hit], col[hit], vals[hit])
+    plan = _LiftPlan(cell_keys, cell_index, tuple(copies), t[hit], col[hit], vals[hit])
     cache["lift_plan"] = plan
     return plan
 
@@ -396,10 +380,10 @@ def renorm_lift(x: GrassmannElement, structure) -> GrassmannElement:
 
     Copies of x (scaled per copy when weights are present) are glued into
     the level-1 algebra, the weak-network exponential is multiplied in, and
-    the interior is reduced away; the result is relabelled to the cell
-    through the boundary identification.  Runs the compiled tables of
-    `_lift_plan` on the dense coefficient vector of x; equal to the same
-    composition of the reference kernel.  Homogeneous of degree N in the
+    the interior is reduced away, leaving the boundary, which is the cell
+    in F order.  Runs the compiled tables of `_lift_plan` on the dense
+    coefficient vector of x; equal to the same composition of the
+    reference kernel.  Homogeneous of degree N in the
     coefficients of x for strong connections."""
     if x.ground_size != structure.cell_size:
         raise ValueError("element must live on the cell")

@@ -20,7 +20,8 @@ RANK_TOL = 1e-9
 # Entrywise symmetry (or Hermitian) threshold, relative to max(1, max|a|).
 SYMMETRY_TOL = 1e-12
 # Absolute eigenvalue threshold: a Hermitian matrix is positive definite
-# when its smallest eigenvalue exceeds -DEFINITE_TOL.
+# when its smallest eigenvalue exceeds DEFINITE_TOL, so zero and
+# semidefinite matrices (the Siegel domain's boundary) are not.
 DEFINITE_TOL = 1e-10
 
 
@@ -146,7 +147,7 @@ def numerical_rank(a):
 
 def is_positive_definite(a):
     """True iff the Hermitian matrix ``a`` has smallest eigenvalue >
-    -DEFINITE_TOL."""
+    DEFINITE_TOL."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
@@ -156,7 +157,7 @@ def is_positive_definite(a):
     if a.shape[0] == 0:
         return True
     w = np.linalg.eigvalsh(a)
-    return bool(w[0] > -DEFINITE_TOL)
+    return bool(w[0] > DEFINITE_TOL)
 
 
 def orthonormalize(cols):

@@ -153,8 +153,10 @@ class Lattice:
 
     copy_maps[i] sends a level-(n-1) vertex of copy i to its level-n
     vertex; boundary lists the K vertices realizing the identification of
-    the boundary with F, in F order.  Vertices are indexed boundary-first,
-    then interior in discovery order, deterministically.
+    the boundary with F, in F order.  Numbering: the boundary is vertices
+    0..K-1 (vertex x realizes x in F); then, copy by copy, the copy's
+    boundary points not seen in an earlier copy, in vertex order, followed
+    by the copy's level-(n-1) interior in its own order.
     """
 
     structure: SelfSimilarStructure
@@ -186,29 +188,19 @@ class Lattice:
         return tuple(tuple(sorted(s)) for s in out)
 
     def interior(self):
-        bset = set(self.boundary)
-        return [v for v in range(self.num_vertices) if v not in bset]
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, a):
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+        return range(len(self.boundary), self.num_vertices)
 
 
 def build_lattice(structure: SelfSimilarStructure, n: int) -> Lattice:
     """The level-n lattice of the structure (level 0 is the cell itself,
-    with every vertex on the boundary)."""
+    with every vertex on the boundary).
+
+    Gluing only identifies the copies' boundary points, and every level's
+    boundary is its first K vertices, so level n is the level-1
+    identification plus N disjoint copies of the level-(n-1) interior.
+    Copy i sends its boundary vertex x to the level-1 class of point
+    (i, x), numbered on first sight after the K boundary classes, and its
+    interior to a fresh block of |V_{n-1}| - K vertices."""
     if n < 0:
         raise ValueError("level must be >= 0")
     cache = structure._cache.setdefault("lattices", {})
@@ -219,41 +211,21 @@ def build_lattice(structure: SelfSimilarStructure, n: int) -> Lattice:
         lat = Lattice(structure, 0, k, tuple(range(k)))
     else:
         parent = build_lattice(structure, n - 1)
-        ncopies = structure.num_copies
-        kp = parent.num_vertices
-        uf = _UnionFind(ncopies * kp)
-        bnd = parent.boundary
-        for cls in structure.glue_classes:
-            i0, x0 = divmod(cls[0], k)
-            anchor = i0 * kp + bnd[x0]
-            for p in cls[1:]:
-                i, x = divmod(p, k)
-                uf.union(anchor, i * kp + bnd[x])
-        index = {}
-        boundary = []
-        for x in range(k):
-            i, z = divmod(structure.boundary_map[x], k)
-            root = uf.find(i * kp + bnd[z])
-            index[root] = x
-            boundary.append(x)
+        inner = parent.num_vertices - k
+        cls = structure.class_of_point()
+        index = {cls[p]: x for x, p in enumerate(structure.boundary_map)}
         nxt = k
         copy_maps = []
-        for i in range(ncopies):
-            cm = np.empty(kp, dtype=int)
-            for v in range(kp):
-                root = uf.find(i * kp + v)
-                if root not in index:
-                    index[root] = nxt
+        for i in range(structure.num_copies):
+            head = []
+            for c in cls[i * k:(i + 1) * k]:
+                if c not in index:
+                    index[c] = nxt
                     nxt += 1
-                cm[v] = index[root]
-            copy_maps.append(cm)
-        expected = num_vertices(structure, n)
-        if nxt != expected:
-            raise InvalidStructure(
-                f"level-{n} vertex count {nxt} breaks the gluing recursion "
-                f"(expected {expected})"
-            )
-        lat = Lattice(structure, n, nxt, tuple(boundary), tuple(copy_maps), parent)
+                head.append(index[c])
+            copy_maps.append(np.concatenate([head, np.arange(nxt, nxt + inner)]))
+            nxt += inner
+        lat = Lattice(structure, n, nxt, tuple(range(k)), tuple(copy_maps), parent)
     cache[n] = lat
     return lat
 
@@ -296,14 +268,9 @@ def assemble_q(structure: SelfSimilarStructure, q, n: int):
 
 def _weak_indices(structure, lat):
     """Level vertex of each flattened point (copy, x): the weak network is
-    attached to the copies' boundary images."""
-    k = structure.cell_size
-    bnd = lat.parent.boundary
-    idx = np.empty(structure.num_points, dtype=int)
-    for p in range(structure.num_points):
-        i, x = divmod(p, k)
-        idx[p] = lat.copy_maps[i][bnd[x]]
-    return idx
+    attached to the copies' boundary images, the first K entries of each
+    copy map."""
+    return np.concatenate([cm[:structure.cell_size] for cm in lat.copy_maps])
 
 
 def assemble_network(structure, rho, n: int):
@@ -336,16 +303,12 @@ def assemble_measure(structure: SelfSimilarStructure, b, n: int):
 # ---------------------------------------------------------------------------
 
 def _classes_from_pairs(k, n, pairs):
-    """Partition of {copies} x F generated by the given point pairs
-    (0-based (copy, vertex) tuples); everything else stays a singleton."""
-    npts = k * n
-    uf = _UnionFind(npts)
-    for (i, x), (j, y) in pairs:
-        uf.union(point_index(i, x, k), point_index(j, y, k))
-    groups = {}
-    for p in range(npts):
-        groups.setdefault(uf.find(p), []).append(p)
-    return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
+    """Partition of {copies} x F into the given disjoint point pairs
+    (0-based (copy, vertex) tuples) and singletons, sorted by least point;
+    validate rejects pairs that share a point."""
+    glued = [tuple(sorted(point_index(i, x, k) for i, x in pair)) for pair in pairs]
+    paired = {p for pair in glued for p in pair}
+    return tuple(sorted(glued + [(p,) for p in range(k * n) if p not in paired]))
 
 
 def sierpinski() -> SelfSimilarStructure:

@@ -29,9 +29,9 @@ from .errors import InvalidStructure, SingularInterior
 from .linalg import _pencil, generalized_sym_eig, generalized_sym_eigvals, kernel_basis
 from .network import ElectricalNetwork, q_matrix
 from .selfsim import (
-    _weak_indices,
     assemble_measure,
     assemble_network,
+    assemble_q,
     build_lattice,
     num_vertices,
 )
@@ -244,10 +244,7 @@ def _chain_plan(structure):
         copies = tuple(zip(structure.copy_weights(), lat.copy_maps))
         for w, cm in copies:
             scatter[np.arange(k * k), (cm[:, None] * v + cm[None, :]).ravel()] += w
-        weak = np.zeros((v, v))
-        if structure.weak is not None:
-            idx = _weak_indices(structure, lat)
-            np.add.at(weak, (idx[:, None], idx[None, :]), structure.weak_q())
+        weak = assemble_q(structure, np.zeros((k, k)), 1).real
         structure._cache["chain_plan"] = _ChainPlan(
             k, structure.num_copies, v, gamma, scatter, weak, copies)
     return structure._cache["chain_plan"]

@@ -143,6 +143,120 @@ def test_renorm_siegel_flagged(capsys):
     assert all(r.split(",")[2] == "1" for r in rows)
 
 
+def test_renorm_from_config_network(capsys):
+    # without --coords the orbit starts at the config network, a real
+    # matrix, so the orbit stays on the Siegel domain's boundary
+    assert cli.main(["renorm", "--config", "sierpinski", "--steps", "2"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert complex(rows[0].split(",")[3].split(";")[1]) == pytest.approx(1.8)
+    assert [r.split(",")[2] for r in rows] == ["0", "0"]
+
+
+def test_renorm_frame_entries(capsys):
+    assert cli.main(["renorm", "--config", "sierpinski", "--steps", "2", "--frame"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [len(r.split(",")[3].split(";")) for r in rows] == [2 * 3 * 3] * 2
+
+
+def test_renorm_at_infinity_row(capsys):
+    assert cli.main(["renorm", "--config", "sierpinski", "--steps", "2", "--coords", "1,-2"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert rows[0] == "1,0,0,AtInfinity"
+    assert rows[1].split(",")[3] != "AtInfinity"
+
+
+def _without_chart(tmp_path):
+    raw = json.loads(dump_config(load_config("sierpinski")))
+    del raw["chart"]
+    path = tmp_path / "nochart.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_renorm_without_chart(tmp_path, capsys):
+    path = _without_chart(tmp_path)
+    assert cli.main(["renorm", "--config", path, "--steps", "1", "--coords", "0,3"]) == 2
+    assert "needs a chart" in capsys.readouterr().err
+    # without a chart the rows carry the K x K matrix entries
+    assert cli.main(["renorm", "--config", path, "--steps", "1"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert len(rows[0].split(",")[3].split(";")) == 9
+
+
+def test_dos_bad_green_grid(capsys):
+    assert cli.main(["dos", "--config", "sierpinski", "--level", "1", "--bins", "4",
+                     "--green=bad"]) == 2
+    assert "lo:hi:count" in capsys.readouterr().err
+
+
+def _sierpinski_raw(change):
+    raw = json.loads(dump_config(load_config("sierpinski")))
+    change(raw)
+    return json.dumps(raw)
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def change(raw):
+        for p in path:
+            raw = raw[p]
+        raw[key] = value
+
+    return change
+
+
+# One malformed config per ConfigError raise site of fractal_spectra.config:
+# (id, config text, expected message)
+MALFORMED = [
+    ("wrong-type", _sierpinski_raw(_set("K", "3")), "sierpinski: field 'K' has the wrong type"),
+    ("bad-point", _sierpinski_raw(_set("boundary", 0, [1])),
+     r"sierpinski: boundary: expected a \[copy, vertex\] pair"),
+    ("empty-class", _sierpinski_raw(lambda raw: raw["glue"].append([])),
+     "sierpinski: glue class 3 is empty"),
+    ("point-twice", _sierpinski_raw(lambda raw: raw["glue"].append(raw["glue"][0])),
+     "sierpinski: glue class 3: point listed twice"),
+    ("boundary-size", _sierpinski_raw(lambda raw: raw["boundary"].pop()),
+     "sierpinski: boundary must list exactly K = 3 points"),
+    ("weak-edge", _sierpinski_raw(_set("weak", {"edges": [[[1, 2], [2, 1]]]})),
+     "sierpinski: weak edge 0: expected"),
+    ("weak-dissipative", _sierpinski_raw(_set("weak", {"dissipative": [[[1, 2]]]})),
+     "sierpinski: weak dissipative 0: expected"),
+    ("weak-network", _sierpinski_raw(_set("weak", {"edges": [[[1, 2], [1, 2], 1.0]]})),
+     r"sierpinski: weak network: bad edge \(1, 1\)"),
+    ("network-edge", _sierpinski_raw(_set("network", "edges", [[1, 2]])),
+     r"sierpinski: network edge 0: expected \[i, j, rho\]"),
+    ("network-pair", _sierpinski_raw(_set("network", "edges", [[1, 1, 1.0]])),
+     "sierpinski: network edge 0: bad vertex pair"),
+    ("network-dissipative", _sierpinski_raw(_set("network", "dissipative", [0.0])),
+     "sierpinski: network dissipative must have K entries"),
+    ("network", _sierpinski_raw(_set("network", "edges", [[1, 2, -1.0]])),
+     "sierpinski: network: conductances and dissipative terms must be >= 0"),
+    ("measure", _sierpinski_raw(_set("measure", [1.0, 0.0, 1.0])),
+     "sierpinski: measure must be K strictly positive entries"),
+    ("chart", _sierpinski_raw(_set("chart", [[[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])),
+     "sierpinski: chart: projectors do not sum to the identity"),
+    ("json", '{"K": 3,\n "N": }', "bad.json: line 2: Expecting value"),
+    ("top-level", "[]", "bad.json: top level must be an object"),
+]
+
+
+@pytest.mark.parametrize("text, message", [m[1:] for m in MALFORMED],
+                         ids=[m[0] for m in MALFORMED])
+def test_malformed_config(tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        load_config(str(path))
+
+
+def test_malformed_config_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text({name: text for name, text, _ in MALFORMED}["measure"])
+    assert cli.main(["spectrum", "--config", str(path), "--level", "1"]) == 2
+    assert "measure must be K strictly positive" in capsys.readouterr().err
+
+
 def test_verify_cli_passes(capsys):
     assert cli.main(["verify", "--config", "sierpinski", "--suite", "identities"]) == 0
     out = capsys.readouterr().out

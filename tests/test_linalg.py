@@ -107,5 +107,7 @@ def test_is_positive_definite():
     assert is_positive_definite(np.eye(3))
     assert not is_positive_definite(np.diag([1.0, -1.0]))
     assert is_positive_definite(np.diag([0.5, 2.0]))  # Im(Q_rho + i I_b) case
+    assert not is_positive_definite(np.zeros((3, 3)))
+    assert not is_positive_definite(np.diag([1.0, 0.0, 1.0]))
     with pytest.raises(NotHermitian):
         is_positive_definite(np.array([[0.0, 1.0], [0.0, 0.0]]))

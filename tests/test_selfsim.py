@@ -158,17 +158,24 @@ def _flat_partition(structure, n):
     return points, find
 
 
+# a three-point glue class, a pair, and a boundary map that is neither the
+# identity nor in copy order
+THREE_POINT_CLASS = SelfSimilarStructure(
+    3, 3, ((1, 3, 7), (2, 6), (0,), (4,), (5,), (8,)), (4, 0, 8))
+
+
 @pytest.mark.parametrize("weights", [None, (0.5, 1.5, 2.0)])
-def test_two_stage_equality_against_flat_construction(gasket, gbar, weights, rng):
-    for base in (gasket, gbar):
+def test_two_stage_equality_against_flat_construction(gasket, gbar, segment, weights, rng):
+    for base in (gasket, gbar, segment, THREE_POINT_CLASS):
         structure = base
+        k, ncopies = base.cell_size, base.num_copies
         if weights is not None:
             structure = SelfSimilarStructure(
-                base.cell_size, base.num_copies, base.glue_classes,
-                base.boundary_map, weights_w=weights, weights_b=None,
+                k, ncopies, base.glue_classes,
+                base.boundary_map, weights_w=weights[:ncopies], weights_b=None,
                 weak=base.weak,
             )
-        q = random_sym(rng, 3)
+        q = random_sym(rng, k)
         for n in (1, 2, 3):
             points, find = _flat_partition(structure, n)
             lat = build_lattice(structure, n)
@@ -184,18 +191,18 @@ def test_two_stage_equality_against_flat_construction(gasket, gbar, weights, rng
             m = len(points)
             big = np.zeros((m, m), dtype=complex)
             w = structure.copy_weights()
-            for addr in product(range(3), repeat=n):
+            for addr in product(range(ncopies), repeat=n):
                 scale = np.prod([w[i] for i in addr]) if weights else 1.0
-                ix = [index[(addr, x)] for x in range(3)]
+                ix = [index[(addr, x)] for x in range(k)]
                 big[np.ix_(ix, ix)] += scale * q
             if structure.weak is not None:
                 qw = q_matrix(structure.weak)
                 for level in range(1, n + 1):
-                    for prefix in product(range(3), repeat=n - level):
+                    for prefix in product(range(ncopies), repeat=n - level):
                         scale = np.prod([w[i] for i in prefix]) if weights else 1.0
                         ix = []
                         for p in range(structure.num_points):
-                            i, x = divmod(p, 3)
+                            i, x = divmod(p, k)
                             addr, y = _flat_rep(structure, level - 1, x)
                             ix.append(index[(prefix + (i,) + addr, y)])
                         ix = np.array(ix)

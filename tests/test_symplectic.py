@@ -181,6 +181,9 @@ def test_curve_order_equals_defect(rng):
 def test_in_siegel():
     assert in_siegel(from_sym(1j * np.eye(3)))
     assert not in_siegel(from_sym(-1j * np.eye(3)))
+    # the boundary of the domain: Im Q = 0 and Im Q semidefinite
+    assert not in_siegel(from_sym(np.eye(3)))
+    assert not in_siegel(from_sym(np.eye(3) + 1j * np.diag([1.0, 0.0, 1.0])))
 
 
 def test_reduce_preserves_siegel(rng):
