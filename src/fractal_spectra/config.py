@@ -34,7 +34,6 @@ class StructureConfig:
     chart: CoordinateChart | None = None
     family: str = ""
     params: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
 
 
 def _expect(raw, key, kind, context):
@@ -165,7 +164,6 @@ def parse_config(raw: dict, name="config") -> StructureConfig:
         chart=chart,
         family=str(raw.get("family", "")),
         params=dict(raw.get("params", {})),
-        raw=raw,
     )
 
 

@@ -30,7 +30,6 @@ from .linalg import _pencil, generalized_sym_eig, generalized_sym_eigvals, kerne
 from .network import ElectricalNetwork, q_matrix
 from .selfsim import (
     assemble_measure,
-    assemble_network,
     assemble_q,
     build_lattice,
     num_vertices,
@@ -117,21 +116,20 @@ class SpectrumReport:
         return 10 * CLUSTER_TOL * width
 
 
+def _cluster_ids(values, tol):
+    """Cluster index of each value of a nonempty ascending list: a cluster
+    ends at every gap wider than tol times the width of the list."""
+    gap = tol * (float(values[-1] - values[0]) or 1.0)
+    return np.concatenate([[0], np.cumsum(np.diff(values) > gap)])
+
+
 def cluster_eigenvalues(values, tol=CLUSTER_TOL):
     """Group an ascending eigenvalue list into (mean, multiplicity) runs."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return []
-    width = float(values[-1] - values[0]) or 1.0
-    gap = tol * width
-    clusters = []
-    start = 0
-    for i in range(1, values.size + 1):
-        if i == values.size or values[i] - values[i - 1] > gap:
-            chunk = values[start:i]
-            clusters.append((float(chunk.mean()), len(chunk)))
-            start = i
-    return clusters
+    ends = np.flatnonzero(np.diff(_cluster_ids(values, tol))) + 1
+    return [(float(chunk.mean()), len(chunk)) for chunk in np.split(values, ends)]
 
 
 def neumann_spectrum(q_n, b_n, level=0) -> SpectrumReport:
@@ -276,10 +274,9 @@ def _sym(m):
 def _clusters(d, spread):
     """Cuts that split kept eigenvalues d (negative first, then positive,
     each in order of |d|) into runs of one sign whose neighbours lie within
-    `spread` (and a quarter of their size); spread None takes whole signs."""
-    joined = (d[1:] > 0) == (d[:-1] > 0)
-    if spread is not None:
-        joined &= np.abs(np.diff(d)) <= np.minimum(spread, 0.25 * np.abs(d[:-1]))
+    `spread` (and a quarter of their size)."""
+    joined = ((d[1:] > 0) == (d[:-1] > 0)) & (
+        np.abs(np.diff(d)) <= np.minimum(spread, 0.25 * np.abs(d[:-1])))
     return np.flatnonzero(~joined) + 1
 
 
@@ -294,21 +291,22 @@ def _keep_near(t, dt, k, cuts):
     uncoupled from the boundary up to rounding; those are eliminated, which
     is exact for the counts and loses nothing, as the cluster's block is
     definite.  Within a degenerate cluster they are eigenvectors, so each
-    eigenfunction stays whole.  Returns the reduced matrices, their
-    derivatives, the numbers of negatives eliminated and kept, and the
-    derivative of log|det| of the eliminated block."""
+    eigenfunction stays whole.  A stack with no cluster of more than k
+    directions is returned as it is.  The reduced stack keeps its exact
+    size: nothing is padded.  Returns the reduced matrices, their derivatives, the numbers
+    of negatives eliminated and kept, and the derivative of log|det| of the
+    eliminated block."""
     p, size = t.shape[:2]
+    negatives = np.count_nonzero(np.diagonal(t, axis1=1, axis2=2)[:, k:] < 0, axis=1)
+    large = [sel for sel in np.split(np.arange(k, size), cuts) if sel.size > k]
+    if not large:
+        return t, dt, np.zeros(p, dtype=np.int64), negatives, np.zeros(p)
     rot = np.tile(np.eye(size), (p, 1, 1))
-    drop, eliminated, kept = [], np.zeros(p, dtype=np.int64), np.zeros(p, dtype=np.int64)
-    for sel in np.split(np.arange(k, size), cuts):
-        negative = t[:, sel[0], sel[0]] < 0
-        if sel.size > k:
-            rot[:, sel[:, None], sel] = np.swapaxes(np.linalg.svd(t[:, :k, sel])[2], 1, 2)
-            drop.extend(sel[k:])
-            eliminated += negative * (sel.size - k)
-        kept += negative * min(sel.size, k)
-    if not drop:
-        return t, dt, eliminated, kept, np.zeros(p)
+    drop, eliminated = [], np.zeros(p, dtype=np.int64)
+    for sel in large:
+        rot[:, sel[:, None], sel] = np.swapaxes(np.linalg.svd(t[:, :k, sel])[2], 1, 2)
+        drop.extend(sel[k:])
+        eliminated += (t[:, sel[0], sel[0]] < 0) * (sel.size - k)
     keep = np.flatnonzero(~np.isin(np.arange(size), drop))
     t = np.swapaxes(rot, 1, 2) @ t @ rot
     dt = np.swapaxes(rot, 1, 2) @ dt @ rot
@@ -318,29 +316,32 @@ def _keep_near(t, dt, k, cuts):
     dout = _sym(dt[:, keep][:, :, keep] - 2 * dt[:, keep][:, :, drop] @ h
                 + np.swapaxes(h, 1, 2) @ dz @ h)
     rate = np.trace(np.linalg.solve(z, dz), axis1=1, axis2=2)
-    return out, dout, eliminated, kept, rate
+    return out, dout, eliminated, negatives - eliminated, rate
 
 
-def _eliminate(a, da, k, near_tol, exact_kernels=False):
+def _eliminate(a, da, k, tops=False):
     """Eliminate the interior (indices k and up) of each symmetric matrix in
     the stack `a`, whose derivative in x is `da`, through an
     eigendecomposition of the interior block.
 
-    Interior directions whose eigenvalue is within near_tol of singular (on
+    Interior directions whose eigenvalue is within NEAR_TOL of singular (on
     the scale of the largest entry of the interior rows) are kept as extra
     coordinates of the new cell matrix, so that a point near a pole of the
-    trace map loses no precision; a point with more than k of them goes
-    through _keep_near, by sign or, with `exact_kernels`, by degenerate
-    clusters.  Returns (cells, eliminated, kept, rate, singular):
-    the new cell matrices as (indices, stack, derivative stack) triples, the
-    numbers of negative eigenvalues eliminated and kept, the derivative of
-    log|det| of the eliminated part, and whether the interior block was
-    singular (void results)."""
+    trace map loses no precision.  Every point that keeps some goes through
+    _keep_near, grouped by their number r and, where r exceeds k, by their
+    clusters: each sign for the counts; with `tops` (where the last cell
+    matrices are read), each degenerate run, and ND_NEAR_TOL in place of
+    NEAR_TOL.  Each new cell matrix has its exact size: nothing is padded.
+    Returns (cells, eliminated, kept, rate, singular): the new cell matrices
+    as (indices, stack, derivative stack) triples, the numbers of negative
+    eigenvalues eliminated and kept, the derivative of log|det| of the
+    eliminated part, and whether the interior block was singular (void
+    results)."""
     p, m = a.shape[0], a.shape[1] - k
     big = np.abs(a[:, k:, :]).max(axis=(1, 2))[:, None]
     d, u = np.linalg.eigh(a[:, k:, k:])
     singular = (np.abs(d) <= PIVOT_TOL * big).any(axis=1)
-    near = (np.abs(d) <= near_tol * big) & ~singular[:, None]
+    near = (np.abs(d) <= (ND_NEAR_TOL if tops else NEAR_TOL) * big) & ~singular[:, None]
     d = np.where(singular[:, None], 1.0, d)
     far = np.where(near, 0.0, 1.0 / np.where(near, 1.0, d))
     # In the eigenbasis of the interior block, the boundary coupling is g
@@ -364,7 +365,7 @@ def _eliminate(a, da, k, near_tol, exact_kernels=False):
     # The other points keep their near directions N as extra coordinates:
     # [[S, g_N], [g_N^T, diag(d_N)]], with derivative
     # [[dS, dg_N - g_F D_F^-1 dd_FN], [., dd_NN]].
-    g, dg, dd, d, gf = g[wide], dg[wide], dd[wide], d[wide], gf[wide]
+    g, dg, dd, d, gf, near, r = g[wide], dg[wide], dd[wide], d[wide], gf[wide], near[wide], r[wide]
     full = np.zeros((wide.size, k + m, k + m))
     full[:, :k, :k] = schur[wide]
     full[:, :k, k:] = g
@@ -377,61 +378,42 @@ def _eliminate(a, da, k, near_tol, exact_kernels=False):
     dfull[:, k:, k:] = dd
     # New cell matrices of the other points: the boundary, then the near
     # directions, negative first, each in order of |d|.
-    order = np.lexsort((np.abs(d), d > 0, ~near[wide]), axis=-1)
+    order = np.lexsort((np.abs(d), d > 0, ~near), axis=-1)
     cols = np.concatenate([np.broadcast_to(np.arange(k), (wide.size, k)), k + order], axis=1)
     full = np.take_along_axis(np.take_along_axis(full, cols[:, :, None], 1), cols[:, None, :], 2)
     dfull = np.take_along_axis(np.take_along_axis(dfull, cols[:, :, None], 1), cols[:, None, :], 2)
-    few = r[wide] <= k
-    if few.any():
-        # Keep every near direction, padded with uncoupled positive entries
-        # (constant, so their derivative is 0), which change no count.
-        width = k + int(r[wide[few]].max())
-        used = np.arange(width) < k + r[wide[few], None]
-        pair = used[:, :, None] & used[:, None, :]
-        e = np.where(pair, full[few, :width, :width],
-                     np.where(np.eye(width, dtype=bool), big[wide[few], :, None], 0.0))
-        kept[wide[few]] = np.count_nonzero(np.diagonal(e, axis1=1, axis2=2)[:, k:] < 0, axis=1)
-        cells.append((wide[few], e, dfull[few, :width, :width] * pair))
-    # The rest by their clusters, one stack per pattern: for the counts each
-    # sign is a cluster; for exact kernels, each degenerate run.
-    patterns = {}
-    for j in np.flatnonzero(~few):
-        i = wide[j]
-        cuts = _clusters(np.diagonal(full[j])[k:k + r[i]],
-                         DEGENERATE_TOL * big[i, 0] if exact_kernels else None)
-        patterns.setdefault((r[i], tuple(cuts)), []).append(j)
-    for (size, cuts), js in patterns.items():
-        js = np.array(js)
+    # One stack per number r of near directions and their cuts into
+    # clusters: for the counts, one cut where the sign changes; with tops,
+    # each degenerate run.  At most k near directions leave nothing to
+    # reduce, so r alone is the key there.
+    if tops:
+        patterns = {}
+        for j, i in enumerate(wide):
+            cuts = _clusters(np.diagonal(full[j])[k:k + r[j]], DEGENERATE_TOL * big[i, 0])
+            patterns.setdefault((r[j], tuple(cuts) if r[j] > k else ()), []).append(j)
+        groups = [(size, list(cuts), np.array(js)) for (size, cuts), js in patterns.items()]
+    else:
+        split = np.where(r > k, np.count_nonzero(near & (d < 0), axis=1), 0)
+        keys, inverse = np.unique(r * (m + 1) + split, return_inverse=True)
+        groups = [(size, [s], np.flatnonzero(inverse == i))
+                  for i, (size, s) in enumerate(zip(*divmod(keys, m + 1)))]
+    for size, cuts, js in groups:
         cell, dcell, neg, kept[wide[js]], extra = _keep_near(
-            full[js, :k + size, :k + size], dfull[js, :k + size, :k + size], k, list(cuts))
+            full[js, :k + size, :k + size], dfull[js, :k + size, :k + size], k, cuts)
         eliminated[wide[js]] += neg
         rate[wide[js]] += extra
         cells.append((wide[js], cell, dcell))
     return cells, eliminated, kept, rate, singular
 
 
-def _merge(cells, k):
-    """Fewer stacks: cell matrices without extra coordinates, then the rest
-    by size class (r extra coordinates with the same bit length), each
-    padded to one size with uncoupled positive extra coordinates."""
-    classes = {}
+def _merge(cells):
+    """Fewer stacks: one per size of cell matrix.  Stacks are only
+    concatenated, never padded."""
+    sizes = {}
     for i, e, de in cells:
         if i.size:
-            classes.setdefault((e.shape[1] - k).bit_length(), []).append((i, e, de))
-    out = []
-    for group in classes.values():
-        size = max(e.shape[1] for _, e, _ in group)
-        stack = np.zeros((sum(i.size for i, _, _ in group), size, size))
-        dstack = np.zeros_like(stack)
-        pos = 0
-        for i, e, de in group:
-            m = e.shape[1]
-            stack[pos:pos + i.size, :m, :m] = e
-            stack[pos:pos + i.size, range(m, size), range(m, size)] = np.abs(e).max(axis=(1, 2))[:, None]
-            dstack[pos:pos + i.size, :m, :m] = de
-            pos += i.size
-        out.append((np.concatenate([i for i, _, _ in group]), stack, dstack))
-    return out
+            sizes.setdefault(e.shape[1], []).append((i, e, de))
+    return [tuple(np.concatenate(part) for part in zip(*group)) for group in sizes.values()]
 
 
 def _log_det_rate(e, de):
@@ -467,13 +449,12 @@ def _chain(plan, q, b, n, xs, tops=False):
         nxt = []
         for idx, e, de in cells:
             sub, eliminated, kept[idx], rate, sing = _eliminate(
-                _assemble_step(plan, e), _assemble_step(plan, de, weak=False), k,
-                ND_NEAR_TOL if tops else NEAR_TOL, tops)
+                _assemble_step(plan, e), _assemble_step(plan, de, weak=False), k, tops)
             singular[idx] |= sing
             counts[idx, 2] += ncopies ** (n - 1 - m) * eliminated
             rates[idx, 0] += ncopies ** (n - 1 - m) * rate
             nxt.extend((idx[j], c, dc) for j, c, dc in sub)
-        cells = _merge(nxt, k)
+        cells = _merge(nxt)
     counts[:, 0] = counts[:, 2] + kept
     rates[:, 1] = rates[:, 0]
     top = [None] * p if tops else None
@@ -516,7 +497,13 @@ def _chain_counts_at(plan, q, b, n, xs, room, tops=False, strict=True):
 
 
 def _cell_data(structure, rho, b):
-    q = np.real(q_matrix(rho) if isinstance(rho, ElectricalNetwork) else np.asarray(rho))
+    """The cell form and measure as real arrays, checked: the one input check
+    of both spectrum paths.  The pencil is real; a Q with a nonzero imaginary
+    part raises ValueError."""
+    q = np.asarray(q_matrix(rho) if isinstance(rho, ElectricalNetwork) else rho)
+    if np.any(np.imag(q)):
+        raise ValueError("spectra need a real Q; this one has a nonzero imaginary part")
+    q = np.real(q)
     k = structure.cell_size
     if q.shape != (k, k):
         raise ValueError("Q must be a cell-sized square matrix")
@@ -601,11 +588,13 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
         cx[:, 0], rx[:, 0] = ca, ra
         x[:, 1:-1][inner], cx[:, 1:-1][inner], rx[:, 1:-1][inner] = xs, cs, rs[:, col]
         # A point left on a pole takes the place and values of the next one;
-        # an interval whose every point is, cannot be resolved further (its
-        # width is then that of the pole's rounding zone) and is done.
+        # an interval cut into equal parts whose every point is, cannot be
+        # resolved further (its width is then that of the pole's rounding
+        # zone) and is done.  Cut at Newton targets only, it stays whole and
+        # is cut into equal parts in the next round, as its width holds.
         bad = np.zeros(x.shape, dtype=bool)
         bad[:, 1:-1][inner] = ~ok
-        stuck = bad[:, 1:-1].sum(axis=1) == inner.sum(axis=1)
+        stuck = (bad[:, 1:-1].sum(axis=1) == inner.sum(axis=1)) & (parts > 1)
         done.append((a[stuck], bb[stuck], ca[stuck], cb[stuck], ra[stuck], rb[stuck]))
         for j in range(x.shape[1] - 2, 0, -1):
             x[bad[:, j], j], cx[bad[:, j], j], rx[bad[:, j], j] = (
@@ -623,11 +612,9 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
     a, bb, ca, cb, ra, rb = a[first], bb[last], ca[first], cb[last], ra[first], rb[last]
     values = 0.5 * (a + bb)
     mult = ca[:, col] - cb[:, col]
-    # Group distinct eigenvalues by the rule of cluster_eigenvalues (gaps of
-    # at most CLUSTER_TOL of the spectral width), so both paths list the
-    # same clusters.
-    gap = CLUSTER_TOL * (float(values[-1] - values[0]) or 1.0)
-    group = np.concatenate([[0], np.cumsum(np.diff(values) > gap)])
+    # Group distinct eigenvalues by the rule of cluster_eigenvalues, so both
+    # paths list the same clusters.
+    group = _cluster_ids(values, CLUSTER_TOL)
     size = np.bincount(group, mult)
     values = np.bincount(group, values * mult) / size
     if condition == "nd":
@@ -656,10 +643,15 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
             x = np.where(np.abs(step[:, 0]) < np.abs(step[:, 1]), a - step[:, 0], bb - step[:, 1])
             x = np.where((x > a) & (x < bb), x, 0.5 * (a + bb))
             xs, _, _, tops, ok = count(x, 0.5 * (bb - x), tops=True, strict=False)
-            if not ok.all():
-                # Read at the midpoint where that point sits on a pole.
+            # Where that point sits on a pole, read at the midpoint, and where
+            # that does too (a bracket inside a pole's rounding zone), at the
+            # upper end, where the counts were taken.
+            for y, room, strict in ((0.5 * (a + bb), 0.5 * (bb - a), False),
+                                    (bb, np.zeros_like(bb), True)):
                 redo = np.flatnonzero(~ok)
-                xs[redo], _, _, sub, _ = count(0.5 * (a + bb)[redo], 0.5 * (bb - a)[redo], tops=True)
+                if not redo.size:
+                    break
+                xs[redo], _, _, sub, ok[redo] = count(y[redo], room[redo], tops=True, strict=strict)
                 for j, top in zip(redo, sub):
                     tops[j] = top
             sizes = np.array([e.shape[0] for e, _ in tops], dtype=int)
@@ -689,8 +681,9 @@ def level_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
     otherwise level n is assembled and solved densely."""
     if structure.hypothesis_h()[0] and num_vertices(structure, n) >= CHAIN_MIN_VERTICES:
         return chain_spectrum(structure, rho, b, n, condition)
-    q_n = assemble_network(structure, rho, n).real
-    b_n = assemble_measure(structure, np.asarray(b, dtype=float), n)
+    q, b = _cell_data(structure, rho, b)
+    q_n = assemble_q(structure, q, n).real
+    b_n = assemble_measure(structure, b, n)
     boundary = build_lattice(structure, n).boundary
     if condition == "neumann":
         return neumann_spectrum(q_n, b_n, n)
@@ -734,7 +727,10 @@ def green_proxy(q_n, b_n, lam_grid, num_copies, level, eps=1e-6):
         det(Q + z I_b) = prod_i b_i * prod_k (z - lam_k),   z = lam + i eps,
 
     summed as logs, so the value stays finite where the determinant itself
-    overflows."""
+    overflows.  eps must be positive: at eps = 0 the log is -inf at every
+    eigenvalue on the grid."""
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
     lam = generalized_sym_eigvals(q_n, b_n)
     dist = np.hypot(np.asarray(lam_grid, dtype=float)[:, None] - lam[None, :], eps)
     log_det = np.log(dist).sum(axis=1) + np.log(np.asarray(b_n, dtype=float)).sum()

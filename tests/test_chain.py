@@ -13,6 +13,7 @@ from fractal_spectra.selfsim import (
     assemble_measure,
     assemble_network,
     build_lattice,
+    gamma_bar,
     num_vertices,
     sierpinski,
 )
@@ -170,6 +171,55 @@ def test_counts_on_interior_pole(gasket, triangle):
     for x, (n_dir, n_neu, _) in zip(poles, counts):
         assert n_dir == np.count_nonzero(dirichlet > x + 1e-9)
         assert n_neu == np.count_nonzero(neumann > x + 1e-9)
+
+
+def test_chain_without_nudges_closes_at_poles(monkeypatch):
+    # With no moves off a pole, points that land on one come back not ok
+    # and the bisection closes their intervals at the pole's rounding zone.
+    cfg = load_config("interval")
+    real = spectra._chain_counts_at
+    not_ok = []
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        not_ok.append(int(np.count_nonzero(~out[-1])))
+        return out
+
+    monkeypatch.setattr(spectra, "_NUDGES", ())
+    monkeypatch.setattr(spectra, "_chain_counts_at", spy)
+    for n in range(3, 9):
+        dense = dense_reports(cfg.structure, cfg.network, cfg.measure, n)
+        chain = chain_spectrum(cfg.structure, cfg.network, cfg.measure, n, "dirichlet")
+        assert_same_spectrum(chain, dense["dirichlet"], neumann_width(dense))
+    assert sum(not_ok) > 0
+
+
+def test_eigenvalue_on_a_pole():
+    # Copies joined only by the weak network, with uneven weights: at level 5
+    # an eigenvalue sits on a pole of the trace map, and Newton targets land
+    # on it.  Its interval has to be cut down to the pole's rounding zone,
+    # and the Neumann-Dirichlet read-out has to find a point off the pole.
+    base = gamma_bar(1.0, 2.0)
+    w = (1.42, 0.51, 2.58)
+    st = SelfSimilarStructure(3, 3, base.glue_classes, base.boundary_map,
+                              weights_w=w, weights_b=w, weak=base.weak)
+    q = q_matrix(ElectricalNetwork(3, {(0, 1): 0.9, (0, 2): 1.82, (1, 2): 1.26})).real
+    b = np.array([1.77, 1.46, 1.61])
+    dense = dense_reports(st, q, b, 5)
+    for cond in ("dirichlet", "nd"):
+        assert_same_spectrum(chain_spectrum(st, q, b, 5, cond), dense[cond], neumann_width(dense))
+
+
+def test_complex_rho_raises_on_both_paths():
+    cfg = load_config("sierpinski")
+    q = q_matrix(cfg.network)
+    for n in (2, 7):  # the dense path, then the chain
+        with pytest.raises(ValueError, match="imaginary"):
+            level_spectrum(cfg.structure, q + 1j * np.eye(3), cfg.measure, n)
+    for n in (2, 6):
+        real = level_spectrum(cfg.structure, q.real, cfg.measure, n)
+        same = level_spectrum(cfg.structure, q.astype(complex), cfg.measure, n)
+        assert same.clusters == real.clusters
 
 
 def test_chain_deep_level_counts_every_vertex(gasket, triangle):

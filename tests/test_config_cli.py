@@ -189,6 +189,12 @@ def test_dos_bad_green_grid(capsys):
     assert "lo:hi:count" in capsys.readouterr().err
 
 
+def test_dos_green_zero_eps(capsys):
+    assert cli.main(["dos", "--config", "interval", "--level", "0", "--bins", "2",
+                     "--green=-2:0:2", "--eps", "0"]) == 2
+    assert "eps must be positive" in capsys.readouterr().err
+
+
 def _sierpinski_raw(change):
     raw = json.loads(dump_config(load_config("sierpinski")))
     change(raw)

@@ -152,6 +152,12 @@ def test_green_proxy_finite_and_divergent(gasket, triangle):
     assert near[0] < far[0]  # logarithmic dip at the eigenvalue
 
 
+def test_green_proxy_needs_positive_eps(triangle_q):
+    for eps in (0.0, -1e-6):
+        with pytest.raises(ValueError, match="eps"):
+            green_proxy(triangle_q.real, np.ones(3), [-3.0, 0.0], 3, 0, eps=eps)
+
+
 def test_green_proxy_finite_past_det_overflow(gasket, triangle):
     # Below about -5.6 the level-5 determinant overflows a float; the grid
     # has three points there.
