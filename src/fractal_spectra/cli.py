@@ -56,10 +56,8 @@ def cmd_dos(args):
         level_spectrum(cfg.structure, cfg.network, cfg.measure, args.level, "neumann")
     ]
     edges, masses = dos_histogram(reports, cfg.structure.num_copies, args.bins)
-    lines = ["bin_left,bin_right,mass"]
-    for b in range(args.bins):
-        lines.append(f"{_fmt(edges[b])},{_fmt(edges[b + 1])},{_fmt(masses[0][b])}")
-    _emit(lines, args.csv)
+    # The proxy is computed before anything is written, so a bad grid or eps
+    # exits without partial output.
     if args.green:
         try:
             lo, hi, count = args.green.split(":")
@@ -73,6 +71,11 @@ def cmd_dos(args):
         )
         glines = ["lambda,green_proxy"]
         glines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(grid, vals)]
+    lines = ["bin_left,bin_right,mass"]
+    for b in range(args.bins):
+        lines.append(f"{_fmt(edges[b])},{_fmt(edges[b + 1])},{_fmt(masses[0][b])}")
+    _emit(lines, args.csv)
+    if args.green:
         _emit(glines, args.green_csv)
     return 0
 

@@ -66,12 +66,6 @@ NEAR_TOL = 1e-4
 # from the boundary are eliminated: a few thousand ulps, the rounding of
 # eigenvalues that symmetry makes equal.
 DEGENERATE_TOL = 1e-12
-# NEAR_TOL where Neumann-Dirichlet multiplicities are read from the last
-# cell matrix: an eigenfunction whose eigenvalue crosses zero in a kept
-# direction shows its boundary values, so keeping more makes sure that
-# every crossing within the bracket of an eigenvalue is kept.  Eliminating
-# a direction above it scales slopes of later steps by at most 1 / ND_NEAR_TOL.
-ND_NEAR_TOL = 1e-2
 # Crossover: the chain takes over from the dense eigensolve at this many
 # level-n vertices.  Measured on a 2-core host, one thread, seconds for
 # Neumann / Dirichlet / Neumann-Dirichlet (table in CHANGES.md): below it
@@ -330,8 +324,9 @@ def _eliminate(a, da, k, tops=False):
     trace map loses no precision.  Every point that keeps some goes through
     _keep_near, grouped by their number r and, where r exceeds k, by their
     clusters: each sign for the counts; with `tops` (where the last cell
-    matrices are read), each degenerate run, and ND_NEAR_TOL in place of
-    NEAR_TOL.  Each new cell matrix has its exact size: nothing is padded.
+    matrices are read), each degenerate run, so that a reduced direction is
+    a whole eigenfunction.  Each new cell matrix has its exact size:
+    nothing is padded.
     Returns (cells, eliminated, kept, rate, singular): the new cell matrices
     as (indices, stack, derivative stack) triples, the numbers of negative
     eigenvalues eliminated and kept, the derivative of log|det| of the
@@ -341,7 +336,7 @@ def _eliminate(a, da, k, tops=False):
     big = np.abs(a[:, k:, :]).max(axis=(1, 2))[:, None]
     d, u = np.linalg.eigh(a[:, k:, k:])
     singular = (np.abs(d) <= PIVOT_TOL * big).any(axis=1)
-    near = (np.abs(d) <= (ND_NEAR_TOL if tops else NEAR_TOL) * big) & ~singular[:, None]
+    near = (np.abs(d) <= NEAR_TOL * big) & ~singular[:, None]
     d = np.where(singular[:, None], 1.0, d)
     far = np.where(near, 0.0, 1.0 / np.where(near, 1.0, d))
     # In the eigenbasis of the interior block, the boundary coupling is g
@@ -435,8 +430,8 @@ def _chain(plan, q, b, n, xs, tops=False):
     matrices, sum_k 1 / (x - lam_k); singular marks points whose results are
     void because an interior block was singular; if `tops` is set, cells
     holds per point the last cell matrix (boundary first, then kept
-    interior directions) and its derivative in x, and ND_NEAR_TOL, not
-    NEAR_TOL, sets which directions are kept."""
+    interior directions) and its derivative in x, and kept directions are
+    grouped by degenerate runs, not by sign."""
     k, ncopies = plan.cell_size, plan.num_copies
     p = xs.size
     counts = np.zeros((p, 3), dtype=np.int64)
@@ -562,7 +557,7 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
     done = []
     while a.size:
         fin = bb - a <= tol
-        done.append((a[fin], bb[fin], ca[fin], cb[fin], ra[fin], rb[fin]))
+        done.append((a[fin], bb[fin], ca[fin], cb[fin]))
         a, bb, ca, cb, ra, rb, last = (v[~fin] for v in (a, bb, ca, cb, ra, rb, last))
         if not a.size:
             break
@@ -595,21 +590,21 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
         bad = np.zeros(x.shape, dtype=bool)
         bad[:, 1:-1][inner] = ~ok
         stuck = (bad[:, 1:-1].sum(axis=1) == inner.sum(axis=1)) & (parts > 1)
-        done.append((a[stuck], bb[stuck], ca[stuck], cb[stuck], ra[stuck], rb[stuck]))
+        done.append((a[stuck], bb[stuck], ca[stuck], cb[stuck]))
         for j in range(x.shape[1] - 2, 0, -1):
             x[bad[:, j], j], cx[bad[:, j], j], rx[bad[:, j], j] = (
                 x[bad[:, j], j + 1], cx[bad[:, j], j + 1], rx[bad[:, j], j + 1])
         i, j = np.nonzero((cx[:, :-1, col] > cx[:, 1:, col]) & ~stuck[:, None])
         last = (bb - a)[i]
         a, bb, ca, cb, ra, rb = x[i, j], x[i, j + 1], cx[i, j], cx[i, j + 1], rx[i, j], rx[i, j + 1]
-    a, bb, ca, cb, ra, rb = (np.concatenate(parts) for parts in zip(*done))
+    a, bb, ca, cb = (np.concatenate(parts) for parts in zip(*done))
     order = np.argsort(a)
-    a, bb, ca, cb, ra, rb = a[order], bb[order], ca[order], cb[order], ra[order], rb[order]
+    a, bb, ca, cb = a[order], bb[order], ca[order], cb[order]
     # A point that lands on an eigenvalue splits it between two finished
     # intervals that share that endpoint: join them.
     first = np.flatnonzero(np.concatenate([[True], a[1:] != bb[:-1]]))
     last = np.concatenate([first[1:], [a.size]]) - 1
-    a, bb, ca, cb, ra, rb = a[first], bb[last], ca[first], cb[last], ra[first], rb[last]
+    a, bb, ca, cb = a[first], bb[last], ca[first], cb[last]
     values = 0.5 * (a + bb)
     mult = ca[:, col] - cb[:, col]
     # Group distinct eigenvalues by the rule of cluster_eigenvalues, so both
@@ -621,10 +616,11 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
         # Boundary values of the kernel of the last cell matrix E at each
         # distinct eigenvalue, ranked over each whole group, as nd_spectrum
         # takes the boundary-vanishing part of each whole cluster.  E is
-        # read at the Newton target inside the eigenvalue's bracket (a, b],
-        # where a kernel branch is an eigenvalue w of E with slope
-        # s = y^T E' y > 0 that reaches 0 in the bracket (widened by its
-        # width on each side, as the counts and E can disagree by
+        # read at the upper end b of the eigenvalue's bracket (a, b], where
+        # the counts were taken (an interior block singular there raises
+        # SingularInterior).  A kernel branch is an eigenvalue w of E with
+        # slope s = y^T E' y > 0 that reaches 0 in the bracket (widened by
+        # its width on each side, as the counts and E can disagree by
         # rounding); the eigenfunction its eigenvector y extends to has
         # |f|_b^2 = s, which scales y to unit b-norm.
         # A Neumann-Dirichlet eigenfunction is also a Dirichlet one, so only
@@ -637,29 +633,14 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
         read = np.flatnonzero(shared[group])
         kernels = {g: [] for g in np.flatnonzero(shared)}
         if read.size:
-            a, bb, mult, group = a[read], bb[read], mult[read], group[read]
-            r = np.column_stack([ra[read], rb[read]])
-            step = np.divide(mult[:, None], r, out=np.full_like(r, np.inf), where=r != 0)
-            x = np.where(np.abs(step[:, 0]) < np.abs(step[:, 1]), a - step[:, 0], bb - step[:, 1])
-            x = np.where((x > a) & (x < bb), x, 0.5 * (a + bb))
-            xs, _, _, tops, ok = count(x, 0.5 * (bb - x), tops=True, strict=False)
-            # Where that point sits on a pole, read at the midpoint, and where
-            # that does too (a bracket inside a pole's rounding zone), at the
-            # upper end, where the counts were taken.
-            for y, room, strict in ((0.5 * (a + bb), 0.5 * (bb - a), False),
-                                    (bb, np.zeros_like(bb), True)):
-                redo = np.flatnonzero(~ok)
-                if not redo.size:
-                    break
-                xs[redo], _, _, sub, ok[redo] = count(y[redo], room[redo], tops=True, strict=strict)
-                for j, top in zip(redo, sub):
-                    tops[j] = top
+            a, bb, group = a[read], bb[read], group[read]
+            _, _, _, tops, _ = count(bb, 0.0, tops=True)
             sizes = np.array([e.shape[0] for e, _ in tops], dtype=int)
             for dim in np.unique(sizes):
                 js = np.flatnonzero(sizes == dim)
                 w, vec = np.linalg.eigh(np.stack([tops[j][0] for j in js]))
                 slope = np.sum(vec * (np.stack([tops[j][1] for j in js]) @ vec), axis=1)
-                cross = xs[js, None] - np.divide(w, slope, out=np.full_like(w, np.inf), where=slope > 0)
+                cross = bb[js, None] - np.divide(w, slope, out=np.full_like(w, np.inf), where=slope > 0)
                 branch = np.abs(cross - 0.5 * (a + bb)[js, None]) <= 1.5 * (bb - a)[js, None]
                 for i, j in enumerate(js):
                     kernels[group[j]].append(vec[i, :k, branch[i]].T / np.sqrt(slope[i, branch[i]]))

@@ -210,6 +210,44 @@ def test_eigenvalue_on_a_pole():
         assert_same_spectrum(chain_spectrum(st, q, b, 5, cond), dense[cond], neumann_width(dense))
 
 
+def test_nd_read_out_keeps_degenerate_runs_whole():
+    # Uneven weights on the gamma_bar gluing: at level 5 the read-out meets
+    # kept directions of one sign that are not one degenerate run; grouping
+    # them by sign only (as the counts do) reports an N-D eigenfunction at
+    # a simple eigenvalue near -118.97 that dense does not have.
+    base = gamma_bar(1.0, 2.0)
+    w = np.array([1.67, 1.52, 2.3])
+    st = SelfSimilarStructure(3, 3, base.glue_classes, base.boundary_map,
+                              weights_w=tuple(w), weights_b=tuple(w / 1.81), weak=base.weak)
+    q = q_matrix(ElectricalNetwork(3, {(0, 1): 1.6, (0, 2): 0.63, (1, 2): 1.34})).real
+    b = np.array([1.34, 1.9, 0.56])
+    for n in (4, 5):
+        dense = dense_reports(st, q, b, n)
+        assert_same_spectrum(chain_spectrum(st, q, b, n, "nd"), dense["nd"], neumann_width(dense))
+
+
+def test_nd_read_out_keeps_few_directions(monkeypatch):
+    # The read-out pass keeps the count passes' near-singular directions
+    # only, so its cell stacks stay about as small as theirs.
+    cfg = load_config("sierpinski")
+    chain, assemble = spectra._chain, spectra._assemble_step
+    reading, extra = [False], []
+
+    def chain_spy(plan, q, b, n, xs, tops=False):
+        reading[0] = tops
+        return chain(plan, q, b, n, xs, tops)
+
+    def assemble_spy(plan, e, weak=True):
+        if reading[0]:
+            extra.append(e.shape[1] - plan.cell_size)
+        return assemble(plan, e, weak)
+
+    monkeypatch.setattr(spectra, "_chain", chain_spy)
+    monkeypatch.setattr(spectra, "_assemble_step", assemble_spy)
+    chain_spectrum(cfg.structure, cfg.network, cfg.measure, 8, "nd")
+    assert extra and max(extra) <= 12
+
+
 def test_complex_rho_raises_on_both_paths():
     cfg = load_config("sierpinski")
     q = q_matrix(cfg.network)

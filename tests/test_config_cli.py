@@ -186,13 +186,17 @@ def test_renorm_without_chart(tmp_path, capsys):
 def test_dos_bad_green_grid(capsys):
     assert cli.main(["dos", "--config", "sierpinski", "--level", "1", "--bins", "4",
                      "--green=bad"]) == 2
-    assert "lo:hi:count" in capsys.readouterr().err
+    out = capsys.readouterr()
+    assert "lo:hi:count" in out.err
+    assert out.out == ""
 
 
 def test_dos_green_zero_eps(capsys):
     assert cli.main(["dos", "--config", "interval", "--level", "0", "--bins", "2",
                      "--green=-2:0:2", "--eps", "0"]) == 2
-    assert "eps must be positive" in capsys.readouterr().err
+    out = capsys.readouterr()
+    assert "eps must be positive" in out.err
+    assert out.out == ""
 
 
 def _sierpinski_raw(change):
