@@ -15,6 +15,16 @@ Haynsworth inertia additivity, and bisection on those counts isolates every
 distinct eigenvalue with its multiplicity (spectral decimation, carried
 through Sabot's map).
 
+The chain counts with one of two engines, chosen by what the structure is,
+never by a setting.  Where a step sends the pencil plane span{q, D}
+(D = diag(b)) into itself and there is no weak network, the cell matrix
+stays alpha q + beta D and a step is a rational map of the pair
+(alpha, beta): the count passes carry two numbers per point (the line
+engine, _line_chain).  Weak networks (whose step is not homogeneous) and
+conductances that leave the plane take the matrix chain, which carries a
+stack of cell matrices; it also reads the Neumann-Dirichlet multiplicities,
+and it takes the points whose signs the line cannot resolve near a pole.
+
 Sign convention: Q in the network cone gives nonpositive spectra
 (report with flipped sign for Laplacian-style output via the CLI flag).
 """
@@ -64,16 +74,21 @@ NEAR_TOL = 1e-4
 # sign closer than this fraction of the same scale (and than a quarter of
 # their size) count as one degenerate cluster, whose directions uncoupled
 # from the boundary are eliminated: a few thousand ulps, the rounding of
-# eigenvalues that symmetry makes equal.
+# eigenvalues that symmetry makes equal.  The same rounding decides, once
+# per spectrum, whether a chain step keeps the pencil plane (_pencil_line).
 DEGENERATE_TOL = 1e-12
 # Crossover: the chain takes over from the dense eigensolve at this many
-# level-n vertices.  Measured on a 2-core host, one thread, seconds for
-# Neumann / Dirichlet / Neumann-Dirichlet (table in CHANGES.md): below it
-# the chain loses (gamma_bar level 5, 729 vertices: 0.16-0.22 against
-# 0.06-0.11 dense), at 1025 (interval level 10) the two are about even
-# (0.18-0.24 against 0.20-0.42), above it the chain wins (Sierpinski
-# level 6, 1095: 0.14-0.15 against 0.22-0.39; gamma_bar level 6, 2187:
-# 0.39-0.48 against 1.50-2.61).
+# level-n vertices.  Measured on a 2-core host, one thread, best of two,
+# seconds for Neumann / Dirichlet / Neumann-Dirichlet, chain against dense:
+# with cell matrices the chain loses below it (gamma_bar level 5, 729
+# vertices: 0.20-0.24 against 0.07-0.08), at 1025 (interval level 10,
+# whose bracket points near poles mostly take the matrix chain) it wins
+# narrowly (0.15-0.29 against 0.22-0.48), and above it the chain wins
+# (gamma_bar level 6, 2187: 0.25-0.35 against 1.25-1.70).  On the pencil
+# line the crossover is lower: Sierpinski level 5, 366 vertices, is about
+# even (0.013-0.032 against 0.015-0.019) and level 6, 1095, wins 6-7x
+# (0.034-0.046 against 0.21-0.35).  The constant stays where it is, so
+# spectra below 1050 vertices keep the dense path.
 CHAIN_MIN_VERTICES = 1050
 
 
@@ -153,8 +168,13 @@ def nd_spectrum(q_n, b_n, boundary, level=0, cluster_tol=CLUSTER_TOL) -> Spectru
     boundary-evaluation block of a pure N-D cluster is entirely at noise
     level, so its singular values are thresholded against the eigenvector
     scale, not only against each other."""
-    q_n = np.asarray(q_n, dtype=float)
-    lam, vecs = generalized_sym_eig(q_n, b_n)
+    lam, vecs = generalized_sym_eig(np.asarray(q_n, dtype=float), b_n)
+    return _nd_report(lam, vecs, boundary, level, cluster_tol)
+
+
+def _nd_report(lam, vecs, boundary, level=0, cluster_tol=CLUSTER_TOL) -> SpectrumReport:
+    """nd_spectrum from the pencil's eigenpairs (lam ascending, vecs
+    b-orthonormal columns)."""
     clusters = cluster_eigenvalues(lam, cluster_tol)
     boundary = list(boundary)
     out_values = []
@@ -240,6 +260,58 @@ def _chain_plan(structure):
         structure._cache["chain_plan"] = _ChainPlan(
             k, structure.num_copies, v, gamma, scatter, weak, copies)
     return structure._cache["chain_plan"]
+
+
+@dataclass(frozen=True)
+class _PencilLine:
+    """One chain step on the pencil plane span{q, D}, D = diag(b), in
+    (q, D) coordinates.  With no weak network the level-1 assembly of
+    alpha q + beta D is alpha Q_1 + beta D_1, and eliminating its interior
+    leaves alpha' q + beta' D with
+
+        (alpha', beta') = alpha form + beta measure
+                          - alpha^2 sum_g residues_g / (alpha nu_g + beta)
+
+    over the distinct interior pencil eigenvalues nu_g (multiplicity mult_g)
+    of (Q_1, D_1): the boundary blocks of Q_1 and D_1 and the residues
+    W_g W_g^T (W = Q_bi D_ii^-1/2 U) written in (q, D) coordinates.  `mu`
+    holds the pencil eigenvalues of (q, D), read at the last cell."""
+
+    form: np.ndarray
+    measure: np.ndarray
+    residues: np.ndarray
+    nu: np.ndarray
+    mult: np.ndarray
+    mu: np.ndarray
+
+
+def _pencil_line(plan, q, b):
+    """The step of (q, b) as a _PencilLine, or None where the chain needs
+    cell matrices: with a weak network (the step is not homogeneous), or
+    where a boundary block or a residue leaves span{q, D} by more than
+    rounding (DEGENERATE_TOL of the largest matrix of its kind).  Residues
+    are summed over each degenerate eigenspace: a single rank-one term
+    inside one can leave the plane where their sum does not."""
+    if np.any(plan.weak):
+        return None
+    k = plan.cell_size
+    form = _assemble_step(plan, q[None], weak=False)[0]
+    measure = np.diagonal(_assemble_step(plan, np.diag(b)[None], weak=False)[0])
+    scale = 1.0 / np.sqrt(measure[k:])
+    nu, u = np.linalg.eigh(form[k:, k:] * scale[:, None] * scale)
+    w = form[:k, k:] @ (scale[:, None] * u)
+    groups = np.split(np.arange(nu.size), np.flatnonzero(np.diff(_cluster_ids(nu, DEGENERATE_TOL))) + 1)
+    mats = np.stack([form[:k, :k], np.diag(measure[:k])] + [w[:, g] @ w[:, g].T for g in groups])
+    basis = np.column_stack([q.ravel(), np.diag(b).ravel()])
+    coef = np.linalg.lstsq(basis, mats.reshape(len(mats), -1).T, rcond=None)[0].T
+    off = np.linalg.norm(mats - (coef @ basis.T).reshape(mats.shape), axis=(1, 2))
+    size = np.linalg.norm(mats, axis=(1, 2))
+    size[2:] = size[2:].max()
+    if np.any(off > DEGENERATE_TOL * size):
+        return None
+    root = np.sqrt(b)
+    return _PencilLine(coef[0], coef[1], coef[2:], np.array([nu[g].mean() for g in groups]),
+                       np.array([g.size for g in groups]), np.linalg.eigvalsh(q / root[:, None] / root))
 
 
 def _assemble_step(plan, e, weak=True):
@@ -420,8 +492,83 @@ def _log_det_rate(e, de):
     return np.where((w == 0).any(axis=1), np.inf, rate), w
 
 
-def _chain(plan, q, b, n, xs, tops=False):
+def _line_chain(plan, line, n, xs):
+    """The count pass of _chain on the pencil plane: each cell matrix is
+    alpha q + beta D, and a step maps the pair (alpha, beta) by the
+    _PencilLine `line`.  Returns (counts, rates, unsure): counts and rates
+    as _chain gives them, void where `unsure` marks a point whose signs
+    the pair cannot resolve.
+
+    The pair is kept at unit length.  Before it is normalized, each step's
+    image is multiplied by |alpha nu + beta| of the interior pole nearest
+    the point, which keeps its sign and so the inertia, and turns the
+    nearest residue's term into a sign; the other terms are bounded.  What
+    rounding costs is tracked as an error `err` of the pair's direction, in
+    units of eps: each step adds its own rounding, relative to the image,
+    to the error it carries through the step's derivative along the line
+    (`turn`, the image of the direction's tangent).  A step near a pole
+    rounds the image's part off the nearest residue to eps over the pivot,
+    and a later pivot that vanishes on that residue inherits it, so a point
+    is unsure where a pivot alpha nu + beta (or alpha mu + beta at the last
+    cell) is within PIVOT_TOL (1 + err) of zero, on the scale |(nu, 1)|.
+    The derivative (da, db) in x is taken relative to the pair's scale, so
+    sums of d/dx log|alpha nu + beta| over it are those of the unscaled
+    matrices.  Arrays are (group, point)."""
+    (fq, fd), (mq, md) = line.form, line.measure
+    rq, rd = line.residues.T
+    nu = line.nu[:, None]
+    a, b = np.ones(xs.size), xs / plan.gamma**n
+    norm = np.hypot(a, b)
+    a, b, da, db = a / norm, b / norm, np.zeros(xs.size), plan.gamma**-n / norm
+    err = np.ones(xs.size)
+    counts = np.zeros((xs.size, 3), dtype=np.int64)
+    rates = np.zeros((xs.size, 2))
+    unsure = np.zeros(xs.size, dtype=bool)
+
+    def pivots(values):
+        t = values * a + b
+        bad = np.abs(t) <= (1.0 + err) * (PIVOT_TOL * np.hypot(values, 1.0))
+        t[bad] = 1.0
+        return t, bad.any(axis=0)
+
+    def image(va, vb, t, near, ah):
+        """The step's derivative, times `near`, applied to (va, vb)."""
+        rate = (nu * va + vb) / t
+        w = (2 * va - a * rate) * ah
+        return near * (va * fq + vb * mq) - rq @ w, near * (va * fd + vb * md) - rd @ w, rate
+
+    for m in range(n):
+        t, bad = pivots(nu)
+        unsure |= bad
+        near = np.abs(t).min(axis=0)
+        ah = a * near / t
+        na, nb = near * (a * fq + b * mq) - rq @ (a * ah), near * (a * fd + b * md) - rd @ (a * ah)
+        da, db, rate = image(da, db, t, near, ah)
+        ta, tb, _ = image(-b, a, t, near, ah)
+        copies = plan.num_copies ** (n - 1 - m)
+        counts[:, 2] += copies * (line.mult @ (t < 0))
+        rates[:, 0] += copies * (line.mult @ rate)
+        norm = np.hypot(na, nb)
+        norm[norm == 0] = 1.0  # a zero image leaves every pivot unsure
+        fresh = near * (abs(fq) + abs(fd) + abs(mq) + abs(md)) + (abs(rq) + abs(rd)) @ np.abs(a * ah)
+        err = (err * np.abs(na * tb - nb * ta) / norm + fresh) / norm
+        a, b, da, db = na / norm, nb / norm, da / norm, db / norm
+    t, bad = pivots(line.mu[:, None])
+    counts[:, 0] = counts[:, 2]
+    counts[:, 1] = counts[:, 2] + np.count_nonzero(t < 0, axis=0)
+    rates[:, 1] = rates[:, 0] + np.sum((line.mu[:, None] * da + db) / t, axis=0)
+    return counts, rates, unsure | bad
+
+
+def _chain(plan, q, b, n, xs, tops=False, line=None):
     """One pass of the Schur chain at every x.
+
+    Two engines give the same Dirichlet and Neumann counts.  Given the
+    _PencilLine `line` of (q, b), a count pass (`tops` unset) maps two
+    numbers per point through _line_chain, whose last cell keeps no
+    interior direction, and takes the points it leaves unsure from the
+    matrix chain; otherwise each step assembles and eliminates a stack of
+    cell matrices.
 
     Returns (counts, rates, singular, cells): counts[:, 0] is the Dirichlet
     count #{lam > x}, counts[:, 1] the Neumann count and counts[:, 2] the
@@ -432,6 +579,12 @@ def _chain(plan, q, b, n, xs, tops=False):
     holds per point the last cell matrix (boundary first, then kept
     interior directions) and its derivative in x, and kept directions are
     grouped by degenerate runs, not by sign."""
+    if line is not None and not tops:
+        counts, rates, unsure = _line_chain(plan, line, n, xs)
+        singular = np.zeros(xs.size, dtype=bool)
+        if unsure.any():
+            counts[unsure], rates[unsure], singular[unsure], _ = _chain(plan, q, b, n, xs[unsure])
+        return counts, rates, singular, None
     k, ncopies = plan.cell_size, plan.num_copies
     p = xs.size
     counts = np.zeros((p, 3), dtype=np.int64)
@@ -470,20 +623,20 @@ def _chain(plan, q, b, n, xs, tops=False):
 _NUDGES = (0.25, 0.5, 0.375, 0.625, 0.125, 0.75, 0.0625, 0.875)
 
 
-def _chain_counts_at(plan, q, b, n, xs, room, tops=False, strict=True):
+def _chain_counts_at(plan, q, b, n, xs, room, tops=False, strict=True, line=None):
     """_chain at every x, each moved up into (x, x + room) until no interior
     block is singular.  Returns (points used, counts, rates, last cell
     matrices, ok); a point still singular after every move raises
     SingularInterior, or with `strict` unset is marked not ok."""
     xs = np.array(xs, dtype=float)
-    counts, rates, singular, top = _chain(plan, q, b, n, xs, tops)
+    counts, rates, singular, top = _chain(plan, q, b, n, xs, tops, line)
     start = xs.copy()
     for frac in _NUDGES:
         if not singular.any():
             break
         idx = np.flatnonzero(singular)
         xs[idx] = start[idx] + frac * room[idx]
-        counts[idx], rates[idx], singular[idx], sub = _chain(plan, q, b, n, xs[idx], tops)
+        counts[idx], rates[idx], singular[idx], sub = _chain(plan, q, b, n, xs[idx], tops, line)
         for j, i in enumerate(idx if tops else ()):
             top[i] = sub[j]
     if strict and singular.any():
@@ -511,7 +664,10 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
 
     Never assembles the level-n lattice.  Each distinct eigenvalue is
     isolated to BISECT_TOL of the bracket width and its multiplicity is the
-    jump of the count across it.  Neumann-Dirichlet multiplicities come from
+    jump of the count across it.  The counts come from the line engine
+    when _pencil_line finds the step of (rho, b) on the pencil plane with
+    no weak network, and from the matrix chain otherwise; both give the
+    same counts, and the read-out below always uses the matrix chain.  Neumann-Dirichlet multiplicities come from
     the last cell matrix E at each eigenvalue: the level-n matrix is
     congruent to E plus eliminated directions that are nonsingular there,
     with the boundary values unchanged, so each Neumann cluster is the
@@ -523,6 +679,7 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
         raise ValueError(f"unknown condition {condition!r}")
     plan = _chain_plan(structure)
     q, b = _cell_data(structure, rho, b)
+    line = _pencil_line(plan, q, b)
     col = 0 if condition == "dirichlet" else 1
     total = num_vertices(structure, n) - (plan.cell_size if col == 0 else 0)
     if total == 0:
@@ -530,7 +687,7 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
 
     def count(xs, room, tops=False, strict=True):
         xs = np.asarray(xs, dtype=float)
-        return _chain_counts_at(plan, q, b, n, xs, np.broadcast_to(room, xs.shape), tops, strict)
+        return _chain_counts_at(plan, q, b, n, xs, np.broadcast_to(room, xs.shape), tops, strict, line)
 
     # Bracket the spectrum, starting from the cell's Gershgorin scale.
     span = float(np.max(np.abs(q).sum(axis=1) / b)) * plan.gamma**n or 1.0

@@ -52,6 +52,39 @@ def dense_reports(structure, rho, b, n):
     }
 
 
+@pytest.fixture(scope="module")
+def builtin_dense():
+    """Dense references of a builtin config at level n, computed once per
+    (name, n) in this module, the Neumann and N-D ones from one eigensolve."""
+    cache = {}
+
+    def get(name, n):
+        if (name, n) not in cache:
+            cfg = load_config(name)
+            q = assemble_network(cfg.structure, cfg.network, n).real
+            b_n = assemble_measure(cfg.structure, cfg.measure, n)
+            boundary = build_lattice(cfg.structure, n).boundary
+            lam, vecs = generalized_sym_eig(q, b_n)
+            cache[name, n] = {
+                "neumann": SpectrumReport(n, "neumann", lam, cluster_eigenvalues(lam)),
+                "dirichlet": dirichlet_spectrum(q, b_n, boundary, n),
+                "nd": spectra._nd_report(lam, vecs, boundary, n),
+            }
+        return cache[name, n]
+
+    return get
+
+
+@pytest.fixture(params=("line", "matrix"))
+def engine(request, monkeypatch):
+    """The chain's count engine: on the pencil line where the structure
+    allows it, or the matrix chain, forced by reporting every structure
+    off the plane."""
+    if request.param == "matrix":
+        monkeypatch.setattr(spectra, "_pencil_line", lambda plan, q, b: None)
+    return request.param
+
+
 def assert_same_spectrum(chain, dense, width, rtol=1e-10):
     """Same multiplicity lists, values within rtol of the spectral width
     (that of the Neumann spectrum, which holds the other two)."""
@@ -63,9 +96,9 @@ def assert_same_spectrum(chain, dense, width, rtol=1e-10):
 
 
 @pytest.mark.parametrize("name,n", BUILTIN_LEVELS)
-def test_chain_matches_dense(name, n):
+def test_chain_matches_dense(name, n, builtin_dense):
     cfg = load_config(name)
-    dense = dense_reports(cfg.structure, cfg.network, cfg.measure, n)
+    dense = builtin_dense(name, n)
     for cond in CONDITIONS:
         chain = chain_spectrum(cfg.structure, cfg.network, cfg.measure, n, cond)
         assert_same_spectrum(chain, dense[cond], neumann_width(dense))
@@ -153,7 +186,7 @@ def test_level_spectrum_routes_by_size(gasket, triangle, monkeypatch):
     assert calls == [6]
 
 
-def test_counts_on_interior_pole(gasket, triangle):
+def test_counts_on_interior_pole(gasket, triangle, engine):
     # The level-1 interior block of the gasket, (4 - 2x) I - A_triangle with
     # unit measure, is singular at x = -1 and x = -2.5; both are floats, so
     # the first step meets an exactly singular block there.
@@ -166,14 +199,17 @@ def test_counts_on_interior_pole(gasket, triangle):
     poles = np.array([-2.5, -1.0])
     plan = spectra._chain_plan(gasket)
     room = np.full(2, 1e-12)
-    counts = spectra._chain_counts_at(plan, q_matrix(triangle).real, np.ones(3), n, poles, room)[1]
+    cell = q_matrix(triangle).real
+    line = spectra._pencil_line(plan, cell, np.ones(3))
+    assert (line is not None) == (engine == "line")
+    counts = spectra._chain_counts_at(plan, cell, np.ones(3), n, poles, room, line=line)[1]
     assert counts.dtype.kind == "i"
     for x, (n_dir, n_neu, _) in zip(poles, counts):
         assert n_dir == np.count_nonzero(dirichlet > x + 1e-9)
         assert n_neu == np.count_nonzero(neumann > x + 1e-9)
 
 
-def test_chain_without_nudges_closes_at_poles(monkeypatch):
+def test_chain_without_nudges_closes_at_poles(monkeypatch, engine, builtin_dense):
     # With no moves off a pole, points that land on one come back not ok
     # and the bisection closes their intervals at the pole's rounding zone.
     cfg = load_config("interval")
@@ -188,7 +224,7 @@ def test_chain_without_nudges_closes_at_poles(monkeypatch):
     monkeypatch.setattr(spectra, "_NUDGES", ())
     monkeypatch.setattr(spectra, "_chain_counts_at", spy)
     for n in range(3, 9):
-        dense = dense_reports(cfg.structure, cfg.network, cfg.measure, n)
+        dense = builtin_dense("interval", n)
         chain = chain_spectrum(cfg.structure, cfg.network, cfg.measure, n, "dirichlet")
         assert_same_spectrum(chain, dense["dirichlet"], neumann_width(dense))
     assert sum(not_ok) > 0
@@ -226,16 +262,16 @@ def test_nd_read_out_keeps_degenerate_runs_whole():
         assert_same_spectrum(chain_spectrum(st, q, b, n, "nd"), dense["nd"], neumann_width(dense))
 
 
-def test_nd_read_out_keeps_few_directions(monkeypatch):
+def test_nd_read_out_keeps_few_directions(monkeypatch, engine):
     # The read-out pass keeps the count passes' near-singular directions
     # only, so its cell stacks stay about as small as theirs.
     cfg = load_config("sierpinski")
     chain, assemble = spectra._chain, spectra._assemble_step
     reading, extra = [False], []
 
-    def chain_spy(plan, q, b, n, xs, tops=False):
+    def chain_spy(plan, q, b, n, xs, tops=False, line=None):
         reading[0] = tops
-        return chain(plan, q, b, n, xs, tops)
+        return chain(plan, q, b, n, xs, tops, line)
 
     def assemble_spy(plan, e, weak=True):
         if reading[0]:
@@ -276,3 +312,118 @@ def test_cdf_counts_whole_cluster(gasket, triangle, solve):
     assert rep.multiplicity_at(-3.0) == 42
     below = np.count_nonzero(lam < -3.0 - 1e-9)
     assert rep.cdf([-3.0])[0] == below + 42
+
+
+def line_of(name):
+    cfg = load_config(name)
+    plan = spectra._chain_plan(cfg.structure)
+    q, b = spectra._cell_data(cfg.structure, cfg.network, cfg.measure)
+    return cfg, plan, q, b, spectra._pencil_line(plan, q, b)
+
+
+@pytest.mark.parametrize("name,n", [("sierpinski", 6), ("sierpinski", 8), ("interval", 10), ("interval", 12)])
+def test_line_counts_match_matrix_chain(name, n, rng):
+    # Random points over the spectrum, then each distinct eigenvalue just
+    # below and above, where a point near a pole of the trace map needs its
+    # signs tracked through later steps (or the matrix chain).  The line
+    # eliminates every interior direction before the last cell, so its
+    # third column is the Dirichlet count; the matrix chain's is that less
+    # the negatives it keeps as extra coordinates near a pole.
+    cfg, plan, q, b, line = line_of(name)
+    assert line is not None
+    rep = chain_spectrum(cfg.structure, cfg.network, cfg.measure, n)
+    lo, hi = rep.eigenvalues[0], rep.eigenvalues[-1]
+    xs = rng.uniform(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo), 3000)
+    want = spectra._chain(plan, q, b, n, xs)
+    got = spectra._chain(plan, q, b, n, xs, line=line)
+    assert not want[2].any() and not got[2].any()
+    kept = want[0][:, 0] != want[0][:, 2]
+    assert np.count_nonzero(kept) < 10
+    np.testing.assert_array_equal(got[0][~kept], want[0][~kept])
+    np.testing.assert_array_equal(got[0][kept, :2], want[0][kept, :2])
+    np.testing.assert_array_equal(got[0][:, 2], got[0][:, 0])
+    values = np.array([v for v, _ in rep.clusters])
+    xs = np.concatenate([values - 1e-10 * (hi - lo), values + 1e-10 * (hi - lo)])
+    want = spectra._chain(plan, q, b, n, xs)
+    got = spectra._chain(plan, q, b, n, xs, line=line)
+    np.testing.assert_array_equal(got[0][:, :2], want[0][:, :2])
+
+
+def test_line_counts_at_exact_poles(gasket, triangle):
+    # The gasket's interior block is exactly singular at x = -1 and -2.5
+    # (see test_counts_on_interior_pole); both engines mark the points and
+    # agree once they are moved off.
+    plan = spectra._chain_plan(gasket)
+    cell = q_matrix(triangle).real
+    line = spectra._pencil_line(plan, cell, np.ones(3))
+    poles = np.array([-2.5, -1.0])
+    for n in (1, 3, 6):
+        assert spectra._chain(plan, cell, np.ones(3), n, poles, line=line)[2].all()
+        room = np.full(2, 1e-9)
+        want = spectra._chain_counts_at(plan, cell, np.ones(3), n, poles, room)
+        got = spectra._chain_counts_at(plan, cell, np.ones(3), n, poles, room, line=line)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1][:, :2], want[1][:, :2])
+
+
+def matrix_chain_spectrum(monkeypatch, *args):
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "_pencil_line", lambda plan, q, b: None)
+        return chain_spectrum(*args)
+
+
+def assert_same_lists(got, want, width):
+    # Each value is the midpoint of a bracket narrower than BISECT_TOL of the
+    # bracket of the whole spectrum, a few spectral widths.
+    assert_same_spectrum(got, want, width, rtol=4 * spectra.BISECT_TOL)
+
+
+@pytest.mark.parametrize("name,n", [("sierpinski", 7), ("sierpinski", 8),
+                                    ("interval", 10), ("interval", 11), ("interval", 12)])
+def test_line_spectra_match_matrix_chain(name, n, monkeypatch):
+    cfg, *_ = line_of(name)
+    args = (cfg.structure, cfg.network, cfg.measure, n)
+    width = float(np.ptp(chain_spectrum(*args).eigenvalues))
+    for cond in CONDITIONS:
+        assert_same_lists(chain_spectrum(*args, cond), matrix_chain_spectrum(monkeypatch, *args, cond),
+                          width)
+
+
+def test_line_spectra_of_scaled_cell(gasket, triangle, monkeypatch):
+    # Scaling the conductances by a and the measure by c moves the plane's
+    # coordinates, not the line, and scales the spectrum by a / c.
+    a, c = 1.7, 0.6
+    q, b = a * q_matrix(triangle).real, np.full(3, c)
+    assert spectra._pencil_line(spectra._chain_plan(gasket), q, b) is not None
+    base = chain_spectrum(gasket, triangle, np.ones(3), 7, "neumann")
+    width = a / c * float(np.ptp(base.eigenvalues))
+    for cond in CONDITIONS:
+        got = chain_spectrum(gasket, q, b, 7, cond)
+        assert_same_lists(got, matrix_chain_spectrum(monkeypatch, gasket, q, b, 7, cond), width)
+    assert [m for _, m in got.clusters] == [
+        m for _, m in chain_spectrum(gasket, triangle, np.ones(3), 7, "nd").clusters]
+
+
+def test_weak_networks_and_uneven_conductances_take_matrix_chain(rng, monkeypatch):
+    base = sierpinski()
+    uneven = SelfSimilarStructure(
+        3, 3, base.glue_classes, base.boundary_map,
+        weights_w=(1.0, 2.0, 3.0), weights_b=(0.5, 1.0, 1.5),
+    )
+    g = rng.uniform(0.5, 2.0, 3)
+    q = q_matrix(ElectricalNetwork(3, {(0, 1): g[0], (0, 2): g[1], (1, 2): g[2]})).real
+    b = rng.uniform(0.5, 2.0, 3)
+    cases = [(uneven, q, b)]
+    for name in ("gamma_bar", "gamma_bar_semi"):
+        cfg = load_config(name)
+        cases.append((cfg.structure, q_matrix(cfg.network).real, cfg.measure))
+
+    def refuse(*args):
+        raise AssertionError("off the plane the chain counts with cell matrices")
+
+    monkeypatch.setattr(spectra, "_line_chain", refuse)
+    for st, cell, measure in cases:
+        assert spectra._pencil_line(spectra._chain_plan(st), cell, measure) is None
+        chain_spectrum(st, cell, measure, 3, "neumann")
+    for name in ("sierpinski", "interval"):
+        assert line_of(name)[-1] is not None
