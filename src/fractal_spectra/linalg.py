@@ -80,9 +80,13 @@ def sym_eig(a):
 
 def _pencil(q, b):
     """Validate the pencil (Q + lam I_b) and return its symmetric transform
-    D^{-1/2} Q D^{-1/2} together with d = diag(D^{-1/2}), D = I_b."""
-    q = _require_symmetric(np.asarray(q, dtype=float))
+    D^{-1/2} Q D^{-1/2} together with d = diag(D^{-1/2}), D = I_b.  A NaN
+    or infinite entry of Q or b raises ValueError."""
+    q = np.asarray(q, dtype=float)
     b = np.asarray(b, dtype=float)
+    if not (np.isfinite(q).all() and np.isfinite(b).all()):
+        raise ValueError("the pencil needs a finite Q and finite weights")
+    q = _require_symmetric(q)
     if b.ndim != 1 or b.shape[0] != q.shape[0]:
         raise ValueError("weight vector must match matrix dimension")
     if np.any(b <= 0):

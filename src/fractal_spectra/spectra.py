@@ -58,10 +58,13 @@ ND_TOL = 1e-8
 # the whole spectrum (a small multiple of the spectral width): each distinct
 # eigenvalue is located to about this fraction of it.
 BISECT_TOL = 1e-12
-# An interior block with an eigenvalue of at most this fraction of the
-# largest entry of its rows in the level-1 assembly is treated as singular
-# (x sits on a pole of the trace map), and the point is moved inside its
-# bracket.  A few ulps: above it every sign is resolved.
+# An interior eigenvalue (pivot) of at most this fraction of the largest
+# entry of its rows in the level-1 assembly is zero up to rounding: x sits
+# on a pole of the trace map.  Every interior block has a positive definite
+# derivative in x, so each pivot rises through zero, and the count just
+# above x is exact if such a pivot is read at x + 0: as positive, its
+# magnitude kept, carried like the NEAR_TOL directions below.  A few ulps:
+# above it every sign is resolved.
 PIVOT_TOL = 8 * np.finfo(float).eps
 # Interior directions with an eigenvalue d of at most this fraction of the
 # same scale are not eliminated but carried to the next step as extra
@@ -341,7 +344,7 @@ def _clusters(d, spread):
     """Cuts that split kept eigenvalues d (negative first, then positive,
     each in order of |d|) into runs of one sign whose neighbours lie within
     `spread` (and a quarter of their size)."""
-    joined = ((d[1:] > 0) == (d[:-1] > 0)) & (
+    joined = ((d[1:] < 0) == (d[:-1] < 0)) & (
         np.abs(np.diff(d)) <= np.minimum(spread, 0.25 * np.abs(d[:-1])))
     return np.flatnonzero(~joined) + 1
 
@@ -393,23 +396,23 @@ def _eliminate(a, da, k, tops=False):
     Interior directions whose eigenvalue is within NEAR_TOL of singular (on
     the scale of the largest entry of the interior rows) are kept as extra
     coordinates of the new cell matrix, so that a point near a pole of the
-    trace map loses no precision.  Every point that keeps some goes through
-    _keep_near, grouped by their number r and, where r exceeds k, by their
+    trace map loses no precision.  An eigenvalue within PIVOT_TOL of zero
+    (x on a pole) is read at x + 0, as |d|; here, in _clusters and in
+    _keep_near a direction is negative where d < 0.  Every point that keeps
+    some goes through _keep_near, grouped by their number r and, where r exceeds k, by their
     clusters: each sign for the counts; with `tops` (where the last cell
     matrices are read), each degenerate run, so that a reduced direction is
     a whole eigenfunction.  Each new cell matrix has its exact size:
     nothing is padded.
-    Returns (cells, eliminated, kept, rate, singular): the new cell matrices
-    as (indices, stack, derivative stack) triples, the numbers of negative
-    eigenvalues eliminated and kept, the derivative of log|det| of the
-    eliminated part, and whether the interior block was singular (void
-    results)."""
+    Returns (cells, eliminated, kept, rate): the new cell matrices as
+    (indices, stack, derivative stack) triples, the numbers of negative
+    eigenvalues eliminated and kept, and the derivative of log|det| of the
+    eliminated part."""
     p, m = a.shape[0], a.shape[1] - k
     big = np.abs(a[:, k:, :]).max(axis=(1, 2))[:, None]
     d, u = np.linalg.eigh(a[:, k:, k:])
-    singular = (np.abs(d) <= PIVOT_TOL * big).any(axis=1)
-    near = (np.abs(d) <= NEAR_TOL * big) & ~singular[:, None]
-    d = np.where(singular[:, None], 1.0, d)
+    d = np.where(np.abs(d) <= PIVOT_TOL * big, np.abs(d), d)
+    near = np.abs(d) <= NEAR_TOL * big
     far = np.where(near, 0.0, 1.0 / np.where(near, 1.0, d))
     # In the eigenbasis of the interior block, the boundary coupling is g
     # with derivative dg, and the interior block diag(d) has derivative dd;
@@ -428,7 +431,7 @@ def _eliminate(a, da, k, tops=False):
     cells = [(plain, schur[plain], dschur[plain])]
     wide = np.flatnonzero(r > 0)
     if not wide.size:
-        return cells, eliminated, kept, rate, singular
+        return cells, eliminated, kept, rate
     # The other points keep their near directions N as extra coordinates:
     # [[S, g_N], [g_N^T, diag(d_N)]], with derivative
     # [[dS, dg_N - g_F D_F^-1 dd_FN], [., dd_NN]].
@@ -445,7 +448,7 @@ def _eliminate(a, da, k, tops=False):
     dfull[:, k:, k:] = dd
     # New cell matrices of the other points: the boundary, then the near
     # directions, negative first, each in order of |d|.
-    order = np.lexsort((np.abs(d), d > 0, ~near), axis=-1)
+    order = np.lexsort((np.abs(d), d >= 0, ~near), axis=-1)
     cols = np.concatenate([np.broadcast_to(np.arange(k), (wide.size, k)), k + order], axis=1)
     full = np.take_along_axis(np.take_along_axis(full, cols[:, :, None], 1), cols[:, None, :], 2)
     dfull = np.take_along_axis(np.take_along_axis(dfull, cols[:, :, None], 1), cols[:, None, :], 2)
@@ -470,7 +473,7 @@ def _eliminate(a, da, k, tops=False):
         eliminated[wide[js]] += neg
         rate[wide[js]] += extra
         cells.append((wide[js], cell, dcell))
-    return cells, eliminated, kept, rate, singular
+    return cells, eliminated, kept, rate
 
 
 def _merge(cells):
@@ -570,35 +573,32 @@ def _chain(plan, q, b, n, xs, tops=False, line=None):
     matrix chain; otherwise each step assembles and eliminates a stack of
     cell matrices.
 
-    Returns (counts, rates, singular, cells): counts[:, 0] is the Dirichlet
-    count #{lam > x}, counts[:, 1] the Neumann count and counts[:, 2] the
-    part of both taken before the last cell matrix; rates[:, 0] and
-    rates[:, 1] are d/dx log|det| of the level-n Dirichlet and Neumann
-    matrices, sum_k 1 / (x - lam_k); singular marks points whose results are
-    void because an interior block was singular; if `tops` is set, cells
-    holds per point the last cell matrix (boundary first, then kept
-    interior directions) and its derivative in x, and kept directions are
-    grouped by degenerate runs, not by sign."""
+    Returns (counts, rates, cells): counts[:, 0] is the Dirichlet count
+    #{lam > x}, counts[:, 1] the Neumann count and counts[:, 2] the part of
+    both taken before the last cell matrix, every one read at x + 0 where x
+    sits on a pole (PIVOT_TOL); rates[:, 0] and rates[:, 1] are d/dx
+    log|det| of the level-n Dirichlet and Neumann matrices,
+    sum_k 1 / (x - lam_k); if `tops` is set, cells holds per point the last
+    cell matrix (boundary first, then kept interior directions) and its
+    derivative in x, and kept directions are grouped by degenerate runs, not
+    by sign."""
     if line is not None and not tops:
         counts, rates, unsure = _line_chain(plan, line, n, xs)
-        singular = np.zeros(xs.size, dtype=bool)
         if unsure.any():
-            counts[unsure], rates[unsure], singular[unsure], _ = _chain(plan, q, b, n, xs[unsure])
-        return counts, rates, singular, None
+            counts[unsure], rates[unsure], _ = _chain(plan, q, b, n, xs[unsure])
+        return counts, rates, None
     k, ncopies = plan.cell_size, plan.num_copies
     p = xs.size
     counts = np.zeros((p, 3), dtype=np.int64)
     rates = np.zeros((p, 2))
     kept = np.zeros(p, dtype=np.int64)
-    singular = np.zeros(p, dtype=bool)
     slope = np.broadcast_to(np.diag(b) / plan.gamma**n, (p, k, k))
     cells = [(np.arange(p), q + xs[:, None, None] * slope, slope)]
     for m in range(n):
         nxt = []
         for idx, e, de in cells:
-            sub, eliminated, kept[idx], rate, sing = _eliminate(
+            sub, eliminated, kept[idx], rate = _eliminate(
                 _assemble_step(plan, e), _assemble_step(plan, de, weak=False), k, tops)
-            singular[idx] |= sing
             counts[idx, 2] += ncopies ** (n - 1 - m) * eliminated
             rates[idx, 0] += ncopies ** (n - 1 - m) * rate
             nxt.extend((idx[j], c, dc) for j, c, dc in sub)
@@ -614,34 +614,7 @@ def _chain(plan, q, b, n, xs, tops=False, line=None):
             rates[idx, 0] += _log_det_rate(e[:, k:, k:], de[:, k:, k:])[0]
         for j, i in enumerate(idx if tops else ()):
             top[i] = (e[j], de[j])
-    return counts, rates, singular, top
-
-
-
-# Offsets, as fractions of the room above a point, tried in turn when the
-# chain meets a singular interior block there.
-_NUDGES = (0.25, 0.5, 0.375, 0.625, 0.125, 0.75, 0.0625, 0.875)
-
-
-def _chain_counts_at(plan, q, b, n, xs, room, tops=False, strict=True, line=None):
-    """_chain at every x, each moved up into (x, x + room) until no interior
-    block is singular.  Returns (points used, counts, rates, last cell
-    matrices, ok); a point still singular after every move raises
-    SingularInterior, or with `strict` unset is marked not ok."""
-    xs = np.array(xs, dtype=float)
-    counts, rates, singular, top = _chain(plan, q, b, n, xs, tops, line)
-    start = xs.copy()
-    for frac in _NUDGES:
-        if not singular.any():
-            break
-        idx = np.flatnonzero(singular)
-        xs[idx] = start[idx] + frac * room[idx]
-        counts[idx], rates[idx], singular[idx], sub = _chain(plan, q, b, n, xs[idx], tops, line)
-        for j, i in enumerate(idx if tops else ()):
-            top[i] = sub[j]
-    if strict and singular.any():
-        raise SingularInterior(f"interior block singular near x = {xs[singular][0]!r}")
-    return xs, counts, rates, top, ~singular
+    return counts, rates, top
 
 
 def _cell_data(structure, rho, b):
@@ -667,7 +640,10 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
     jump of the count across it.  The counts come from the line engine
     when _pencil_line finds the step of (rho, b) on the pencil plane with
     no weak network, and from the matrix chain otherwise; both give the
-    same counts, and the read-out below always uses the matrix chain.  Neumann-Dirichlet multiplicities come from
+    same counts, and the read-out below always uses the matrix chain.  A
+    point on a pole of the trace map is read where it is, as the limit from
+    above (PIVOT_TOL), so every point gives a count and every bracket
+    shrinks.  Neumann-Dirichlet multiplicities come from
     the last cell matrix E at each eigenvalue: the level-n matrix is
     congruent to E plus eliminated directions that are nonsingular there,
     with the boundary values unchanged, so each Neumann cluster is the
@@ -685,16 +661,15 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
     if total == 0:
         return SpectrumReport(n, condition, np.zeros(0), [])
 
-    def count(xs, room, tops=False, strict=True):
-        xs = np.asarray(xs, dtype=float)
-        return _chain_counts_at(plan, q, b, n, xs, np.broadcast_to(room, xs.shape), tops, strict, line)
+    def count(xs, tops=False):
+        return _chain(plan, q, b, n, np.asarray(xs, dtype=float), tops, line)
 
     # Bracket the spectrum, starting from the cell's Gershgorin scale.
     span = float(np.max(np.abs(q).sum(axis=1) / b)) * plan.gamma**n or 1.0
     lo, hi = -span, span
     for _ in range(64):
         tol = BISECT_TOL * (hi - lo)
-        _, ends, rates, _, _ = count([lo, hi], tol)
+        ends, rates, _ = count([lo, hi])
         if ends[0, col] == total and ends[1, col] == 0:
             break
         lo, hi = (lo if ends[0, col] == total else 2 * lo), (hi if ends[1, col] == 0 else 2 * hi)
@@ -734,24 +709,12 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
         x = np.column_stack([a, np.sort(x, axis=1), bb])  # unused points (nan) sort last
         x[np.isnan(x)] = np.broadcast_to(bb[:, None], x.shape)[np.isnan(x)]
         inner = x[:, 1:-1] < bb[:, None]
-        xs, cs, rs, _, ok = count(x[:, 1:-1][inner], np.diff(x, axis=1)[:, 1:][inner], strict=False)
+        cs, rs, _ = count(x[:, 1:-1][inner])
         cx = np.broadcast_to(cb[:, None], (a.size, x.shape[1], 3)).copy()
         rx = np.broadcast_to(rb[:, None], x.shape).copy()
         cx[:, 0], rx[:, 0] = ca, ra
-        x[:, 1:-1][inner], cx[:, 1:-1][inner], rx[:, 1:-1][inner] = xs, cs, rs[:, col]
-        # A point left on a pole takes the place and values of the next one;
-        # an interval cut into equal parts whose every point is, cannot be
-        # resolved further (its width is then that of the pole's rounding
-        # zone) and is done.  Cut at Newton targets only, it stays whole and
-        # is cut into equal parts in the next round, as its width holds.
-        bad = np.zeros(x.shape, dtype=bool)
-        bad[:, 1:-1][inner] = ~ok
-        stuck = (bad[:, 1:-1].sum(axis=1) == inner.sum(axis=1)) & (parts > 1)
-        done.append((a[stuck], bb[stuck], ca[stuck], cb[stuck]))
-        for j in range(x.shape[1] - 2, 0, -1):
-            x[bad[:, j], j], cx[bad[:, j], j], rx[bad[:, j], j] = (
-                x[bad[:, j], j + 1], cx[bad[:, j], j + 1], rx[bad[:, j], j + 1])
-        i, j = np.nonzero((cx[:, :-1, col] > cx[:, 1:, col]) & ~stuck[:, None])
+        cx[:, 1:-1][inner], rx[:, 1:-1][inner] = cs, rs[:, col]
+        i, j = np.nonzero(cx[:, :-1, col] > cx[:, 1:, col])
         last = (bb - a)[i]
         a, bb, ca, cb, ra, rb = x[i, j], x[i, j + 1], cx[i, j], cx[i, j + 1], rx[i, j], rx[i, j + 1]
     a, bb, ca, cb = (np.concatenate(parts) for parts in zip(*done))
@@ -774,12 +737,12 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
         # distinct eigenvalue, ranked over each whole group, as nd_spectrum
         # takes the boundary-vanishing part of each whole cluster.  E is
         # read at the upper end b of the eigenvalue's bracket (a, b], where
-        # the counts were taken (an interior block singular there raises
-        # SingularInterior).  A kernel branch is an eigenvalue w of E with
-        # slope s = y^T E' y > 0 that reaches 0 in the bracket (widened by
-        # its width on each side, as the counts and E can disagree by
-        # rounding); the eigenfunction its eigenvector y extends to has
-        # |f|_b^2 = s, which scales y to unit b-norm.
+        # the counts were taken (on a pole, at b + 0 as they were).  A
+        # kernel branch is an eigenvalue w of E with slope s = y^T E' y > 0
+        # that reaches 0 in the bracket (widened by its width on each side,
+        # as the counts and E can disagree by rounding); the eigenfunction
+        # its eigenvector y extends to has |f|_b^2 = s, which scales y to
+        # unit b-norm.
         # A Neumann-Dirichlet eigenfunction is also a Dirichlet one, so only
         # groups whose span holds a Dirichlet eigenvalue are read; the
         # others have none.
@@ -791,7 +754,7 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
         kernels = {g: [] for g in np.flatnonzero(shared)}
         if read.size:
             a, bb, group = a[read], bb[read], group[read]
-            _, _, _, tops, _ = count(bb, 0.0, tops=True)
+            tops = count(bb, tops=True)[2]
             sizes = np.array([e.shape[0] for e, _ in tops], dtype=int)
             for dim in np.unique(sizes):
                 js = np.flatnonzero(sizes == dim)

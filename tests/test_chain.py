@@ -1,5 +1,8 @@
 """Spectra by slicing along the Schur chain, held to the dense path."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -198,52 +201,75 @@ def test_counts_on_interior_pole(gasket, triangle, engine):
     dirichlet = generalized_sym_eigvals(q[np.ix_(interior, interior)], b_n[interior])
     poles = np.array([-2.5, -1.0])
     plan = spectra._chain_plan(gasket)
-    room = np.full(2, 1e-12)
     cell = q_matrix(triangle).real
     line = spectra._pencil_line(plan, cell, np.ones(3))
     assert (line is not None) == (engine == "line")
-    counts = spectra._chain_counts_at(plan, cell, np.ones(3), n, poles, room, line=line)[1]
+    counts = spectra._chain(plan, cell, np.ones(3), n, poles, line=line)[0]
     assert counts.dtype.kind == "i"
     for x, (n_dir, n_neu, _) in zip(poles, counts):
         assert n_dir == np.count_nonzero(dirichlet > x + 1e-9)
         assert n_neu == np.count_nonzero(neumann > x + 1e-9)
 
 
-def test_chain_without_nudges_closes_at_poles(monkeypatch, engine, builtin_dense):
-    # With no moves off a pole, points that land on one come back not ok
-    # and the bisection closes their intervals at the pole's rounding zone.
+def test_chain_reads_poles_from_above(monkeypatch, engine, builtin_dense):
+    # Bisection points land on poles of the trace map: an interior pivot
+    # within PIVOT_TOL of zero is read at x + 0, as positive, and kept as an
+    # extra coordinate; the point is never moved and the spectra stay exact.
     cfg = load_config("interval")
-    real = spectra._chain_counts_at
-    not_ok = []
+    real = spectra._eliminate
+    on_pole = []
 
-    def spy(*args, **kwargs):
-        out = real(*args, **kwargs)
-        not_ok.append(int(np.count_nonzero(~out[-1])))
-        return out
+    def spy(a, da, k, tops=False):
+        big = np.abs(a[:, k:, :]).max(axis=(1, 2))[:, None]
+        d = np.linalg.eigvalsh(a[:, k:, k:])
+        on_pole.append(int(np.count_nonzero(np.abs(d) <= spectra.PIVOT_TOL * big)))
+        return real(a, da, k, tops)
 
-    monkeypatch.setattr(spectra, "_NUDGES", ())
-    monkeypatch.setattr(spectra, "_chain_counts_at", spy)
+    monkeypatch.setattr(spectra, "_eliminate", spy)
     for n in range(3, 9):
         dense = builtin_dense("interval", n)
         chain = chain_spectrum(cfg.structure, cfg.network, cfg.measure, n, "dirichlet")
         assert_same_spectrum(chain, dense["dirichlet"], neumann_width(dense))
-    assert sum(not_ok) > 0
+    assert sum(on_pole) > 0
 
 
-def test_eigenvalue_on_a_pole():
-    # Copies joined only by the weak network, with uneven weights: at level 5
-    # an eigenvalue sits on a pole of the trace map, and Newton targets land
-    # on it.  Its interval has to be cut down to the pole's rounding zone,
-    # and the Neumann-Dirichlet read-out has to find a point off the pole.
+def pole_structure():
+    """Copies joined only by the weak network, with uneven weights: at
+    level 5 an eigenvalue sits on a pole of the trace map."""
     base = gamma_bar(1.0, 2.0)
     w = (1.42, 0.51, 2.58)
     st = SelfSimilarStructure(3, 3, base.glue_classes, base.boundary_map,
                               weights_w=w, weights_b=w, weak=base.weak)
     q = q_matrix(ElectricalNetwork(3, {(0, 1): 0.9, (0, 2): 1.82, (1, 2): 1.26})).real
-    b = np.array([1.77, 1.46, 1.61])
+    return st, q, np.array([1.77, 1.46, 1.61])
+
+
+def test_eigenvalue_on_a_pole():
+    # Newton targets land on the eigenvalue that sits on a pole; its
+    # interval has to be cut down to BISECT_TOL, and the Neumann-Dirichlet
+    # read-out has to read the last cell matrix there.
+    st, q, b = pole_structure()
     dense = dense_reports(st, q, b, 5)
     for cond in ("dirichlet", "nd"):
         assert_same_spectrum(chain_spectrum(st, q, b, 5, cond), dense[cond], neumann_width(dense))
+
+
+def test_points_on_a_pole_cost_one_pass(monkeypatch):
+    # A point on a pole is read where it is, in one pass of the chain, so
+    # the bisection of the pole structure needs few passes.
+    st, q, b = pole_structure()
+    real = spectra._chain
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "_chain", spy)
+    for cond in ("dirichlet", "nd"):
+        calls.clear()
+        chain_spectrum(st, q, b, 5, cond)
+        assert len(calls) <= 64
 
 
 def test_nd_read_out_keeps_degenerate_runs_whole():
@@ -296,6 +322,21 @@ def test_complex_rho_raises_on_both_paths():
         assert same.clusters == real.clusters
 
 
+def test_nonfinite_input_raises_on_both_paths():
+    cfg = load_config("sierpinski")
+    q = q_matrix(cfg.network).real
+    nan_q = q.copy()
+    nan_q[0, 1] = nan_q[1, 0] = np.nan
+    inf_b = np.array([1.0, np.inf, 1.0])
+    for n in (2, 7):  # the dense path, then the chain
+        with pytest.raises(ValueError, match="finite"):
+            level_spectrum(cfg.structure, nan_q, cfg.measure, n)
+        with pytest.raises(ValueError, match="finite"):
+            level_spectrum(cfg.structure, q, inf_b, n)
+    with pytest.raises(ValueError, match="finite"):
+        spectra.green_proxy(nan_q, np.ones(3), [0.0], 3, 0)
+
+
 def test_chain_deep_level_counts_every_vertex(gasket, triangle):
     # 88575 vertices: a dense solve would need a 63 GB matrix.
     rep = chain_spectrum(gasket, triangle, np.ones(3), 10)
@@ -336,7 +377,6 @@ def test_line_counts_match_matrix_chain(name, n, rng):
     xs = rng.uniform(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo), 3000)
     want = spectra._chain(plan, q, b, n, xs)
     got = spectra._chain(plan, q, b, n, xs, line=line)
-    assert not want[2].any() and not got[2].any()
     kept = want[0][:, 0] != want[0][:, 2]
     assert np.count_nonzero(kept) < 10
     np.testing.assert_array_equal(got[0][~kept], want[0][~kept])
@@ -351,19 +391,16 @@ def test_line_counts_match_matrix_chain(name, n, rng):
 
 def test_line_counts_at_exact_poles(gasket, triangle):
     # The gasket's interior block is exactly singular at x = -1 and -2.5
-    # (see test_counts_on_interior_pole); both engines mark the points and
-    # agree once they are moved off.
+    # (see test_counts_on_interior_pole); both engines read the points
+    # where they are and agree.
     plan = spectra._chain_plan(gasket)
     cell = q_matrix(triangle).real
     line = spectra._pencil_line(plan, cell, np.ones(3))
     poles = np.array([-2.5, -1.0])
     for n in (1, 3, 6):
-        assert spectra._chain(plan, cell, np.ones(3), n, poles, line=line)[2].all()
-        room = np.full(2, 1e-9)
-        want = spectra._chain_counts_at(plan, cell, np.ones(3), n, poles, room)
-        got = spectra._chain_counts_at(plan, cell, np.ones(3), n, poles, room, line=line)
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1][:, :2], want[1][:, :2])
+        want = spectra._chain(plan, cell, np.ones(3), n, poles)[0]
+        got = spectra._chain(plan, cell, np.ones(3), n, poles, line=line)[0]
+        np.testing.assert_array_equal(got[:, :2], want[:, :2])
 
 
 def matrix_chain_spectrum(monkeypatch, *args):
@@ -427,3 +464,23 @@ def test_weak_networks_and_uneven_conductances_take_matrix_chain(rng, monkeypatc
         chain_spectrum(st, cell, measure, 3, "neumann")
     for name in ("sierpinski", "interval"):
         assert line_of(name)[-1] is not None
+
+
+def oracle_draw():
+    """`draw` of scripts/chain_oracle.py, the random H structures."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "chain_oracle.py"
+    spec = importlib.util.spec_from_file_location("chain_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.draw
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_random_structures_match_dense(index):
+    # The first three structures of the oracle's set (one per gluing:
+    # sierpinski, gamma_bar with its weak network, interval).
+    st, q, b = oracle_draw()(np.random.default_rng(7), 3)[index]
+    for n in range(1, 5):
+        dense = dense_reports(st, q, b, n)
+        for cond in ("neumann", "dirichlet"):
+            assert_same_spectrum(chain_spectrum(st, q, b, n, cond), dense[cond], neumann_width(dense))
