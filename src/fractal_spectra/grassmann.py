@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import OrderUnstable, ZeroScale
 from .linalg import check_symmetric
-from .selfsim import assemble_q, build_lattice
+from .selfsim import build_lattice, level_step
 
 
 def _mask(indices):
@@ -356,7 +356,7 @@ def _lift_plan(structure):
     ki, kj = (np.array(col) for col in zip(*cell_keys))
     ti, tj = imask | ki, imask | kj
     t_sign = _merge_signs(imask, imask, ki, kj, nv)
-    weak_exp = exp_eta(assemble_q(structure, np.zeros((k, k)), 1))
+    weak_exp = exp_eta(level_step(structure).weak)
     wi, wj = (np.array(col) for col in zip(*weak_exp.coeffs))
     wc = np.array(list(weak_exp.coeffs.values()), dtype=complex)
     # target (I, J) = (z key) * (weak key): z key = target ^ weak key
@@ -411,6 +411,8 @@ def phi_curve(q_rho, b):
 
 
 DEFAULT_SCALES = (1e-2, 1e-3, 1e-4, 1e-5)
+# vanishing_order: norms below this * the largest * max / min scale are noise.
+NOISE_FLOOR = 1e-13
 
 
 def vanishing_order(curve, lam0, scales=DEFAULT_SCALES):
@@ -431,7 +433,7 @@ def vanishing_order(curve, lam0, scales=DEFAULT_SCALES):
             raise OrderUnstable("curve vanishes identically at working precision")
         norms.extend([n1, n2])
         estimates.append(np.log(n2 / n1) / np.log(2.0))
-    if min(norms) < 1e-13 * max(norms) * max(scales) / min(scales):
+    if min(norms) < NOISE_FLOOR * max(norms) * max(scales) / min(scales):
         raise OrderUnstable("norms fell to the noise floor before settling")
     order = int(round(float(estimates[-1])))
     settled = estimates[-2:] if len(estimates) > 1 else estimates

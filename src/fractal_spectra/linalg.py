@@ -23,6 +23,8 @@ SYMMETRY_TOL = 1e-12
 # when its smallest eigenvalue exceeds DEFINITE_TOL, so zero and
 # semidefinite matrices (the Siegel domain's boundary) are not.
 DEFINITE_TOL = 1e-10
+# Subspace: Gram matrix of the basis against the identity, entrywise, absolute.
+ORTHONORMAL_TOL = 1e-12
 
 
 def check_symmetric(a):
@@ -60,7 +62,7 @@ class Subspace:
             raise ValueError("basis rows must match ambient_dim")
         if self.dim:
             gram = self.basis.conj().T @ self.basis
-            if np.max(np.abs(gram - np.eye(self.dim))) > 1e-12:
+            if np.max(np.abs(gram - np.eye(self.dim))) > ORTHONORMAL_TOL:
                 raise ValueError("basis is not orthonormal")
 
     @property

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import AtInfinity, DegreeUnresolved, NotEquivariant, SingularInterior
 from .grassmann import GrassmannElement, mul, renorm_lift, vanishing_order
 from .linalg import check_symmetric
-from .network import trace_map
+from .network import q_matrix, trace_map
 from .selfsim import assemble_q, build_lattice
 from .symplectic import (
     LagrangianFrame,
@@ -32,6 +32,13 @@ from .symplectic import (
     to_sym,
     w_renorm,
 )
+
+# CoordinateChart projector identities, entrywise, absolute (entries <= 1).
+PROJECTOR_TOL = 1e-10
+# CoordinateChart.coords: commutators and rebuild, entrywise, times max(1, max|Q|).
+EQUIVARIANT_TOL = 1e-8
+# _degrees_along: a rational fit holds below this s_min / s_max of its system.
+FIT_TOL = 1e-7
 
 
 def t_map(q, structure):
@@ -63,9 +70,8 @@ def block_copy_frame(l: LagrangianFrame, structure) -> LagrangianFrame:
             w[i] * l.columns[k:, :]
         )
     frame = LagrangianFrame(cols)
-    weak = structure.weak_q()
-    if weak is not None:
-        frame = tau_translate_frame(frame, weak)
+    if structure.weak is not None:
+        frame = tau_translate_frame(frame, q_matrix(structure.weak))
     return frame
 
 
@@ -103,15 +109,15 @@ class CoordinateChart:
         k = ps[0].shape[0]
         total = np.zeros((k, k))
         for i, p in enumerate(ps):
-            if p.shape != (k, k) or np.max(np.abs(p - p.T)) > 1e-10:
+            if p.shape != (k, k) or np.max(np.abs(p - p.T)) > PROJECTOR_TOL:
                 raise ValueError(f"projector {i} is not symmetric")
-            if np.max(np.abs(p @ p - p)) > 1e-10:
+            if np.max(np.abs(p @ p - p)) > PROJECTOR_TOL:
                 raise ValueError(f"projector {i} is not idempotent")
             for j in range(i):
-                if np.max(np.abs(ps[j] @ p)) > 1e-10:
+                if np.max(np.abs(ps[j] @ p)) > PROJECTOR_TOL:
                     raise ValueError(f"projectors {j} and {i} are not orthogonal")
             total += p
-        if np.max(np.abs(total - np.eye(k))) > 1e-10:
+        if np.max(np.abs(total - np.eye(k))) > PROJECTOR_TOL:
             raise ValueError("projectors do not sum to the identity")
         self.projectors = ps
 
@@ -134,10 +140,10 @@ class CoordinateChart:
 
     def coords(self, q):
         """Read coordinates off an invariant matrix; NotEquivariant when Q
-        does not commute with every projector within 1e-8 of its largest
-        entry."""
+        does not commute with every projector within EQUIVARIANT_TOL of its
+        largest entry."""
         q = np.asarray(q, dtype=complex)
-        tol = 1e-8 * max(1.0, float(np.max(np.abs(q))))
+        tol = EQUIVARIANT_TOL * max(1.0, float(np.max(np.abs(q))))
         out = []
         for p in self.projectors:
             if np.max(np.abs(p @ q - q @ p)) > tol:
@@ -287,7 +293,7 @@ def _degrees_along(structure, chart, j, rng):
     degs = np.empty(r, dtype=int)
     for i in range(r):
         for d in range(MAX_DEGREE + 1):
-            if _rational_fit_residual(xs, ys[:, i], d) < 1e-7:
+            if _rational_fit_residual(xs, ys[:, i], d) < FIT_TOL:
                 degs[i] = d
                 break
         else:

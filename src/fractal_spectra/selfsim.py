@@ -12,6 +12,10 @@ identifications.  The weak network is applied at the coarsest scale of
 every recursive step, so that the one-step boundary trace of each level
 agrees with the renormalization map of the matrix module.
 
+Every level's form comes from the one below by one step, LevelStep.glue,
+in build_lattice's numbering: the level-1 vertices, then each copy's
+interior.  assemble_q is n steps; the Schur chain runs the same step.
+
 Points of {copies} x F are flattened as ``copy * K + vertex`` throughout.
 """
 
@@ -23,6 +27,9 @@ import numpy as np
 
 from .errors import InvalidStructure, NonPositiveWeight
 from .network import ElectricalNetwork, q_matrix
+
+# Hypothesis H: the ratios w_i / b_i agree to this fraction of max(1, w_0 / b_0).
+H_TOL = 1e-12
 
 
 def point_index(copy, vertex, cell_size):
@@ -82,23 +89,15 @@ class SelfSimilarStructure:
         return self.weights_b or (1.0,) * self.num_copies
 
     def hypothesis_h(self):
-        """Is gamma_i = w_i / b_i constant across copies (to 1e-12
+        """Is gamma_i = w_i / b_i constant across copies (to H_TOL
         relative)?  Returns (status, gamma); gamma is the common value
         when status is True."""
         w = self.copy_weights()
         b = self.measure_weights()
         gammas = [wi / bi for wi, bi in zip(w, b)]
         g0 = gammas[0]
-        ok = all(abs(g - g0) <= 1e-12 * max(1.0, abs(g0)) for g in gammas)
+        ok = all(abs(g - g0) <= H_TOL * max(1.0, abs(g0)) for g in gammas)
         return ok, (g0 if ok else None)
-
-    def weak_q(self):
-        """Form of the weak network on the flattened point set, or None."""
-        if self.weak is None:
-            return None
-        if "weak_q" not in self._cache:
-            self._cache["weak_q"] = q_matrix(self.weak)
-        return self._cache["weak_q"]
 
 
 def validate(structure) -> list:
@@ -153,10 +152,11 @@ class Lattice:
 
     copy_maps[i] sends a level-(n-1) vertex of copy i to its level-n
     vertex; boundary lists the K vertices realizing the identification of
-    the boundary with F, in F order.  Numbering: the boundary is vertices
-    0..K-1 (vertex x realizes x in F); then, copy by copy, the copy's
-    boundary points not seen in an earlier copy, in vertex order, followed
-    by the copy's level-(n-1) interior in its own order.
+    the boundary with F, in F order.  Numbering: the |V_1| level-1
+    vertices, that is the boundary 0..K-1 (vertex x realizes x in F) and
+    then the other glue classes in order of first sight over the points
+    (copy, x); then, copy by copy, the copy's |V_{n-1}| - K interior
+    vertices in their own order.
     """
 
     structure: SelfSimilarStructure
@@ -198,34 +198,23 @@ def build_lattice(structure: SelfSimilarStructure, n: int) -> Lattice:
     Gluing only identifies the copies' boundary points, and every level's
     boundary is its first K vertices, so level n is the level-1
     identification plus N disjoint copies of the level-(n-1) interior.
-    Copy i sends its boundary vertex x to the level-1 class of point
-    (i, x), numbered on first sight after the K boundary classes, and its
-    interior to a fresh block of |V_{n-1}| - K vertices."""
+    Copy i sends its boundary vertex x to the level-1 vertex of point
+    (i, x), by its incidence in the LevelStep, and its interior to the i-th
+    block after the |V_1| level-1 vertices."""
     if n < 0:
         raise ValueError("level must be >= 0")
     cache = structure._cache.setdefault("lattices", {})
     if n in cache:
         return cache[n]
-    k = structure.cell_size
+    k, ncopies = structure.cell_size, structure.num_copies
     if n == 0:
         lat = Lattice(structure, 0, k, tuple(range(k)))
     else:
-        parent = build_lattice(structure, n - 1)
-        inner = parent.num_vertices - k
-        cls = structure.class_of_point()
-        index = {cls[p]: x for x, p in enumerate(structure.boundary_map)}
-        nxt = k
-        copy_maps = []
-        for i in range(structure.num_copies):
-            head = []
-            for c in cls[i * k:(i + 1) * k]:
-                if c not in index:
-                    index[c] = nxt
-                    nxt += 1
-                head.append(index[c])
-            copy_maps.append(np.concatenate([head, np.arange(nxt, nxt + inner)]))
-            nxt += inner
-        lat = Lattice(structure, n, nxt, tuple(range(k)), tuple(copy_maps), parent)
+        step, parent = level_step(structure), build_lattice(structure, n - 1)
+        v, inner = step.num_vertices, parent.num_vertices - k
+        copy_maps = tuple(np.concatenate([c.argmax(axis=1), v + i * inner + np.arange(inner)])
+                          for i, c in enumerate(step.incidence))
+        lat = Lattice(structure, n, v + ncopies * inner, tuple(range(k)), copy_maps, parent)
     cache[n] = lat
     return lat
 
@@ -240,37 +229,74 @@ def num_vertices(structure, n):
     return v
 
 
+@dataclass(frozen=True, eq=False)
+class LevelStep:
+    """One level of the tower: N weighted copies of the level below glued
+    along the level-1 identification, plus the weak network.  incidence[i]
+    (K x |V_1|, 0/1) sends vertex x of copy i to its level-1 vertex;
+    scatter = sum_i w_i incidence[i] (x) incidence[i]; weak lives on the
+    level-1 vertices; gamma is w_i / b_i under hypothesis H, else None."""
+
+    cell_size: int
+    num_copies: int
+    num_vertices: int
+    weights: tuple
+    incidence: np.ndarray
+    scatter: np.ndarray
+    weak: np.ndarray
+    gamma: float | None
+
+    def glue(self, e, weak=True):
+        """The next level of each matrix of the stack e (boundary first, then
+        interior), in e's dtype: the level-1 vertices, then copy by copy its
+        interior.  Couplings are summed through the incidence, as two
+        vertices of one copy may share a level-1 vertex."""
+        k, v = self.cell_size, self.num_vertices
+        p, r = e.shape[0], e.shape[1] - k
+        size = v + self.num_copies * r
+        a = np.zeros((p, size, size), dtype=np.result_type(e, self.scatter))
+        a[:, :v, :v] = (e[:, :k, :k].reshape(p, k * k) @ self.scatter).reshape(p, v, v)
+        if weak:
+            a[:, :v, :v] += self.weak
+        for i, (w, c) in enumerate(zip(self.weights, self.incidence) if r else ()):
+            s = slice(v + i * r, v + (i + 1) * r)
+            a[:, :v, s] = w * (c.T @ e[:, :k, k:])
+            a[:, s, :v] = w * (e[:, k:, :k] @ c)
+            a[:, s, s] = w * e[:, k:, k:]
+        return a
+
+
+def level_step(structure: SelfSimilarStructure) -> LevelStep:
+    """The structure's LevelStep, built once, numbering level 1 as Lattice says."""
+    if "level_step" not in structure._cache:
+        cls = structure.class_of_point()
+        index = {cls[p]: x for x, p in enumerate(structure.boundary_map)}
+        heads = [index.setdefault(c, len(index)) for c in cls]
+        v, w, weak = len(index), structure.copy_weights(), structure.weak
+        flat = np.eye(v)[heads]  # points (copy, x) by level-1 vertices
+        incidence = flat.reshape(structure.num_copies, structure.cell_size, v)
+        structure._cache["level_step"] = LevelStep(
+            structure.cell_size, structure.num_copies, v, w, incidence,
+            sum(wi * np.kron(c, c) for wi, c in zip(w, incidence)),
+            np.zeros((v, v)) if weak is None else flat.T @ q_matrix(weak) @ flat,
+            structure.hypothesis_h()[1])
+    return structure._cache["level_step"]
+
+
 def assemble_q(structure: SelfSimilarStructure, q, n: int):
-    """Level-n form of a symmetric matrix Q on the cell.
+    """Level-n form of a symmetric matrix Q on the cell: n level steps.
 
     Recursion: Q_<k+1> = glue of the block sum of w_i Q_<k> over copies,
-    plus the weak network placed on the level-1 image points.  Works for
+    plus the weak network placed on the level-1 vertices.  Works for
     arbitrary complex symmetric Q (not only network forms)."""
     q = np.asarray(q, dtype=complex)
     if q.shape != (structure.cell_size, structure.cell_size):
         raise ValueError("Q must be a cell-sized square matrix")
     if n < 0:
         raise ValueError("level must be >= 0")
-    w = structure.copy_weights()
-    weak = structure.weak_q()
-    cur = q
-    for level in range(1, n + 1):
-        lat = build_lattice(structure, level)
-        out = np.zeros((lat.num_vertices, lat.num_vertices), dtype=complex)
-        for i, cm in enumerate(lat.copy_maps):
-            np.add.at(out, (cm[:, None], cm[None, :]), w[i] * cur)
-        if weak is not None:
-            idx = _weak_indices(structure, lat)
-            np.add.at(out, (idx[:, None], idx[None, :]), weak)
-        cur = out
-    return cur
-
-
-def _weak_indices(structure, lat):
-    """Level vertex of each flattened point (copy, x): the weak network is
-    attached to the copies' boundary images, the first K entries of each
-    copy map."""
-    return np.concatenate([cm[:structure.cell_size] for cm in lat.copy_maps])
+    for _ in range(n):
+        q = level_step(structure).glue(q[None])[0]
+    return q
 
 
 def assemble_network(structure, rho, n: int):
@@ -287,15 +313,11 @@ def assemble_measure(structure: SelfSimilarStructure, b, n: int):
         raise ValueError("measure must be a cell-sized vector")
     if np.any(b <= 0):
         raise NonPositiveWeight("measure must be strictly positive")
-    wb = structure.measure_weights()
-    cur = b
-    for level in range(1, n + 1):
-        lat = build_lattice(structure, level)
-        out = np.zeros(lat.num_vertices)
-        for i, cm in enumerate(lat.copy_maps):
-            np.add.at(out, cm, wb[i] * cur)
-        cur = out
-    return cur
+    k, wb, step = structure.cell_size, structure.measure_weights(), level_step(structure)
+    for _ in range(n):
+        b = np.concatenate([sum(w * b[:k] @ c for w, c in zip(wb, step.incidence))]
+                           + [w * b[k:] for w in wb])
+    return b
 
 
 # ---------------------------------------------------------------------------

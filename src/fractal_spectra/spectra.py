@@ -42,6 +42,7 @@ from .selfsim import (
     assemble_measure,
     assemble_q,
     build_lattice,
+    level_step,
     num_vertices,
 )
 
@@ -51,6 +52,8 @@ CLUSTER_TOL = 1e-7
 # Neumann-Dirichlet threshold: a boundary singular value of an eigenspace
 # basis at most this fraction of the basis vectors' scale counts as zero.
 ND_TOL = 1e-8
+# nd_kernel_dimension: singular values <= this * the largest count as zero.
+KERNEL_ORACLE_TOL = 1e-7
 
 # Schur-chain spectra.  Each constant states its scale.
 #
@@ -206,7 +209,7 @@ def nd_kernel_dimension(q_n, b_n, boundary, lam):
     for r, b in enumerate(boundary):
         rows[r, b] = 1.0
     stacked = np.vstack([q_n + lam * np.diag(np.asarray(b_n, dtype=float)), rows])
-    return kernel_basis(stacked, tol=1e-7).dim
+    return kernel_basis(stacked, tol=KERNEL_ORACLE_TOL).dim
 
 
 def char_det(q_n, b_n, lam, condition="neumann", boundary=()):
@@ -232,37 +235,12 @@ def char_det(q_n, b_n, lam, condition="neumann", boundary=()):
 # Spectrum slicing along the Schur chain
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _ChainPlan:
-    """Level-1 assembly of a structure as index data: ``scatter`` maps the
-    flattened cell matrix to the flattened level-1 matrix, copy weights
-    included; ``weak`` is the weak network on the level-1 vertices, which
-    are numbered boundary first; ``copies`` holds (w_i, copy map) per copy."""
-
-    cell_size: int
-    num_copies: int
-    num_vertices: int
-    gamma: float
-    scatter: np.ndarray
-    weak: np.ndarray
-    copies: tuple
-
-
 def _chain_plan(structure):
-    ok, gamma = structure.hypothesis_h()
-    if not ok:
+    """The structure's LevelStep, which the chain runs; it needs hypothesis H."""
+    step = level_step(structure)
+    if step.gamma is None:
         raise InvalidStructure("the Schur chain needs hypothesis H (w_i / b_i constant)")
-    if "chain_plan" not in structure._cache:
-        lat = build_lattice(structure, 1)
-        k, v = structure.cell_size, lat.num_vertices
-        scatter = np.zeros((k * k, v * v))
-        copies = tuple(zip(structure.copy_weights(), lat.copy_maps))
-        for w, cm in copies:
-            scatter[np.arange(k * k), (cm[:, None] * v + cm[None, :]).ravel()] += w
-        weak = assemble_q(structure, np.zeros((k, k)), 1).real
-        structure._cache["chain_plan"] = _ChainPlan(
-            k, structure.num_copies, v, gamma, scatter, weak, copies)
-    return structure._cache["chain_plan"]
+    return step
 
 
 @dataclass(frozen=True)
@@ -288,18 +266,18 @@ class _PencilLine:
     mu: np.ndarray
 
 
-def _pencil_line(plan, q, b):
+def _pencil_line(step, q, b):
     """The step of (q, b) as a _PencilLine, or None where the chain needs
     cell matrices: with a weak network (the step is not homogeneous), or
     where a boundary block or a residue leaves span{q, D} by more than
     rounding (DEGENERATE_TOL of the largest matrix of its kind).  Residues
     are summed over each degenerate eigenspace: a single rank-one term
     inside one can leave the plane where their sum does not."""
-    if np.any(plan.weak):
+    if np.any(step.weak):
         return None
-    k = plan.cell_size
-    form = _assemble_step(plan, q[None], weak=False)[0]
-    measure = np.diagonal(_assemble_step(plan, np.diag(b)[None], weak=False)[0])
+    k = step.cell_size
+    form = step.glue(q[None], weak=False)[0]
+    measure = np.diagonal(step.glue(np.diag(b)[None], weak=False)[0])
     scale = 1.0 / np.sqrt(measure[k:])
     nu, u = np.linalg.eigh(form[k:, k:] * scale[:, None] * scale)
     w = form[:k, k:] @ (scale[:, None] * u)
@@ -315,25 +293,6 @@ def _pencil_line(plan, q, b):
     root = np.sqrt(b)
     return _PencilLine(coef[0], coef[1], coef[2:], np.array([nu[g].mean() for g in groups]),
                        np.array([g.size for g in groups]), np.linalg.eigvalsh(q / root[:, None] / root))
-
-
-def _assemble_step(plan, e, weak=True):
-    """Level-1 assembly of the stack of cell matrices `e` (with the weak
-    network if `weak`).  Indices past the cell size in `e` are extra
-    interior coordinates private to the cell; each copy brings its own,
-    placed after the level-1 vertices."""
-    k, v = plan.cell_size, plan.num_vertices
-    p, r = e.shape[0], e.shape[1] - k
-    a = np.zeros((p, v + plan.num_copies * r, v + plan.num_copies * r))
-    a[:, :v, :v] = (e[:, :k, :k].reshape(p, k * k) @ plan.scatter).reshape(p, v, v)
-    if weak:
-        a[:, :v, :v] += plan.weak
-    for i, (w, cm) in enumerate(plan.copies if r else ()):
-        s = slice(v + i * r, v + (i + 1) * r)
-        a[:, cm, s] = w * e[:, :k, k:]
-        a[:, s, cm] = w * e[:, k:, :k]
-        a[:, s, s] = w * e[:, k:, k:]
-    return a
 
 
 def _sym(m):
@@ -495,7 +454,7 @@ def _log_det_rate(e, de):
     return np.where((w == 0).any(axis=1), np.inf, rate), w
 
 
-def _line_chain(plan, line, n, xs):
+def _line_chain(step, line, n, xs):
     """The count pass of _chain on the pencil plane: each cell matrix is
     alpha q + beta D, and a step maps the pair (alpha, beta) by the
     _PencilLine `line`.  Returns (counts, rates, unsure): counts and rates
@@ -520,9 +479,9 @@ def _line_chain(plan, line, n, xs):
     (fq, fd), (mq, md) = line.form, line.measure
     rq, rd = line.residues.T
     nu = line.nu[:, None]
-    a, b = np.ones(xs.size), xs / plan.gamma**n
+    a, b = np.ones(xs.size), xs / step.gamma**n
     norm = np.hypot(a, b)
-    a, b, da, db = a / norm, b / norm, np.zeros(xs.size), plan.gamma**-n / norm
+    a, b, da, db = a / norm, b / norm, np.zeros(xs.size), step.gamma**-n / norm
     err = np.ones(xs.size)
     counts = np.zeros((xs.size, 3), dtype=np.int64)
     rates = np.zeros((xs.size, 2))
@@ -548,7 +507,7 @@ def _line_chain(plan, line, n, xs):
         na, nb = near * (a * fq + b * mq) - rq @ (a * ah), near * (a * fd + b * md) - rd @ (a * ah)
         da, db, rate = image(da, db, t, near, ah)
         ta, tb, _ = image(-b, a, t, near, ah)
-        copies = plan.num_copies ** (n - 1 - m)
+        copies = step.num_copies ** (n - 1 - m)
         counts[:, 2] += copies * (line.mult @ (t < 0))
         rates[:, 0] += copies * (line.mult @ rate)
         norm = np.hypot(na, nb)
@@ -563,7 +522,7 @@ def _line_chain(plan, line, n, xs):
     return counts, rates, unsure | bad
 
 
-def _chain(plan, q, b, n, xs, tops=False, line=None):
+def _chain(step, q, b, n, xs, tops=False, line=None):
     """One pass of the Schur chain at every x.
 
     Two engines give the same Dirichlet and Neumann counts.  Given the
@@ -583,22 +542,22 @@ def _chain(plan, q, b, n, xs, tops=False, line=None):
     derivative in x, and kept directions are grouped by degenerate runs, not
     by sign."""
     if line is not None and not tops:
-        counts, rates, unsure = _line_chain(plan, line, n, xs)
+        counts, rates, unsure = _line_chain(step, line, n, xs)
         if unsure.any():
-            counts[unsure], rates[unsure], _ = _chain(plan, q, b, n, xs[unsure])
+            counts[unsure], rates[unsure], _ = _chain(step, q, b, n, xs[unsure])
         return counts, rates, None
-    k, ncopies = plan.cell_size, plan.num_copies
+    k, ncopies = step.cell_size, step.num_copies
     p = xs.size
     counts = np.zeros((p, 3), dtype=np.int64)
     rates = np.zeros((p, 2))
     kept = np.zeros(p, dtype=np.int64)
-    slope = np.broadcast_to(np.diag(b) / plan.gamma**n, (p, k, k))
+    slope = np.broadcast_to(np.diag(b) / step.gamma**n, (p, k, k))
     cells = [(np.arange(p), q + xs[:, None, None] * slope, slope)]
     for m in range(n):
         nxt = []
         for idx, e, de in cells:
             sub, eliminated, kept[idx], rate = _eliminate(
-                _assemble_step(plan, e), _assemble_step(plan, de, weak=False), k, tops)
+                step.glue(e), step.glue(de, weak=False), k, tops)
             counts[idx, 2] += ncopies ** (n - 1 - m) * eliminated
             rates[idx, 0] += ncopies ** (n - 1 - m) * rate
             nxt.extend((idx[j], c, dc) for j, c, dc in sub)
@@ -653,19 +612,19 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
     nd_spectrum)."""
     if condition not in ("neumann", "dirichlet", "nd"):
         raise ValueError(f"unknown condition {condition!r}")
-    plan = _chain_plan(structure)
+    step = _chain_plan(structure)
     q, b = _cell_data(structure, rho, b)
-    line = _pencil_line(plan, q, b)
+    line = _pencil_line(step, q, b)
     col = 0 if condition == "dirichlet" else 1
-    total = num_vertices(structure, n) - (plan.cell_size if col == 0 else 0)
+    total = num_vertices(structure, n) - (step.cell_size if col == 0 else 0)
     if total == 0:
         return SpectrumReport(n, condition, np.zeros(0), [])
 
     def count(xs, tops=False):
-        return _chain(plan, q, b, n, np.asarray(xs, dtype=float), tops, line)
+        return _chain(step, q, b, n, np.asarray(xs, dtype=float), tops, line)
 
     # Bracket the spectrum, starting from the cell's Gershgorin scale.
-    span = float(np.max(np.abs(q).sum(axis=1) / b)) * plan.gamma**n or 1.0
+    span = float(np.max(np.abs(q).sum(axis=1) / b)) * step.gamma**n or 1.0
     lo, hi = -span, span
     for _ in range(64):
         tol = BISECT_TOL * (hi - lo)
@@ -695,9 +654,9 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
             break
         m = ca[:, col] - cb[:, col]
         r = np.column_stack([ra, rb])
-        step = np.divide(m[:, None], r, out=np.full_like(r, np.inf), where=r != 0)
-        target = np.column_stack([a, bb]) - step
-        newton = np.where(np.abs(step[:, 0]) < np.abs(step[:, 1]), target[:, 0], target[:, 1])
+        shift = np.divide(m[:, None], r, out=np.full_like(r, np.inf), where=r != 0)
+        target = np.column_stack([a, bb]) - shift
+        newton = np.where(np.abs(shift[:, 0]) < np.abs(shift[:, 1]), target[:, 0], target[:, 1])
         newton = newton[:, None] + 0.25 * tol * np.array([-1.0, 1.0])
         newton[(newton <= a[:, None]) | (newton >= bb[:, None])] = np.nan
         agree = np.abs(target[:, 0] - target[:, 1]) <= 0.25 * (bb - a)
@@ -746,7 +705,7 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
         # A Neumann-Dirichlet eigenfunction is also a Dirichlet one, so only
         # groups whose span holds a Dirichlet eigenvalue are read; the
         # others have none.
-        k = plan.cell_size
+        k = step.cell_size
         first = np.flatnonzero(np.concatenate([[True], np.diff(group) > 0]))
         last = np.concatenate([first[1:], [group.size]]) - 1
         shared = ca[first, 0] > cb[last, 0]

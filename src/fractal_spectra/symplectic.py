@@ -40,6 +40,14 @@ from .linalg import (
 from .network import VertexPartition
 from .selfsim import build_lattice
 
+# Entrywise, absolute (frames are orthonormal): isotropy of a LagrangianFrame,
+# and W^o omega-orthogonal to W and killed by a CoisotropicSubspace's chart.
+FRAME_TOL = 1e-10
+# CoisotropicSubspace's chart pullback against omega, entrywise, absolute.
+CHART_TOL = 1e-9
+# to_sym raises AtInfinity at E-block singular values <= this * max(1, largest).
+AT_INFINITY_TOL = 1e-10
+
 
 def omega_matrix(half_dim):
     k = half_dim
@@ -67,7 +75,7 @@ class LagrangianFrame:
             raise ValueError("frame does not have full rank K")
         k = cols.shape[1]
         iso = cols.T @ omega_matrix(k) @ cols
-        if k and np.max(np.abs(iso)) > 1e-10:
+        if k and np.max(np.abs(iso)) > FRAME_TOL:
             raise ValueError("frame is not isotropic")
         cols.flags.writeable = False
         self.columns = cols
@@ -98,7 +106,7 @@ def to_sym(frame: LagrangianFrame):
     k = frame.half_dim
     a = frame.columns[:k, :]
     s = np.linalg.svd(a, compute_uv=False) if k else np.array([1.0])
-    if s[0] == 0.0 or s[-1] <= 1e-10 * max(s[0], 1.0):
+    if s[0] == 0.0 or s[-1] <= AT_INFINITY_TOL * max(s[0], 1.0):
         raise AtInfinity("frame meets 0 + E*; no symmetric chart")
     q = frame.columns[k:, :] @ np.linalg.inv(a)
     return (q + q.T) / 2.0
@@ -175,14 +183,14 @@ class CoisotropicSubspace:
             raise ValueError("dimension bookkeeping failed")
         om = omega_matrix(k)
         if self.wo_frame.shape[1]:
-            if np.max(np.abs(self.frame.T @ om @ self.wo_frame)) > 1e-10:
+            if np.max(np.abs(self.frame.T @ om @ self.wo_frame)) > FRAME_TOL:
                 raise ValueError("W^o is not omega-orthogonal to W")
-            if np.max(np.abs(self.proj @ self.wo_frame)) > 1e-10:
+            if np.max(np.abs(self.proj @ self.wo_frame)) > FRAME_TOL:
                 raise ValueError("quotient chart does not kill W^o")
         pw = self.proj @ self.frame
         pulled = pw.T @ omega_matrix(p) @ pw
         native = self.frame.T @ om @ self.frame
-        if np.max(np.abs(pulled - native)) > 1e-9:
+        if np.max(np.abs(pulled - native)) > CHART_TOL:
             raise ValueError("quotient chart is not symplectic")
 
     @property

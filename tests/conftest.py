@@ -10,7 +10,13 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from fractal_spectra.network import ElectricalNetwork  # noqa: E402
-from fractal_spectra.selfsim import gamma_bar, gamma_bar_semi, interval, sierpinski  # noqa: E402
+from fractal_spectra.selfsim import (  # noqa: E402
+    SelfSimilarStructure,
+    gamma_bar,
+    gamma_bar_semi,
+    interval,
+    sierpinski,
+)
 
 
 @pytest.fixture
@@ -49,3 +55,9 @@ def gsemi():
 def segment():
     return interval()
 
+
+@pytest.fixture
+def self_glued():
+    """A glue class holding two vertices of one copy: points 1 and 2 (vertices
+    1 and 2 of copy 0) and 3 (vertex 0 of copy 1)."""
+    return SelfSimilarStructure(3, 3, ((1, 2, 3), (0,), (4,), (5, 6), (7,), (8,)), (0, 4, 8))

@@ -12,6 +12,7 @@ from fractal_spectra.errors import InvalidStructure
 from fractal_spectra.linalg import generalized_sym_eig, generalized_sym_eigvals
 from fractal_spectra.network import ElectricalNetwork, q_matrix
 from fractal_spectra.selfsim import (
+    LevelStep,
     SelfSimilarStructure,
     assemble_measure,
     assemble_network,
@@ -254,6 +255,18 @@ def test_eigenvalue_on_a_pole():
         assert_same_spectrum(chain_spectrum(st, q, b, 5, cond), dense[cond], neumann_width(dense))
 
 
+def test_chain_sums_couplings_of_a_self_glued_copy(self_glued):
+    # Vertices 1 and 2 of copy 0 share a level-1 vertex, so that copy's
+    # couplings between its boundary and its interior add up there.
+    rho = ElectricalNetwork(3, {(0, 1): 1.0, (0, 2): 1.3, (1, 2): 0.7})
+    b = np.array([1.0, 1.2, 0.8])
+    for n in (3, 4):
+        dense = dense_reports(self_glued, rho, b, n)
+        for cond in ("neumann", "dirichlet"):
+            assert_same_spectrum(chain_spectrum(self_glued, rho, b, n, cond), dense[cond],
+                                 neumann_width(dense))
+
+
 def test_points_on_a_pole_cost_one_pass(monkeypatch):
     # A point on a pole is read where it is, in one pass of the chain, so
     # the bisection of the pole structure needs few passes.
@@ -292,20 +305,20 @@ def test_nd_read_out_keeps_few_directions(monkeypatch, engine):
     # The read-out pass keeps the count passes' near-singular directions
     # only, so its cell stacks stay about as small as theirs.
     cfg = load_config("sierpinski")
-    chain, assemble = spectra._chain, spectra._assemble_step
+    chain, glue = spectra._chain, LevelStep.glue
     reading, extra = [False], []
 
     def chain_spy(plan, q, b, n, xs, tops=False, line=None):
         reading[0] = tops
         return chain(plan, q, b, n, xs, tops, line)
 
-    def assemble_spy(plan, e, weak=True):
+    def glue_spy(step, e, weak=True):
         if reading[0]:
-            extra.append(e.shape[1] - plan.cell_size)
-        return assemble(plan, e, weak)
+            extra.append(e.shape[1] - step.cell_size)
+        return glue(step, e, weak)
 
     monkeypatch.setattr(spectra, "_chain", chain_spy)
-    monkeypatch.setattr(spectra, "_assemble_step", assemble_spy)
+    monkeypatch.setattr(LevelStep, "glue", glue_spy)
     chain_spectrum(cfg.structure, cfg.network, cfg.measure, 8, "nd")
     assert extra and max(extra) <= 12
 

@@ -25,7 +25,6 @@ from fractal_spectra.network import VertexPartition, glue, q_matrix
 from fractal_spectra.renorm import HomogeneousPoint, s_hat, symmetric_chart, t_map
 from fractal_spectra.selfsim import (
     SelfSimilarStructure,
-    _weak_indices,
     assemble_measure,
     assemble_q,
     build_lattice,
@@ -205,7 +204,7 @@ def _dict_kernel_lift(x, structure):
     weak_exp = None
     if structure.weak is not None:
         glued = np.zeros((lat.num_vertices, lat.num_vertices), dtype=complex)
-        idx = _weak_indices(structure, lat)
+        idx = np.concatenate(lat.copy_maps)
         np.add.at(glued, (idx[:, None], idx[None, :]), q_matrix(structure.weak))
         weak_exp = exp_eta(glued)
     reduced = (reduced_product(z, weak_exp, interior) if weak_exp is not None

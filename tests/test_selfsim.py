@@ -165,8 +165,9 @@ THREE_POINT_CLASS = SelfSimilarStructure(
 
 
 @pytest.mark.parametrize("weights", [None, (0.5, 1.5, 2.0)])
-def test_two_stage_equality_against_flat_construction(gasket, gbar, segment, weights, rng):
-    for base in (gasket, gbar, segment, THREE_POINT_CLASS):
+def test_two_stage_equality_against_flat_construction(gasket, gbar, segment, self_glued, weights,
+                                                     rng):
+    for base in (gasket, gbar, segment, THREE_POINT_CLASS, self_glued):
         structure = base
         k, ncopies = base.cell_size, base.num_copies
         if weights is not None:
