@@ -288,8 +288,10 @@ def assemble_q(structure: SelfSimilarStructure, q, n: int):
 
     Recursion: Q_<k+1> = glue of the block sum of w_i Q_<k> over copies,
     plus the weak network placed on the level-1 vertices.  Works for
-    arbitrary complex symmetric Q (not only network forms)."""
-    q = np.asarray(q, dtype=complex)
+    arbitrary complex symmetric Q (not only network forms); a real Q gives a
+    real form, at half the memory of a complex one."""
+    q = np.asarray(q)
+    q = q.astype(np.result_type(q, float), copy=False)
     if q.shape != (structure.cell_size, structure.cell_size):
         raise ValueError("Q must be a cell-sized square matrix")
     if n < 0:

@@ -20,7 +20,11 @@ never by a setting.  Where a step sends the pencil plane span{q, D}
 (D = diag(b)) into itself and there is no weak network, the cell matrix
 stays alpha q + beta D and a step is a rational map of the pair
 (alpha, beta): the count passes carry two numbers per point (the line
-engine, _line_chain).  Weak networks (whose step is not homogeneous) and
+engine, _line_chain).  There the eigenvalues are also known in advance:
+each is a preimage, under n steps of y = beta / alpha, of a pole or of a
+zero of the step (_line_candidates), so one count pass at candidate
++- resolution certifies them all, and bisection only finds what no
+candidate catches.  Weak networks (whose step is not homogeneous) and
 conductances that leave the plane take the matrix chain, which carries a
 stack of cell matrices; it also reads the Neumann-Dirichlet multiplicities,
 and it takes the points whose signs the line cannot resolve near a pole.
@@ -83,6 +87,22 @@ NEAR_TOL = 1e-4
 # eigenvalues that symmetry makes equal.  The same rounding decides, once
 # per spectrum, whether a chain step keeps the pencil plane (_pencil_line).
 DEGENERATE_TOL = 1e-12
+# Candidate eigenvalues on the pencil line (_line_candidates).  The counts
+# certify every candidate and bisection finds what none catches, so these
+# three change how many count passes a spectrum takes, never its result.
+# All are fractions of the pencil's scale, the largest |nu| or |mu|.
+#
+# Two roots of one preimage polynomial closer than this fraction of the
+# scale plus |root| are one real double root, at their mean: at a critical
+# value a double root splits into a pair about sqrt(eps) apart, real or
+# complex, and only exactly real roots are kept.
+ROOT_REAL_TOL = 1e-6
+# A real zero of the step's alpha numerator where the beta numerator is at
+# most this fraction of the size of its terms is a common zero: the step's
+# image vanishes there.
+VANISH_TOL = 1e-8
+# Candidates closer than this fraction of the scale are one, at their mean.
+MERGE_TOL = 1e-12
 # Crossover: the chain takes over from the dense eigensolve at this many
 # level-n vertices.  Measured on a 2-core host, one thread, best of two,
 # seconds for Neumann / Dirichlet / Neumann-Dirichlet, chain against dense:
@@ -91,10 +111,16 @@ DEGENERATE_TOL = 1e-12
 # whose bracket points near poles mostly take the matrix chain) it wins
 # narrowly (0.15-0.29 against 0.22-0.48), and above it the chain wins
 # (gamma_bar level 6, 2187: 0.25-0.35 against 1.25-1.70).  On the pencil
-# line the crossover is lower: Sierpinski level 5, 366 vertices, is about
-# even (0.013-0.032 against 0.015-0.019) and level 6, 1095, wins 6-7x
-# (0.034-0.046 against 0.21-0.35).  The constant stays where it is, so
-# spectra below 1050 vertices keep the dense path.
+# line, with candidates, the crossover is lower (best of three, two runs):
+# Sierpinski level 4, 123 vertices, loses (0.004 / 0.004 / 0.011-0.012
+# against 0.0015 / 0.001-0.002 / 0.002-0.003), level 5, 366, wins
+# (0.003-0.005 / 0.003-0.004 / 0.011-0.015 against 0.012 / 0.013 /
+# 0.015-0.019) and level 6, 1095, wins 10-30x; interval level 9, 513
+# vertices, is about even (0.031-0.037 / 0.034-0.037 / 0.073-0.094 against
+# 0.025-0.026 / 0.029 / 0.064-0.066) and level 10 wins 2-3x (0.055-0.058 /
+# 0.050-0.056 / 0.138-0.154 against 0.135-0.150 / 0.159-0.166 /
+# 0.28-0.31).  The constant stays where it is, so spectra below 1050
+# vertices keep the dense path.
 CHAIN_MIN_VERTICES = 1050
 
 
@@ -256,7 +282,10 @@ class _PencilLine:
     over the distinct interior pencil eigenvalues nu_g (multiplicity mult_g)
     of (Q_1, D_1): the boundary blocks of Q_1 and D_1 and the residues
     W_g W_g^T (W = Q_bi D_ii^-1/2 U) written in (q, D) coordinates.  `mu`
-    holds the pencil eigenvalues of (q, D), read at the last cell."""
+    holds the pencil eigenvalues of (q, D), read at the last cell.  In
+    y = beta / alpha the step is y' = B(y) / A(y): `numerators` holds the
+    coefficients of A and B, highest degree first, the two components of
+    the image above times prod_g (nu_g + y)."""
 
     form: np.ndarray
     measure: np.ndarray
@@ -264,6 +293,7 @@ class _PencilLine:
     nu: np.ndarray
     mult: np.ndarray
     mu: np.ndarray
+    numerators: np.ndarray
 
 
 def _pencil_line(step, q, b):
@@ -291,8 +321,71 @@ def _pencil_line(step, q, b):
     if np.any(off > DEGENERATE_TOL * size):
         return None
     root = np.sqrt(b)
-    return _PencilLine(coef[0], coef[1], coef[2:], np.array([nu[g].mean() for g in groups]),
-                       np.array([g.size for g in groups]), np.linalg.eigvalsh(q / root[:, None] / root))
+    nu = np.array([nu[g].mean() for g in groups])
+    poles = np.array([np.poly(-np.delete(nu, g)) for g in range(nu.size)])
+    numerators = np.array([np.polysub(np.polymul([coef[1, c], coef[0, c]], np.poly(-nu)),
+                                      coef[2:, c] @ poles) for c in (0, 1)])
+    return _PencilLine(coef[0], coef[1], coef[2:], nu, np.array([g.size for g in groups]),
+                       np.linalg.eigvalsh(q / root[:, None] / root), numerators)
+
+
+def _merge_runs(v, gap):
+    """Ascending v with each run of neighbours less than `gap` apart
+    replaced by its mean."""
+    if not v.size:
+        return v
+    ids = np.concatenate([[0], np.cumsum(np.diff(v) >= gap)])
+    return np.bincount(ids, v) / np.bincount(ids)
+
+
+def _real_roots(c, scale):
+    """The real roots of the polynomials in the rows of c (highest degree
+    first), from one batched companion-matrix eigensolve per degree.
+    Leading coefficients of rounding size (eps of the row's largest) are
+    dropped: their roots lie beyond 1 / eps of the scale."""
+    c = c[np.abs(c).max(axis=1, initial=0.0) > 0]
+    c = c / np.abs(c).max(axis=1, keepdims=True)
+    lead = np.argmax(np.abs(c) > np.finfo(float).eps, axis=1)
+    roots = [np.zeros(0)]
+    for start in np.unique(lead):
+        rows = c[lead == start, start:]
+        deg = rows.shape[1] - 1
+        if deg:
+            companion = np.zeros((rows.shape[0], deg, deg))
+            companion[:, 0] = -rows[:, 1:] / rows[:, :1]
+            companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+            r = np.linalg.eigvals(companion)
+            # Each root with another within ROOT_REAL_TOL is taken as their
+            # mean, exactly real for a complex pair.
+            gap = np.abs(r[:, :, None] - r[:, None, :]) + np.diag(np.full(deg, np.inf))
+            near = np.argmin(gap, axis=2)
+            pair = np.min(gap, axis=2) <= ROOT_REAL_TOL * (scale + np.abs(r))
+            roots.append(np.where(pair, 0.5 * (r + np.take_along_axis(r, near, 1)), r).ravel())
+    r = np.concatenate(roots)
+    return np.sort(r.real[r.imag == 0])
+
+
+def _line_candidates(line, n, neumann):
+    """Where the level-n eigenvalues of the _PencilLine `line` can sit, in
+    y = beta / alpha of the first cell (x / gamma^n), ascending.
+
+    Spectral decimation: a count changes only where an orbit of the step
+    y -> B(y) / A(y) meets a target within n steps.  The targets are the
+    poles -nu_g, where a pivot crosses zero, and the common real zeros of
+    A and B, where the step's image vanishes (on the Sierpinski gasket
+    y = -3, a removable 0/0 of R(y) = y (2y + 5)); for Neumann spectra also
+    -mu_j at the last cell.  Each step back takes the real roots of
+    B - t A for every target t and merges near-duplicates (MERGE_TOL)."""
+    a, b = line.numerators
+    scale = max(np.abs(line.nu).max(initial=0.0), np.abs(line.mu).max())
+    zeros = _real_roots(a[None], scale)
+    common = np.abs(np.polyval(b, zeros)) <= VANISH_TOL * np.polyval(np.abs(b), np.abs(zeros))
+    targets = np.concatenate([-line.nu, zeros[common]])
+    ys = np.sort(-line.mu) if neumann else np.zeros(0)
+    for _ in range(n):
+        ys = np.concatenate([_real_roots(b - ys[:, None] * a, scale), targets])
+        ys = _merge_runs(np.sort(ys), MERGE_TOL * scale)
+    return ys
 
 
 def _sym(m):
@@ -599,7 +692,9 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
     jump of the count across it.  The counts come from the line engine
     when _pencil_line finds the step of (rho, b) on the pencil plane with
     no weak network, and from the matrix chain otherwise; both give the
-    same counts, and the read-out below always uses the matrix chain.  A
+    same counts, and the read-out below always uses the matrix chain.  On
+    the line, the first round cuts at the candidates of _line_candidates:
+    counts decide which hold eigenvalues, and the rest is bisected.  A
     point on a pole of the trace map is read where it is, as the limit from
     above (PIVOT_TOL), so every point gives a count and every bracket
     shrinks.  Neumann-Dirichlet multiplicities come from
@@ -634,39 +729,52 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
         lo, hi = (lo if ends[0, col] == total else 2 * lo), (hi if ends[1, col] == 0 else 2 * hi)
     else:
         raise SingularInterior("could not bracket the spectrum")
-    # Each round cuts every open interval (a, b], with count jump m across
-    # it.  Where the Newton steps x - m / rate(x) from both ends agree to a
-    # quarter of the interval (rate = d/dx log|det|, about m / (x - lam)
-    # near a cluster of m eigenvalues at lam), or m is 1, it is cut tol / 4
-    # either side of the shorter step's target.  Where they agree it is also
-    # halved, unless it already halved in the last round; elsewhere it is
-    # cut into min(m + 1, 16) equal parts.  The parts that hold eigenvalues
-    # stay open until narrower than tol.
+    # On the pencil line the first round cuts (lo, hi] tol / 4 either side
+    # of each candidate (_line_candidates), merged where closer than tol / 2:
+    # the parts with no jump drop, and those around a candidate finish.
+    # Every other round cuts every open interval (a, b], with count jump m
+    # across it.  Where the Newton steps x - m / rate(x) from both ends
+    # agree to a quarter of the interval (rate = d/dx log|det|, about
+    # m / (x - lam) near a cluster of m eigenvalues at lam), or m is 1, it
+    # is cut tol / 4 either side of the shorter step's target.  Where they
+    # agree it is also halved, unless it already halved in the last round;
+    # elsewhere it is cut into min(m + 1, 16) equal parts.  The parts that
+    # hold eigenvalues stay open until narrower than tol.
     a, bb, ca, cb = np.array([lo]), np.array([hi]), ends[:1], ends[1:]
     ra, rb = rates[:1, col], rates[1:, col]
     last = np.array([np.inf])  # each interval's width a round earlier
     done = []
+    seeded = None  # the candidates' cuts, used by the first round
+    if line is not None:
+        y = _line_candidates(line, n, col == 1) * step.gamma**n
+        y = _merge_runs(y[(y > lo) & (y < hi)], 0.5 * tol)
+        x = (y[:, None] + 0.25 * tol * np.array([-1.0, 1.0])).ravel()
+        x = x[(x > lo) & (x < hi)]
+        seeded = np.concatenate([[lo], x, [hi]])[None] if x.size else None
     while a.size:
         fin = bb - a <= tol
         done.append((a[fin], bb[fin], ca[fin], cb[fin]))
         a, bb, ca, cb, ra, rb, last = (v[~fin] for v in (a, bb, ca, cb, ra, rb, last))
         if not a.size:
             break
-        m = ca[:, col] - cb[:, col]
-        r = np.column_stack([ra, rb])
-        shift = np.divide(m[:, None], r, out=np.full_like(r, np.inf), where=r != 0)
-        target = np.column_stack([a, bb]) - shift
-        newton = np.where(np.abs(shift[:, 0]) < np.abs(shift[:, 1]), target[:, 0], target[:, 1])
-        newton = newton[:, None] + 0.25 * tol * np.array([-1.0, 1.0])
-        newton[(newton <= a[:, None]) | (newton >= bb[:, None])] = np.nan
-        agree = np.abs(target[:, 0] - target[:, 1]) <= 0.25 * (bb - a)
-        halving = (bb - a <= 0.5 * last) & np.isfinite(newton).any(axis=1)
-        parts = np.where(agree, np.where(halving, 1, 2), np.clip(m + 1, 2, 16))
-        cuts = np.arange(1, 16) / parts[:, None]
-        x = np.column_stack([a[:, None] + (bb - a)[:, None] * np.where(cuts < 1, cuts, np.nan),
-                             np.where((agree | (m == 1))[:, None], newton, np.nan)])
-        x = np.column_stack([a, np.sort(x, axis=1), bb])  # unused points (nan) sort last
-        x[np.isnan(x)] = np.broadcast_to(bb[:, None], x.shape)[np.isnan(x)]
+        if seeded is not None:
+            x, seeded = seeded, None
+        else:
+            m = ca[:, col] - cb[:, col]
+            r = np.column_stack([ra, rb])
+            shift = np.divide(m[:, None], r, out=np.full_like(r, np.inf), where=r != 0)
+            target = np.column_stack([a, bb]) - shift
+            newton = np.where(np.abs(shift[:, 0]) < np.abs(shift[:, 1]), target[:, 0], target[:, 1])
+            newton = newton[:, None] + 0.25 * tol * np.array([-1.0, 1.0])
+            newton[(newton <= a[:, None]) | (newton >= bb[:, None])] = np.nan
+            agree = np.abs(target[:, 0] - target[:, 1]) <= 0.25 * (bb - a)
+            halving = (bb - a <= 0.5 * last) & np.isfinite(newton).any(axis=1)
+            parts = np.where(agree, np.where(halving, 1, 2), np.clip(m + 1, 2, 16))
+            cuts = np.arange(1, 16) / parts[:, None]
+            x = np.column_stack([a[:, None] + (bb - a)[:, None] * np.where(cuts < 1, cuts, np.nan),
+                                 np.where((agree | (m == 1))[:, None], newton, np.nan)])
+            x = np.column_stack([a, np.sort(x, axis=1), bb])  # unused points (nan) sort last
+            x[np.isnan(x)] = np.broadcast_to(bb[:, None], x.shape)[np.isnan(x)]
         inner = x[:, 1:-1] < bb[:, None]
         cs, rs, _ = count(x[:, 1:-1][inner])
         cx = np.broadcast_to(cb[:, None], (a.size, x.shape[1], 3)).copy()

@@ -216,7 +216,11 @@ def test_chain_reads_poles_from_above(monkeypatch, engine, builtin_dense):
     # Bisection points land on poles of the trace map: an interior pivot
     # within PIVOT_TOL of zero is read at x + 0, as positive, and kept as an
     # extra coordinate; the point is never moved and the spectra stay exact.
+    # On the line, candidates put no point on a pole; without them the line
+    # bisects, as it does for any eigenvalue no candidate catches.
     cfg = load_config("interval")
+    if engine == "line":
+        monkeypatch.setattr(spectra, "_line_candidates", lambda line, n, neumann: np.zeros(0))
     real = spectra._eliminate
     on_pole = []
 
@@ -477,6 +481,74 @@ def test_weak_networks_and_uneven_conductances_take_matrix_chain(rng, monkeypatc
         chain_spectrum(st, cell, measure, 3, "neumann")
     for name in ("sierpinski", "interval"):
         assert line_of(name)[-1] is not None
+
+
+def count_passes(monkeypatch):
+    """A list that gains one entry, its number of points, per count pass
+    of _chain (read-outs not included)."""
+    real, passes = spectra._chain, []
+
+    def spy(plan, q, b, n, xs, tops=False, line=None):
+        passes.extend([] if tops else [xs.size])
+        return real(plan, q, b, n, xs, tops, line)
+
+    monkeypatch.setattr(spectra, "_chain", spy)
+    return passes
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_candidates_certify_in_one_pass(n, monkeypatch):
+    # Backward iteration of the Sierpinski step map y -> y (2y + 5) gives
+    # every eigenvalue: one pass brackets the spectrum and one counts at
+    # each candidate +- tol / 4, which finishes every bracket.
+    cfg, *_ = line_of("sierpinski")
+    passes = count_passes(monkeypatch)
+    for cond in CONDITIONS:
+        passes.clear()
+        chain_spectrum(cfg.structure, cfg.network, cfg.measure, n, cond)
+        assert len(passes) == 2
+
+
+@pytest.mark.parametrize("name,n", [("sierpinski", 7), ("interval", 10)])
+def test_missed_candidates_fall_back_to_bisection(name, n, monkeypatch):
+    # Every other candidate dropped: the intervals left with a count jump
+    # are bisected as before, and the lists stay the same.
+    cfg, *_ = line_of(name)
+    args = (cfg.structure, cfg.network, cfg.measure, n)
+    want = {cond: chain_spectrum(*args, cond) for cond in CONDITIONS}
+    real = spectra._line_candidates
+    monkeypatch.setattr(spectra, "_line_candidates", lambda *a: real(*a)[::2])
+    passes = count_passes(monkeypatch)
+    width = float(np.ptp(want["neumann"].eigenvalues))
+    for cond in CONDITIONS:
+        assert_same_lists(chain_spectrum(*args, cond), want[cond], width)
+    assert len(passes) > 3 * 2
+
+
+def test_interval_closed_form():
+    # The interval's level-12 Neumann spectrum is -(1 - cos(j pi / 2^12)),
+    # j = 0..2^12 (Chebyshev doubling), all simple.
+    cfg = load_config("interval")
+    n = 12
+    rep = chain_spectrum(cfg.structure, cfg.network, cfg.measure, n)
+    want = -(1.0 - np.cos(np.arange(2**n + 1)[::-1] * np.pi / 2**n))
+    assert [m for _, m in rep.clusters] == [1] * want.size
+    got = np.array([v for v, _ in rep.clusters])
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.ptp(want)
+
+
+def test_sierpinski_count_laws():
+    # Measured laws, checked at these levels only: the Sierpinski gasket
+    # has 3 * 2^(n-1) distinct Neumann eigenvalues at levels 1-10, and
+    # |V_n| less its Neumann-Dirichlet eigenfunctions is 5 * 2^(n-1) + 1 at
+    # levels 1-9 (dense below the crossover, the chain above it).
+    cfg = load_config("sierpinski")
+    args = (cfg.structure, cfg.network, cfg.measure)
+    for n in range(1, 11):
+        assert len(level_spectrum(*args, n).clusters) == 3 * 2 ** (n - 1)
+    for n in range(1, 10):
+        nd = level_spectrum(*args, n, "nd").count
+        assert num_vertices(cfg.structure, n) - nd == 5 * 2 ** (n - 1) + 1
 
 
 def oracle_draw():

@@ -222,6 +222,16 @@ def test_assembly_is_psd_for_dirichlet_input(gasket, gbar, triangle):
         assert np.linalg.eigvalsh(q3).min() >= -1e-10
 
 
+def test_assembly_keeps_real_forms_real(gasket, gbar, triangle):
+    # A real Q assembles in real arithmetic, at half the memory of complex,
+    # with the real part of the complex assembly; complex input stays complex.
+    q = q_matrix(triangle)
+    for st in (gasket, gbar):
+        real, cplx = assemble_q(st, q, 3), assemble_q(st, q.astype(complex), 3)
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        np.testing.assert_array_equal(real, cplx.real)
+
+
 def test_boundary_consistency_with_renorm(gasket, gbar, gsemi, rng):
     for st in (gasket, gbar, gsemi):
         q = random_sym(rng, 3)
