@@ -82,9 +82,13 @@ def sym_eig(a):
 
 def _pencil(q, b):
     """Validate the pencil (Q + lam I_b) and return its symmetric transform
-    D^{-1/2} Q D^{-1/2} together with d = diag(D^{-1/2}), D = I_b.  A NaN
-    or infinite entry of Q or b raises ValueError."""
-    q = np.asarray(q, dtype=float)
+    D^{-1/2} Q D^{-1/2} together with d = diag(D^{-1/2}), D = I_b.  The
+    pencil is real: a Q with a nonzero imaginary part raises ValueError, and
+    so does a NaN or infinite entry of Q or b."""
+    q = np.asarray(q)
+    if np.any(np.imag(q)):
+        raise ValueError("spectra need a real Q; this one has a nonzero imaginary part")
+    q = np.real(q).astype(float)
     b = np.asarray(b, dtype=float)
     if not (np.isfinite(q).all() and np.isfinite(b).all()):
         raise ValueError("the pencil needs a finite Q and finite weights")
@@ -179,18 +183,3 @@ def orthonormalize(cols):
     r = int(np.sum(s > RANK_TOL * s[0]))
     return u[:, :r]
 
-
-def intersect_columns(b1, b2):
-    """Orthonormal basis of span(b1) intersected with span(b2).
-
-    Both arguments are matrices of (not necessarily orthonormal) column
-    vectors over the same ambient space.
-    """
-    b1 = np.asarray(b1, dtype=complex)
-    b2 = np.asarray(b2, dtype=complex)
-    if b1.shape[1] == 0 or b2.shape[1] == 0:
-        return np.zeros((b1.shape[0], 0), dtype=complex)
-    ns = kernel_basis(np.hstack([b1, -b2])).basis
-    if ns.shape[1] == 0:
-        return np.zeros((b1.shape[0], 0), dtype=complex)
-    return orthonormalize(b1 @ ns[: b1.shape[1], :])

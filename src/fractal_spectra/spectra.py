@@ -181,7 +181,7 @@ def neumann_spectrum(q_n, b_n, level=0) -> SpectrumReport:
 
 def dirichlet_spectrum(q_n, b_n, boundary, level=0) -> SpectrumReport:
     """Spectrum of the pencil restricted to {f : f = 0 on the boundary}."""
-    q_n = np.asarray(q_n, dtype=float)
+    q_n = np.asarray(q_n)
     b_n = np.asarray(b_n, dtype=float)
     interior = [i for i in range(q_n.shape[0]) if i not in set(boundary)]
     if not interior:
@@ -200,7 +200,7 @@ def nd_spectrum(q_n, b_n, boundary, level=0, cluster_tol=CLUSTER_TOL) -> Spectru
     boundary-evaluation block of a pure N-D cluster is entirely at noise
     level, so its singular values are thresholded against the eigenvector
     scale, not only against each other."""
-    lam, vecs = generalized_sym_eig(np.asarray(q_n, dtype=float), b_n)
+    lam, vecs = generalized_sym_eig(q_n, b_n)
     return _nd_report(lam, vecs, boundary, level, cluster_tol)
 
 
@@ -539,12 +539,13 @@ def _merge(cells):
 
 
 def _log_det_rate(e, de):
-    """d/dx log|det e| = sum_i (v_i^T de v_i) / w_i over the eigenpairs of
-    each matrix of the stack, and the eigenvalues; inf where e is singular."""
+    """(rate, w, v, dw): the eigenpairs (w_i, v_i) of each matrix of the
+    stack, their slopes dw_i = v_i^T de v_i, and d/dx log|det e| =
+    sum_i dw_i / w_i, inf where e is singular."""
     w, v = np.linalg.eigh(e)
     dw = np.sum(v * (de @ v), axis=1)
     rate = np.sum(np.divide(dw, w, out=np.zeros_like(w), where=w != 0), axis=1)
-    return np.where((w == 0).any(axis=1), np.inf, rate), w
+    return np.where((w == 0).any(axis=1), np.inf, rate), w, v, dw
 
 
 def _line_chain(step, line, n, xs):
@@ -619,22 +620,23 @@ def _chain(step, q, b, n, xs, tops=False, line=None):
     """One pass of the Schur chain at every x.
 
     Two engines give the same Dirichlet and Neumann counts.  Given the
-    _PencilLine `line` of (q, b), a count pass (`tops` unset) maps two
-    numbers per point through _line_chain, whose last cell keeps no
-    interior direction, and takes the points it leaves unsure from the
-    matrix chain; otherwise each step assembles and eliminates a stack of
-    cell matrices.
+    _PencilLine `line` of (q, b), a pass maps two numbers per point through
+    _line_chain, whose last cell keeps no interior direction, and takes the
+    points it leaves unsure from the matrix chain; otherwise each step
+    assembles and eliminates a stack of cell matrices.
 
-    Returns (counts, rates, cells): counts[:, 0] is the Dirichlet count
+    Returns (counts, rates, pairs): counts[:, 0] is the Dirichlet count
     #{lam > x}, counts[:, 1] the Neumann count and counts[:, 2] the part of
     both taken before the last cell matrix, every one read at x + 0 where x
     sits on a pole (PIVOT_TOL); rates[:, 0] and rates[:, 1] are d/dx
     log|det| of the level-n Dirichlet and Neumann matrices,
-    sum_k 1 / (x - lam_k); if `tops` is set, cells holds per point the last
-    cell matrix (boundary first, then kept interior directions) and its
-    derivative in x, and kept directions are grouped by degenerate runs, not
-    by sign."""
-    if line is not None and not tops:
+    sum_k 1 / (x - lam_k).  From the matrix chain, pairs lists per stack of
+    last cell matrices E (boundary first, then kept interior directions) the
+    eigenpairs that give the Neumann count and rate, as (indices, w, v, dw)
+    with slopes dw = v^T E' v; the line engine gives None.  `tops` selects
+    only how kept directions are grouped: by degenerate runs, so that each
+    is a whole eigenfunction, not by sign."""
+    if line is not None:
         counts, rates, unsure = _line_chain(step, line, n, xs)
         if unsure.any():
             counts[unsure], rates[unsure], _ = _chain(step, q, b, n, xs[unsure])
@@ -657,31 +659,26 @@ def _chain(step, q, b, n, xs, tops=False, line=None):
         cells = _merge(nxt)
     counts[:, 0] = counts[:, 2] + kept
     rates[:, 1] = rates[:, 0]
-    top = [None] * p if tops else None
+    pairs = []
     for idx, e, de in cells:
-        rate, w = _log_det_rate(e, de)
+        rate, w, v, dw = _log_det_rate(e, de)
         counts[idx, 1] = counts[idx, 2] + np.count_nonzero(w < 0, axis=1)
         rates[idx, 1] += rate
         if e.shape[1] > k:
             rates[idx, 0] += _log_det_rate(e[:, k:, k:], de[:, k:, k:])[0]
-        for j, i in enumerate(idx if tops else ()):
-            top[i] = (e[j], de[j])
-    return counts, rates, top
+        pairs.append((idx, w, v, dw))
+    return counts, rates, pairs
 
 
 def _cell_data(structure, rho, b):
     """The cell form and measure as real arrays, checked: the one input check
-    of both spectrum paths.  The pencil is real; a Q with a nonzero imaginary
-    part raises ValueError."""
+    of both spectrum paths."""
     q = np.asarray(q_matrix(rho) if isinstance(rho, ElectricalNetwork) else rho)
-    if np.any(np.imag(q)):
-        raise ValueError("spectra need a real Q; this one has a nonzero imaginary part")
-    q = np.real(q)
     k = structure.cell_size
     if q.shape != (k, k):
         raise ValueError("Q must be a cell-sized square matrix")
-    _pencil(q, b)  # symmetric, weights positive
-    return q.astype(float), np.asarray(b, dtype=float)
+    _pencil(q, b)  # real, symmetric, weights positive
+    return np.real(q).astype(float), np.asarray(b, dtype=float)
 
 
 def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
@@ -704,7 +701,8 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
     eliminated directions that cross zero (which vanish on the boundary)
     plus the kernel of E, and the Neumann-Dirichlet part is the cluster
     size less the rank of the kernel's boundary values (ND_TOL, as in
-    nd_spectrum)."""
+    nd_spectrum), read from the eigenpairs of E that gave the pass its
+    counts."""
     if condition not in ("neumann", "dirichlet", "nd"):
         raise ValueError(f"unknown condition {condition!r}")
     step = _chain_plan(structure)
@@ -715,8 +713,8 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
     if total == 0:
         return SpectrumReport(n, condition, np.zeros(0), [])
 
-    def count(xs, tops=False):
-        return _chain(step, q, b, n, np.asarray(xs, dtype=float), tops, line)
+    def count(xs):
+        return _chain(step, q, b, n, np.asarray(xs, dtype=float), line=line)
 
     # Bracket the spectrum, starting from the cell's Gershgorin scale.
     span = float(np.max(np.abs(q).sum(axis=1) / b)) * step.gamma**n or 1.0
@@ -821,12 +819,7 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
         kernels = {g: [] for g in np.flatnonzero(shared)}
         if read.size:
             a, bb, group = a[read], bb[read], group[read]
-            tops = count(bb, tops=True)[2]
-            sizes = np.array([e.shape[0] for e, _ in tops], dtype=int)
-            for dim in np.unique(sizes):
-                js = np.flatnonzero(sizes == dim)
-                w, vec = np.linalg.eigh(np.stack([tops[j][0] for j in js]))
-                slope = np.sum(vec * (np.stack([tops[j][1] for j in js]) @ vec), axis=1)
+            for js, w, vec, slope in _chain(step, q, b, n, bb, tops=True)[2]:
                 cross = bb[js, None] - np.divide(w, slope, out=np.full_like(w, np.inf), where=slope > 0)
                 branch = np.abs(cross - 0.5 * (a + bb)[js, None]) <= 1.5 * (bb - a)[js, None]
                 for i, j in enumerate(js):
@@ -863,9 +856,10 @@ def level_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
 
 
 def dos_histogram(reports, num_copies, bins, lo=None, hi=None):
-    """Per-level histograms with mass 1/N^n per eigenvalue.
-
-    Returns (edges, masses) where masses has one row per report."""
+    """Per-level histograms with mass 1/N^n per eigenvalue: (edges, masses),
+    one row of masses per report.  An eigenvalue within its report's width
+    tolerance (as in cdf) of an edge is on it, however its copies round;
+    bins are [left, right), the last one closed."""
     if bins < 1:
         raise ValueError("need at least one bin")
     reports = list(reports)
@@ -880,7 +874,9 @@ def dos_histogram(reports, num_copies, bins, lo=None, hi=None):
     masses = np.zeros((len(reports), bins))
     for r_i, rep in enumerate(reports):
         if rep.count:
-            counts, _ = np.histogram(rep.eigenvalues, bins=edges)
+            vals = rep.eigenvalues
+            edge = edges[np.clip(np.rint((vals - lo) / (hi - lo) * bins), 0, bins).astype(int)]
+            counts, _ = np.histogram(np.where(np.abs(vals - edge) <= rep._width_tol(), edge, vals), edges)
             masses[r_i] = counts / float(num_copies**rep.level)
     return edges, masses
 

@@ -17,9 +17,10 @@ identification W/W^o = V_reduced so that reduction of graph frames
 reproduces the matrix-level trace and gluing maps exactly, not merely up
 to symplectomorphism.
 
-The reduction t_W(L) = (L cap W)/W^o is computed for every L; its failure
-to vary continuously is measured by the defect dim(L cap W^o), the
-indeterminacy indicator of the induced rational map.
+The reduction t_W(L) = (L cap W)/W^o is computed for every L from one
+kernel, L cap W = the null space of omega(W^o, .) on L: its image in the
+chart is the reduced frame, and what it holds beyond the reduced dimension
+p is the defect dim(L cap W^o), the indeterminacy indicator of the map.
 """
 
 from __future__ import annotations
@@ -30,13 +31,7 @@ from itertools import product
 import numpy as np
 
 from .errors import AtInfinity, ZeroScale
-from .linalg import (
-    check_symmetric,
-    intersect_columns,
-    is_positive_definite,
-    kernel_basis,
-    orthonormalize,
-)
+from .linalg import RANK_TOL, check_symmetric, is_positive_definite, orthonormalize
 from .network import VertexPartition
 from .selfsim import build_lattice
 
@@ -260,16 +255,27 @@ def compose(w: CoisotropicSubspace, w_next: CoisotropicSubspace) -> CoisotropicS
     return CoisotropicSubspace(frame, wo, w_next.proj @ w.proj)
 
 
+def _meet(l: LagrangianFrame, w: CoisotropicSubspace):
+    """Coefficients on l.columns of an orthonormal basis of L cap W: as
+    W = (W^o)^omega, the null space of c = W^o^T Omega L.  The frames are
+    orthonormal, so |c| <= 1 and a singular value above RANK_TOL (absolute:
+    relative to |c| it would count rounding as rank) is nonzero."""
+    if l.half_dim != w.half_dim:
+        raise ValueError("frame and subspace live in different spaces")
+    k = l.half_dim
+    if w.wo_frame.shape[1] == 0:
+        return np.eye(k, dtype=complex)
+    _, s, vh = np.linalg.svd(w.wo_frame.T @ omega_matrix(k) @ l.columns)
+    return vh[np.count_nonzero(s > RANK_TOL):].conj().T
+
+
 def reduce_frame(l: LagrangianFrame, w: CoisotropicSubspace) -> LagrangianFrame:
     """Symplectic reduction t_W(L) = (L cap W)/W^o in the chart of W.
 
     Total: defined at every L, including indeterminacy points of the
     rational extension (there the output is the distinguished value that
     continues the map along generic curves)."""
-    if l.half_dim != w.half_dim:
-        raise ValueError("frame and subspace live in different spaces")
-    meet = intersect_columns(l.columns, w.frame)
-    reduced = orthonormalize(w.proj @ meet)
+    reduced = orthonormalize(w.proj @ l.columns @ _meet(l, w))
     p = w.reduced_half_dim
     if reduced.shape[1] != p:
         raise ValueError(
@@ -279,10 +285,9 @@ def reduce_frame(l: LagrangianFrame, w: CoisotropicSubspace) -> LagrangianFrame:
 
 
 def reduction_defect(l: LagrangianFrame, w: CoisotropicSubspace):
-    """dim(L cap W^o): zero exactly where the rational reduction is regular."""
-    if w.wo_frame.shape[1] == 0:
-        return 0
-    return kernel_basis(np.hstack([l.columns, -w.wo_frame])).dim
+    """dim(L cap W^o): zero exactly where the rational reduction is regular.
+    (L cap W)/(L cap W^o) is the reduced Lagrangian, of dimension p."""
+    return _meet(l, w).shape[1] - w.reduced_half_dim
 
 
 def in_siegel(l: LagrangianFrame):

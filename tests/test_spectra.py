@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from fractal_spectra.linalg import generalized_sym_eig, generalized_sym_eigvals
 from fractal_spectra.network import q_matrix
 from fractal_spectra.selfsim import assemble_measure, assemble_network, build_lattice
 from fractal_spectra.spectra import (
+    SpectrumReport,
     char_det,
     cluster_eigenvalues,
     dirichlet_spectrum,
@@ -138,6 +140,44 @@ def test_dos_level_convergence(gasket, triangle):
     assert np.max(np.abs(c4 - c5)) <= 0.05
     _, masses = dos_histogram([r4, r5], 3, 64)
     assert np.max(np.abs(masses[0] - masses[1])) <= 0.05
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_dos_cluster_on_an_edge_keeps_one_bin(gasket, triangle, n):
+    # 64 bins over the spectrum [-3, 0]: the edge between bins 31 and 32 is
+    # -1.5, a degenerate eigenvalue (42-fold at level 5, 1095-fold at level
+    # 8) whose copies round to within 5e-15 either side of it.
+    rep = level_spectrum(gasket, triangle, np.ones(3), n, "neumann")
+    edges, masses = dos_histogram([rep], 3, 64)
+    assert abs(masses.sum() - rep.count / 3.0**n) <= 1e-12
+    on_edge = np.abs(rep.eigenvalues + 1.5) <= 1e-9
+    rest = SpectrumReport(n, "neumann", rep.eigenvalues[~on_edge])
+    _, others = dos_histogram([rest], 3, 64, lo=edges[0], hi=edges[-1])
+    cluster = np.round((masses[0] - others[0]) * 3.0**n)
+    assert cluster.tolist() == [0.0] * 32 + [rep.multiplicity_at(-1.5)] + [0.0] * 31
+    width = rep.eigenvalues[-1] - rep.eigenvalues[0]
+    for shift in (-1e-13, 1e-13):
+        moved = SpectrumReport(n, "neumann", rep.eigenvalues + shift * width)
+        assert np.array_equal(dos_histogram([moved], 3, 64, lo=edges[0], hi=edges[-1])[1], masses)
+
+
+def test_complex_q_raises_at_every_pencil_entry_point(gasket, triangle):
+    q = assemble_network(gasket, triangle, 2).real
+    b = assemble_measure(gasket, np.ones(3), 2)
+    boundary = build_lattice(gasket, 2).boundary
+    calls = (
+        lambda m: neumann_spectrum(m, b),
+        lambda m: dirichlet_spectrum(m, b, boundary),
+        lambda m: nd_spectrum(m, b, boundary),
+        lambda m: green_proxy(m, b, [-1.0], 3, 2),
+        lambda m: generalized_sym_eig(m, b),
+        lambda m: generalized_sym_eigvals(m, b),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="imaginary"):
+            call(q + 1j * np.eye(q.shape[0]))
+    for call in calls[:3]:
+        assert call(q.astype(complex)).clusters == call(q).clusters
 
 
 def test_green_proxy_finite_and_divergent(gasket, triangle):

@@ -5,6 +5,7 @@ from fractal_spectra.errors import AtInfinity, NotSymmetric
 from fractal_spectra.grassmann import exp_eta, interior_reduce, vanishing_order
 from fractal_spectra.linalg import kernel_basis, numerical_rank, orthonormalize
 from fractal_spectra.network import VertexPartition, glue, trace_map
+from fractal_spectra.renorm import HomogeneousPoint, block_copy_frame, frame_from_pairs, symmetric_chart
 from fractal_spectra.symplectic import (
     CoisotropicSubspace,
     LagrangianFrame,
@@ -138,6 +139,36 @@ def test_defect_counts_nd_kernel(rng):
         nd = kernel_basis(np.vstack([q, rows]), tol=1e-9).dim
         assert nd >= dim
         assert reduction_defect(from_sym(q), w_trace(k, boundary)) == nd
+
+
+def _defect_oracle(l, w):
+    """dim(L cap W^o) by its definition: the kernel of [L, -W^o]."""
+    if w.wo_frame.shape[1] == 0:
+        return 0
+    return kernel_basis(np.hstack([l.columns, -w.wo_frame])).dim
+
+
+def test_defect_matches_its_definition(rng, gasket, gbar):
+    cases = []
+    for dim in (1, 2, 3):  # forced interior kernels
+        q = _with_forced_interior_kernel(rng, 6, [0, 1], dim)
+        cases.append((from_sym(q), w_trace(6, [0, 1]), dim))
+    # block copies at the divisor points of the gasket and gamma_bar
+    chart = symmetric_chart(3)
+    for st, pairs, want in (
+        (gasket, ((0.0, 1.0), (0.0, 1.0)), 3),
+        (gasket, ((0.4 + 0.2j, 1.0), (1.0, 0.0)), 1),
+        (gbar, ((0.37 + 0.21j, 1.0), (-2.0, 1.0)), 1),
+        (gbar, ((0.37 + 0.21j, 1.0), (-5.0, 1.0)), 2),
+    ):
+        l = frame_from_pairs(HomogeneousPoint(pairs), chart)
+        cases.append((block_copy_frame(l, st), w_renorm(st), want))
+    # random frames pushed to infinity (W^o is empty for the full boundary)
+    for w in (w_trace(4, [0]), w_trace(5, [0, 3]), w_trace(3, [0, 1, 2]), w_renorm(gasket)):
+        for _ in range(3):
+            cases.append((random_lagrangian(w.half_dim, rng, at_infinity=True), w, 0))
+    for l, w, want in cases:
+        assert reduction_defect(l, w) == _defect_oracle(l, w) == want
 
 
 def test_defect_semicontinuity(rng):
