@@ -83,13 +83,14 @@ def sym_eig(a):
 def _pencil(q, b):
     """Validate the pencil (Q + lam I_b) and return its symmetric transform
     D^{-1/2} Q D^{-1/2} together with d = diag(D^{-1/2}), D = I_b.  The
-    pencil is real: a Q with a nonzero imaginary part raises ValueError, and
-    so does a NaN or infinite entry of Q or b."""
-    q = np.asarray(q)
+    pencil is real: a Q or weights with a nonzero imaginary part raise
+    ValueError, and so does a NaN or infinite entry of Q or b."""
+    q, b = np.asarray(q), np.asarray(b)
     if np.any(np.imag(q)):
         raise ValueError("spectra need a real Q; this one has a nonzero imaginary part")
-    q = np.real(q).astype(float)
-    b = np.asarray(b, dtype=float)
+    if np.any(np.imag(b)):
+        raise ValueError("spectra need real weights; these have a nonzero imaginary part")
+    q, b = np.real(q).astype(float), np.real(b).astype(float)
     if not (np.isfinite(q).all() and np.isfinite(b).all()):
         raise ValueError("the pencil needs a finite Q and finite weights")
     q = _require_symmetric(q)

@@ -26,8 +26,7 @@ from .symplectic import (
     LagrangianFrame,
     from_sym,
     in_siegel,
-    reduce_frame,
-    reduction_defect,
+    reduce_with_defect,
     tau_translate_frame,
     to_sym,
     w_renorm,
@@ -83,7 +82,7 @@ def g_map(l: LagrangianFrame, structure):
     the rational extension."""
     w = _w_renorm_cached(structure)
     tilde = block_copy_frame(l, structure)
-    return reduce_frame(tilde, w), reduction_defect(tilde, w)
+    return reduce_with_defect(tilde, w)
 
 
 def _w_renorm_cached(structure):

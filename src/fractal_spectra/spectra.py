@@ -7,9 +7,10 @@ Neumann-Dirichlet eigenfunctions satisfy both conditions at once and are
 counted per eigenvalue by the dimension of the boundary-vanishing part of
 the Neumann eigenspace.
 
-Above the crossover `CHAIN_MIN_VERTICES`, and when the structure satisfies
-hypothesis H, level spectra come from the Schur chain instead of a dense
-eigensolve: one renormalization step per level, each inverting only the
+Above the crossover of the chain's engine (`LINE_MIN_VERTICES` on the
+pencil line, `CHAIN_MIN_VERTICES` otherwise), and when the structure
+satisfies hypothesis H, level spectra come from the Schur chain instead of
+a dense eigensolve: one renormalization step per level, each inverting only the
 interior block of a level-1 assembly, counts eigenvalues exactly through
 Haynsworth inertia additivity, and bisection on those counts isolates every
 distinct eigenvalue with its multiplicity (spectral decimation, carried
@@ -24,10 +25,13 @@ engine, _line_chain).  There the eigenvalues are also known in advance:
 each is a preimage, under n steps of y = beta / alpha, of a pole or of a
 zero of the step (_line_candidates), so one count pass at candidate
 +- resolution certifies them all, and bisection only finds what no
-candidate catches.  Weak networks (whose step is not homogeneous) and
-conductances that leave the plane take the matrix chain, which carries a
-stack of cell matrices; it also reads the Neumann-Dirichlet multiplicities,
-and it takes the points whose signs the line cannot resolve near a pole.
+candidate catches.  Near a pole where the step is critical the line also
+holds each point in two parts, a pole's orbit and a small offset, so the
+signs it needs there survive rounding.  Weak networks (whose step is not
+homogeneous) and conductances that leave the plane take the matrix chain,
+which carries a stack of cell matrices; it also reads the
+Neumann-Dirichlet multiplicities, and it takes the rare points whose signs
+the line still cannot resolve.
 
 Sign convention: Q in the network cone gives nonpositive spectra
 (report with flipped sign for Laplacian-style output via the CLI flag).
@@ -35,6 +39,7 @@ Sign convention: Q in the network cone gives nonpositive spectra
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +90,9 @@ NEAR_TOL = 1e-4
 # their size) count as one degenerate cluster, whose directions uncoupled
 # from the boundary are eliminated: a few thousand ulps, the rounding of
 # eigenvalues that symmetry makes equal.  The same rounding decides, once
-# per spectrum, whether a chain step keeps the pencil plane (_pencil_line).
+# per spectrum, whether a chain step keeps the pencil plane (_pencil_line)
+# and which of its poles are critical, and on the line, where the image of
+# a critical pole lands on a pivot's zero (_line_chain).
 DEGENERATE_TOL = 1e-12
 # Candidate eigenvalues on the pencil line (_line_candidates).  The counts
 # certify every candidate and bisection finds what none catches, so these
@@ -103,25 +110,27 @@ ROOT_REAL_TOL = 1e-6
 VANISH_TOL = 1e-8
 # Candidates closer than this fraction of the scale are one, at their mean.
 MERGE_TOL = 1e-12
-# Crossover: the chain takes over from the dense eigensolve at this many
-# level-n vertices.  Measured on a 2-core host, one thread, best of two,
-# seconds for Neumann / Dirichlet / Neumann-Dirichlet, chain against dense:
-# with cell matrices the chain loses below it (gamma_bar level 5, 729
-# vertices: 0.20-0.24 against 0.07-0.08), at 1025 (interval level 10,
-# whose bracket points near poles mostly take the matrix chain) it wins
-# narrowly (0.15-0.29 against 0.22-0.48), and above it the chain wins
-# (gamma_bar level 6, 2187: 0.25-0.35 against 1.25-1.70).  On the pencil
-# line, with candidates, the crossover is lower (best of three, two runs):
-# Sierpinski level 4, 123 vertices, loses (0.004 / 0.004 / 0.011-0.012
-# against 0.0015 / 0.001-0.002 / 0.002-0.003), level 5, 366, wins
-# (0.003-0.005 / 0.003-0.004 / 0.011-0.015 against 0.012 / 0.013 /
-# 0.015-0.019) and level 6, 1095, wins 10-30x; interval level 9, 513
-# vertices, is about even (0.031-0.037 / 0.034-0.037 / 0.073-0.094 against
-# 0.025-0.026 / 0.029 / 0.064-0.066) and level 10 wins 2-3x (0.055-0.058 /
-# 0.050-0.056 / 0.138-0.154 against 0.135-0.150 / 0.159-0.166 /
-# 0.28-0.31).  The constant stays where it is, so spectra below 1050
-# vertices keep the dense path.
+# Crossovers: the chain takes over from the dense eigensolve at this many
+# level-n vertices, one rule per engine.  Milliseconds on a 2-core host,
+# one thread, best-median of five runs alternating chain and dense in one
+# session, chain / dense, for Neumann, Dirichlet and Neumann-Dirichlet
+# (same multiplicity lists, values within 1e-12 of the width, everywhere).
+#
+# With cell matrices (the matrix chain), three runs:
+#   gamma_bar L5 (729)    121-129 / 44       110-160 / 45-53      137-142 / 71-82
+#   gamma_bar L6 (2187)   229-263 / 1023-1031  229-257 / 1033-1100  288-328 / 1715-1728
 CHAIN_MIN_VERTICES = 1050
+# On the pencil line (_line_chain):
+#   sierpinski L3 (42)    2.3-2.4 / 0.5      2.2 / 0.6            5.0 / 0.9
+#   sierpinski L4 (123)   2.8 / 1.2-1.3      2.7 / 1.3            7.3 / 2.2
+#   sierpinski L5 (366)   3.4 / 8.7-8.9      3.3 / 10.0-10.1      10.0 / 14.1
+#   sierpinski L6 (1095)  3.4-3.7 / 127-133  3.3-3.4 / 134-138    11.0-11.3 / 209-213
+#   interval L7 (129)     7.2-7.3 / 1.6-1.7  5.1 / 1.7-1.8        12.1-12.3 / 4.3-4.4
+#   interval L8 (257)     8.8-8.9 / 4.5-4.6  6.4-6.6 / 4.8-4.9    14.9-15.7 / 11.5-11.6
+#   interval L9 (513)     10.8-11.0 / 18.0-18.1  8.2-8.4 / 19.6   20.0-20.3 / 41-42
+#   interval L10 (1025)   16.2-16.7 / 116-118    13.2-15.4 / 140-142  32-40 / 255-275
+# The line loses at 257 vertices and wins from 366 on.
+LINE_MIN_VERTICES = 300
 
 
 @dataclass
@@ -181,8 +190,7 @@ def neumann_spectrum(q_n, b_n, level=0) -> SpectrumReport:
 
 def dirichlet_spectrum(q_n, b_n, boundary, level=0) -> SpectrumReport:
     """Spectrum of the pencil restricted to {f : f = 0 on the boundary}."""
-    q_n = np.asarray(q_n)
-    b_n = np.asarray(b_n, dtype=float)
+    q_n, b_n = np.asarray(q_n), np.asarray(b_n)
     interior = [i for i in range(q_n.shape[0]) if i not in set(boundary)]
     if not interior:
         lam = np.zeros(0)
@@ -234,7 +242,7 @@ def nd_kernel_dimension(q_n, b_n, boundary, lam):
     rows = np.zeros((len(boundary), n))
     for r, b in enumerate(boundary):
         rows[r, b] = 1.0
-    stacked = np.vstack([q_n + lam * np.diag(np.asarray(b_n, dtype=float)), rows])
+    stacked = np.vstack([q_n + lam * np.diag(np.asarray(b_n)), rows])
     return kernel_basis(stacked, tol=KERNEL_ORACLE_TOL).dim
 
 
@@ -246,8 +254,7 @@ def char_det(q_n, b_n, lam, condition="neumann", boundary=()):
     overflows once |V| is about 400 or more; green_proxy takes log|det|
     from the spectrum instead."""
     q_n = np.asarray(q_n, dtype=complex)
-    b_n = np.asarray(b_n, dtype=float)
-    m = q_n + lam * np.diag(b_n)
+    m = q_n + lam * np.diag(np.asarray(b_n))
     if condition == "dirichlet":
         interior = [i for i in range(q_n.shape[0]) if i not in set(boundary)]
         if not interior:
@@ -285,7 +292,9 @@ class _PencilLine:
     holds the pencil eigenvalues of (q, D), read at the last cell.  In
     y = beta / alpha the step is y' = B(y) / A(y): `numerators` holds the
     coefficients of A and B, highest degree first, the two components of
-    the image above times prod_g (nu_g + y)."""
+    the image above times prod_g (nu_g + y), and `taylor` the matrix that
+    takes the powers (1, c, c^2, ...) to their Taylor coefficients at c,
+    A^(k)(c) / k! then B^(k)(c) / k!."""
 
     form: np.ndarray
     measure: np.ndarray
@@ -294,6 +303,8 @@ class _PencilLine:
     mult: np.ndarray
     mu: np.ndarray
     numerators: np.ndarray
+    taylor: np.ndarray
+    critical: np.ndarray
 
 
 def _pencil_line(step, q, b):
@@ -325,8 +336,21 @@ def _pencil_line(step, q, b):
     poles = np.array([np.poly(-np.delete(nu, g)) for g in range(nu.size)])
     numerators = np.array([np.polysub(np.polymul([coef[1, c], coef[0, c]], np.poly(-nu)),
                                       coef[2:, c] @ poles) for c in (0, 1)])
+    # Row i, column k: binom(i + k, k) times the coefficient of y^(i + k).
+    low = numerators[:, ::-1]
+    d = low.shape[1]
+    i, j = np.indices((d, d))
+    taylor = np.concatenate(np.where(i + j < d, np.vectorize(math.comb)(i + j, j) * low[:, np.minimum(i + j, d - 1)],
+                                     0.0), axis=1)
+    # A pole is critical where R' = (A B' - B A') / A^2 vanishes on it, to
+    # DEGENERATE_TOL of the size of its terms.
+    at_pole = np.vander(-nu, d, increasing=True) @ taylor
+    terms = np.vander(np.abs(nu), d, increasing=True) @ np.abs(taylor)
+    slope = at_pole[:, 0] * at_pole[:, d + 1] - at_pole[:, d] * at_pole[:, 1]
+    critical = np.abs(slope) <= DEGENERATE_TOL * (terms[:, 0] * terms[:, d + 1] + terms[:, d] * terms[:, 1])
     return _PencilLine(coef[0], coef[1], coef[2:], nu, np.array([g.size for g in groups]),
-                       np.linalg.eigvalsh(q / root[:, None] / root), numerators)
+                       np.linalg.eigvalsh(q / root[:, None] / root), numerators, taylor,
+                       critical)
 
 
 def _merge_runs(v, gap):
@@ -347,7 +371,7 @@ def _real_roots(c, scale):
     c = c / np.abs(c).max(axis=1, keepdims=True)
     lead = np.argmax(np.abs(c) > np.finfo(float).eps, axis=1)
     roots = [np.zeros(0)]
-    for start in np.unique(lead):
+    for start in np.flatnonzero(np.bincount(lead)):
         rows = c[lead == start, start:]
         deg = rows.shape[1] - 1
         if deg:
@@ -511,8 +535,8 @@ def _eliminate(a, da, k, tops=False):
     if tops:
         patterns = {}
         for j, i in enumerate(wide):
-            cuts = _clusters(np.diagonal(full[j])[k:k + r[j]], DEGENERATE_TOL * big[i, 0])
-            patterns.setdefault((r[j], tuple(cuts) if r[j] > k else ()), []).append(j)
+            cuts = _clusters(np.diagonal(full[j])[k:k + r[j]], DEGENERATE_TOL * big[i, 0]) if r[j] > k else ()
+            patterns.setdefault((r[j], tuple(cuts)), []).append(j)
         groups = [(size, list(cuts), np.array(js)) for (size, cuts), js in patterns.items()]
     else:
         split = np.where(r > k, np.count_nonzero(near & (d < 0), axis=1), 0)
@@ -548,12 +572,41 @@ def _log_det_rate(e, de):
     return np.where((w == 0).any(axis=1), np.inf, rate), w, v, dw
 
 
+def _advance(line, c, d, e):
+    """One step y -> R(y) = B(y) / A(y) of the _PencilLine `line` on points
+    held in two parts, y = c + d, with d known to e.  Returns (R(c), its
+    rounding, R(c + d) - R(c), what that is known to, R'(c + d), ok).  The
+    difference is summed over the Taylor coefficients of A and B at c, so a
+    d far below the rounding of c survives; `ok` is false where A is within
+    NEAR_TOL of vanishing at c or c + d (R has a pole there)."""
+    k = line.taylor.shape[0]
+    pc, pd = np.ones((k, c.size)), np.ones((k, c.size))
+    for i in range(1, k):
+        pc[i], pd[i] = pc[i - 1] * c, pd[i - 1] * d
+    coef, size = line.taylor.T @ pc, np.abs(line.taylor).T @ np.abs(pc)
+    ta, tb, sa, sb = coef[:k], coef[k:], size[:k], size[k:]
+    at, bt = np.sum(ta * pd, axis=0), np.sum(tb * pd, axis=0)  # A(c + d), B(c + d)
+    ok = (np.abs(ta[0]) > NEAR_TOL * sa[0]) & (np.abs(at) > NEAR_TOL * sa[0])
+    a0, at = np.where(ok, ta[0], 1.0), np.where(ok, at, 1.0)
+    j = np.arange(1, k)[:, None]
+    slope = np.sum(j * (tb[1:] * at - ta[1:] * bt) * pd[:-1], axis=0) / at**2
+    # A few ulps of the size of each term, and the error e through R'.
+    ulps = 4 * k * np.finfo(float).eps
+    terms = (sa[0] * sb[1:] + sb[0] * sa[1:]) * np.abs(pd[1:])
+    known = ulps * np.sum(terms, axis=0) / np.abs(a0 * at) + np.abs(slope) * e
+    image = tb[0] / a0
+    moved = np.sum((a0 * tb[1:] - tb[0] * ta[1:]) * pd[1:], axis=0) / (a0 * at)
+    return image, ulps * (sb[0] + np.abs(image) * sa[0]) / np.abs(a0), moved, known, slope, ok
+
+
 def _line_chain(step, line, n, xs):
     """The count pass of _chain on the pencil plane: each cell matrix is
     alpha q + beta D, and a step maps the pair (alpha, beta) by the
-    _PencilLine `line`.  Returns (counts, rates, unsure): counts and rates
-    as _chain gives them, void where `unsure` marks a point whose signs
-    the pair cannot resolve.
+    _PencilLine `line`.  Returns (counts, rates, inner, last): counts and
+    rates as _chain gives them, void where `inner` marks a point whose
+    interior signs the pair cannot resolve; `last` marks the points whose
+    last-cell signs it cannot resolve, which void only the Neumann count
+    and rate.
 
     The pair is kept at unit length.  Before it is normalized, each step's
     image is multiplied by |alpha nu + beta| of the interior pole nearest
@@ -569,38 +622,96 @@ def _line_chain(step, line, n, xs):
     cell) is within PIVOT_TOL (1 + err) of zero, on the scale |(nu, 1)|.
     The derivative (da, db) in x is taken relative to the pair's scale, so
     sums of d/dx log|alpha nu + beta| over it are those of the unscaled
-    matrices.  Arrays are (group, point)."""
+    matrices.
+
+    Near a critical pole of the step (_PencilLine.critical, where R' = 0)
+    the pair loses what a later pivot needs: on the interval the pole
+    y = -1 goes to R(-1) = -2 = -mu with R'(-1) = 0, so a point delta from
+    the pole lands R''(-1) delta^2 / 2 from a last-cell pivot's zero, below
+    the rounding of the pair.  So a point whose nearest pole is critical is
+    also held in two parts, y = base + off, from that step on: base is the
+    pole, then its images under the steps, each snapped to a pivot's zero
+    within DEGENERATE_TOL of it, and off goes through the Taylor
+    coefficients of the step at base (_advance), with a bound `known` on
+    its error.  A pivot is read from the two parts, alpha (nu + base + off),
+    wherever they know it better than the pair, and a point moves its base
+    to a critical pole nearer than it.  Arrays are (group, point)."""
     (fq, fd), (mq, md) = line.form, line.measure
     rq, rd = line.residues.T
     nu = line.nu[:, None]
+    scale = max(np.abs(line.nu).max(initial=0.0), np.abs(line.mu).max())
+    targets = np.concatenate([-line.nu, -line.mu])
     a, b = np.ones(xs.size), xs / step.gamma**n
     norm = np.hypot(a, b)
     a, b, da, db = a / norm, b / norm, np.zeros(xs.size), step.gamma**-n / norm
     err = np.ones(xs.size)
     counts = np.zeros((xs.size, 3), dtype=np.int64)
     rates = np.zeros((xs.size, 2))
-    unsure = np.zeros(xs.size, dtype=bool)
+    inner = np.zeros(xs.size, dtype=bool)
+    # The points held in two parts, y = base + off: base is a critical pole
+    # or its image under some steps, snapped to a pivot's zero where it
+    # lands within DEGENERATE_TOL of one; off is known to `known` and has
+    # derivative doff in x.
+    held = np.zeros(xs.size, dtype=bool)
+    base, off, known, doff = np.full(xs.size, np.nan), np.zeros(xs.size), np.zeros(xs.size), np.zeros(xs.size)
+
+    def parts(values):
+        """y + v from the two parts (nan where a point is not held), and
+        what it is known to."""
+        gap = base + values
+        v = gap + off
+        return v, known + PIVOT_TOL * (np.abs(gap) + np.abs(v))
 
     def pivots(values):
+        """The pivots alpha v + beta, 1 where unsure, the unsure ones, and
+        d/dx log|alpha v + beta|.  A held point's pivot is alpha (y + v)
+        from the two parts where they know it better than the pair."""
         t = values * a + b
-        bad = np.abs(t) <= (1.0 + err) * (PIVOT_TOL * np.hypot(values, 1.0))
+        tol = (1.0 + err) * (PIVOT_TOL * np.hypot(values, 1.0))
+        bad = np.abs(t) <= tol
+        if not held.any():
+            t[bad] = 1.0
+            return t, bad, (values * da + db) / t
+        v, vk = parts(values)
+        two = (np.abs(a) * vk < tol) & (a != 0)
+        t[two], bad[two] = (a * v)[two], (np.abs(v) <= vk)[two]
         t[bad] = 1.0
-        return t, bad.any(axis=0)
+        rate = (values * da + db) / t
+        sure = two & ~bad
+        rate[sure] = (da / np.where(a == 0, 1.0, a) + doff / np.where(sure, v, 1.0))[sure]
+        return t, bad, rate
 
-    def image(va, vb, t, near, ah):
-        """The step's derivative, times `near`, applied to (va, vb)."""
-        rate = (nu * va + vb) / t
+    def image(va, vb, t, near, ah, rate):
+        """The step's derivative, times `near`, applied to (va, vb), with
+        rate the derivative of log|t| along (va, vb)."""
         w = (2 * va - a * rate) * ah
-        return near * (va * fq + vb * mq) - rq @ w, near * (va * fd + vb * md) - rd @ w, rate
+        return near * (va * fq + vb * mq) - rq @ w, near * (va * fd + vb * md) - rd @ w
 
     for m in range(n):
-        t, bad = pivots(nu)
-        unsure |= bad
+        t, bad, rate = pivots(nu)
+        unsure = bad.any(axis=0)
+        inner |= unsure
         near = np.abs(t).min(axis=0)
+        # A point whose nearest pole -nu_g is critical is held from there,
+        # with delta = y + nu_g from the two parts or the pair, whichever
+        # knows it better, unless its base is nearer.
+        if line.critical.any():
+            g = np.argmin(np.abs(t), axis=0)
+            crit = ~unsure & line.critical[g] & (a != 0)
+            delta, dk = parts(line.nu[g])
+            safe = np.where(crit, a, 1.0)
+            pair_known = (1.0 + err) * PIVOT_TOL * np.hypot(line.nu[g], 1.0) / np.abs(safe)
+            better = ~(dk <= pair_known)
+            delta[better], dk[better] = (t[g, np.arange(xs.size)] / safe)[better], pair_known[better]
+            start = crit & (~held | (np.abs(delta) < np.abs(off)))
+            base[start], off[start], known[start] = -line.nu[g][start], delta[start], dk[start]
+            new = start & better
+            doff[new] = ((db * a - b * da) / safe**2)[new]
+            held |= start
         ah = a * near / t
         na, nb = near * (a * fq + b * mq) - rq @ (a * ah), near * (a * fd + b * md) - rd @ (a * ah)
-        da, db, rate = image(da, db, t, near, ah)
-        ta, tb, _ = image(-b, a, t, near, ah)
+        da, db = image(da, db, t, near, ah, rate)
+        ta, tb = image(-b, a, t, near, ah, (a - nu * b) / t)
         copies = step.num_copies ** (n - 1 - m)
         counts[:, 2] += copies * (line.mult @ (t < 0))
         rates[:, 0] += copies * (line.mult @ rate)
@@ -609,21 +720,37 @@ def _line_chain(step, line, n, xs):
         fresh = near * (abs(fq) + abs(fd) + abs(mq) + abs(md)) + (abs(rq) + abs(rd)) @ np.abs(a * ah)
         err = (err * np.abs(na * tb - nb * ta) / norm + fresh) / norm
         a, b, da, db = na / norm, nb / norm, da / norm, db / norm
-    t, bad = pivots(line.mu[:, None])
+        if held.any():
+            i = np.flatnonzero(held)
+            c, rounding, off[i], known[i], slope, ok = _advance(line, base[i], off[i], known[i])
+            doff[i] *= slope
+            # A base within DEGENERATE_TOL of a pivot's zero is on it;
+            # elsewhere its rounding adds to what off is known to.
+            gap = np.abs(c[:, None] - targets)
+            j = np.argmin(gap, axis=1)
+            on = gap[np.arange(i.size), j] <= DEGENERATE_TOL * scale
+            known[i] += np.where(on, 0.0, rounding)
+            base[i] = np.where(on, targets[j], c)
+            held[i] = ok
+            base[~held] = np.nan
+    t, bad, rate = pivots(line.mu[:, None])
     counts[:, 0] = counts[:, 2]
     counts[:, 1] = counts[:, 2] + np.count_nonzero(t < 0, axis=0)
-    rates[:, 1] = rates[:, 0] + np.sum((line.mu[:, None] * da + db) / t, axis=0)
-    return counts, rates, unsure | bad
+    rates[:, 1] = rates[:, 0] + np.sum(rate, axis=0)
+    return counts, rates, inner, bad.any(axis=0)
 
 
-def _chain(step, q, b, n, xs, tops=False, line=None):
+def _chain(step, q, b, n, xs, tops=False, line=None, neumann=True):
     """One pass of the Schur chain at every x.
 
     Two engines give the same Dirichlet and Neumann counts.  Given the
     _PencilLine `line` of (q, b), a pass maps two numbers per point through
     _line_chain, whose last cell keeps no interior direction, and takes the
     points it leaves unsure from the matrix chain; otherwise each step
-    assembles and eliminates a stack of cell matrices.
+    assembles and eliminates a stack of cell matrices.  Without `neumann`
+    the caller reads no Neumann count or rate, so a point the line leaves
+    unsure only at the last cell keeps its line counts, and its Neumann
+    column is void.
 
     Returns (counts, rates, pairs): counts[:, 0] is the Dirichlet count
     #{lam > x}, counts[:, 1] the Neumann count and counts[:, 2] the part of
@@ -637,7 +764,8 @@ def _chain(step, q, b, n, xs, tops=False, line=None):
     only how kept directions are grouped: by degenerate runs, so that each
     is a whole eigenfunction, not by sign."""
     if line is not None:
-        counts, rates, unsure = _line_chain(step, line, n, xs)
+        counts, rates, inner, last = _line_chain(step, line, n, xs)
+        unsure = inner | last if neumann else inner
         if unsure.any():
             counts[unsure], rates[unsure], _ = _chain(step, q, b, n, xs[unsure])
         return counts, rates, None
@@ -678,7 +806,7 @@ def _cell_data(structure, rho, b):
     if q.shape != (k, k):
         raise ValueError("Q must be a cell-sized square matrix")
     _pencil(q, b)  # real, symmetric, weights positive
-    return np.real(q).astype(float), np.asarray(b, dtype=float)
+    return np.real(q).astype(float), np.real(b).astype(float)
 
 
 def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
@@ -703,18 +831,23 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
     size less the rank of the kernel's boundary values (ND_TOL, as in
     nd_spectrum), read from the eigenpairs of E that gave the pass its
     counts."""
-    if condition not in ("neumann", "dirichlet", "nd"):
-        raise ValueError(f"unknown condition {condition!r}")
     step = _chain_plan(structure)
     q, b = _cell_data(structure, rho, b)
-    line = _pencil_line(step, q, b)
+    return _chain_spectrum(structure, step, q, b, _pencil_line(step, q, b), n, condition)
+
+
+def _chain_spectrum(structure, step, q, b, line, n, condition):
+    """chain_spectrum from the structure's LevelStep, the checked cell form
+    and measure, and their _PencilLine (None off the plane)."""
+    if condition not in ("neumann", "dirichlet", "nd"):
+        raise ValueError(f"unknown condition {condition!r}")
     col = 0 if condition == "dirichlet" else 1
     total = num_vertices(structure, n) - (step.cell_size if col == 0 else 0)
     if total == 0:
         return SpectrumReport(n, condition, np.zeros(0), [])
 
     def count(xs):
-        return _chain(step, q, b, n, np.asarray(xs, dtype=float), line=line)
+        return _chain(step, q, b, n, np.asarray(xs, dtype=float), line=line, neumann=col == 1)
 
     # Bracket the spectrum, starting from the cell's Gershgorin scale.
     span = float(np.max(np.abs(q).sum(axis=1) / b)) * step.gamma**n or 1.0
@@ -816,17 +949,26 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
         last = np.concatenate([first[1:], [group.size]]) - 1
         shared = ca[first, 0] > cb[last, 0]
         read = np.flatnonzero(shared[group])
-        kernels = {g: [] for g in np.flatnonzero(shared)}
+        cols, labels = [np.zeros((0, k))], [np.zeros(0, dtype=np.int64)]
         if read.size:
             a, bb, group = a[read], bb[read], group[read]
             for js, w, vec, slope in _chain(step, q, b, n, bb, tops=True)[2]:
                 cross = bb[js, None] - np.divide(w, slope, out=np.full_like(w, np.inf), where=slope > 0)
                 branch = np.abs(cross - 0.5 * (a + bb)[js, None]) <= 1.5 * (bb - a)[js, None]
-                for i, j in enumerate(js):
-                    kernels[group[j]].append(vec[i, :k, branch[i]].T / np.sqrt(slope[i, branch[i]]))
-        for g, parts in kernels.items():
-            sv = np.linalg.svd(np.hstack(parts), compute_uv=False)
-            size[g] -= np.count_nonzero(sv > ND_TOL * max(1.0, sv[0] if sv.size else 0.0))
+                i, j = np.nonzero(branch)
+                cols.append(vec[i, :k, j] / np.sqrt(slope[i, j])[:, None])
+                labels.append(group[js[i]])
+        # The boundary values of each group's branches, in the order they
+        # were read, as the columns of one matrix: ranked in batches of
+        # groups with as many branches.
+        labels = np.concatenate(labels)
+        order = np.argsort(labels, kind="stable")
+        cols, labels = np.concatenate(cols)[order], labels[order]
+        g, begin, width = np.unique(labels, return_index=True, return_counts=True)
+        for ncols in np.flatnonzero(np.bincount(width)):
+            sel = width == ncols
+            sv = np.linalg.svd(np.swapaxes(cols[begin[sel, None] + np.arange(ncols)], 1, 2), compute_uv=False)
+            size[g[sel]] -= np.count_nonzero(sv > ND_TOL * np.maximum(1.0, sv[:, :1]), axis=1)
         size[~shared] = 0
     keep = size > 0
     values, size = values[keep], size[keep].astype(int)
@@ -837,12 +979,18 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
 def level_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
     """Level-n spectrum of (rho, b) under the requested boundary condition.
 
-    From the Schur chain (chain_spectrum) when the structure satisfies
-    hypothesis H and the lattice has at least CHAIN_MIN_VERTICES vertices;
-    otherwise level n is assembled and solved densely."""
-    if structure.hypothesis_h()[0] and num_vertices(structure, n) >= CHAIN_MIN_VERTICES:
-        return chain_spectrum(structure, rho, b, n, condition)
+    From the Schur chain (as chain_spectrum) when the structure satisfies
+    hypothesis H and the lattice has at least the crossover of the chain's
+    engine: LINE_MIN_VERTICES vertices where the step of (rho, b) keeps the
+    pencil plane (_pencil_line), CHAIN_MIN_VERTICES otherwise.  Below it
+    level n is assembled and solved densely."""
     q, b = _cell_data(structure, rho, b)
+    size = num_vertices(structure, n)
+    if structure.hypothesis_h()[0] and size >= LINE_MIN_VERTICES:
+        step = _chain_plan(structure)
+        line = _pencil_line(step, q, b)
+        if line is not None or size >= CHAIN_MIN_VERTICES:
+            return _chain_spectrum(structure, step, q, b, line, n, condition)
     q_n = assemble_q(structure, q, n).real
     b_n = assemble_measure(structure, b, n)
     boundary = build_lattice(structure, n).boundary
@@ -897,5 +1045,5 @@ def green_proxy(q_n, b_n, lam_grid, num_copies, level, eps=1e-6):
         raise ValueError(f"eps must be positive, got {eps!r}")
     lam = generalized_sym_eigvals(q_n, b_n)
     dist = np.hypot(np.asarray(lam_grid, dtype=float)[:, None] - lam[None, :], eps)
-    log_det = np.log(dist).sum(axis=1) + np.log(np.asarray(b_n, dtype=float)).sum()
+    log_det = np.log(dist).sum(axis=1) + np.log(np.real(b_n)).sum()
     return log_det / num_copies**level

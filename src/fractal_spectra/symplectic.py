@@ -275,13 +275,20 @@ def reduce_frame(l: LagrangianFrame, w: CoisotropicSubspace) -> LagrangianFrame:
     Total: defined at every L, including indeterminacy points of the
     rational extension (there the output is the distinguished value that
     continues the map along generic curves)."""
-    reduced = orthonormalize(w.proj @ l.columns @ _meet(l, w))
+    return reduce_with_defect(l, w)[0]
+
+
+def reduce_with_defect(l: LagrangianFrame, w: CoisotropicSubspace):
+    """(reduce_frame(l, w), reduction_defect(l, w)), both read from one
+    kernel L cap W."""
+    meet = _meet(l, w)
+    reduced = orthonormalize(w.proj @ l.columns @ meet)
     p = w.reduced_half_dim
     if reduced.shape[1] != p:
         raise ValueError(
             f"reduction produced rank {reduced.shape[1]}, expected {p}"
         )
-    return LagrangianFrame(reduced)
+    return LagrangianFrame(reduced), meet.shape[1] - p
 
 
 def reduction_defect(l: LagrangianFrame, w: CoisotropicSubspace):

@@ -23,6 +23,7 @@ from fractal_spectra.selfsim import (
 )
 from fractal_spectra.spectra import (
     CHAIN_MIN_VERTICES,
+    LINE_MIN_VERTICES,
     SpectrumReport,
     chain_spectrum,
     cluster_eigenvalues,
@@ -169,25 +170,32 @@ def test_weights_without_h_take_dense_path(triangle, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the chain needs hypothesis H")
 
-    monkeypatch.setattr(spectra, "chain_spectrum", refuse)
+    monkeypatch.setattr(spectra, "_chain_spectrum", refuse)
     assert num_vertices(st, 6) >= CHAIN_MIN_VERTICES
     rep = level_spectrum(st, triangle, np.ones(3), 6)
     assert rep.count == build_lattice(st, 6).num_vertices
 
 
 def test_level_spectrum_routes_by_size(gasket, triangle, monkeypatch):
+    # One crossover per engine: the gasket keeps the pencil plane and takes
+    # the chain from LINE_MIN_VERTICES, gamma_bar (a weak network) takes the
+    # matrix chain from CHAIN_MIN_VERTICES.
     calls = []
-    real = spectra.chain_spectrum
+    real = spectra._chain_spectrum
 
-    def spy(*args, **kwargs):
-        calls.append(args[3])
-        return real(*args, **kwargs)
+    def spy(structure, step, q, b, line, n, condition):
+        calls.append((structure, n))
+        return real(structure, step, q, b, line, n, condition)
 
-    monkeypatch.setattr(spectra, "chain_spectrum", spy)
-    assert num_vertices(gasket, 5) < CHAIN_MIN_VERTICES <= num_vertices(gasket, 6)
-    level_spectrum(gasket, triangle, np.ones(3), 5)
-    level_spectrum(gasket, triangle, np.ones(3), 6)
-    assert calls == [6]
+    monkeypatch.setattr(spectra, "_chain_spectrum", spy)
+    gbar = load_config("gamma_bar")
+    assert num_vertices(gasket, 4) < LINE_MIN_VERTICES <= num_vertices(gasket, 5)
+    assert num_vertices(gbar.structure, 5) < CHAIN_MIN_VERTICES <= num_vertices(gbar.structure, 6)
+    for n in (4, 5):
+        level_spectrum(gasket, triangle, np.ones(3), n)
+    for n in (5, 6):
+        level_spectrum(gbar.structure, gbar.network, gbar.measure, n)
+    assert calls == [(gasket, 5), (gbar.structure, 6)]
 
 
 def test_counts_on_interior_pole(gasket, triangle, engine):
@@ -312,9 +320,9 @@ def test_nd_read_out_keeps_few_directions(monkeypatch, engine):
     chain, glue = spectra._chain, LevelStep.glue
     reading, extra = [False], []
 
-    def chain_spy(plan, q, b, n, xs, tops=False, line=None):
+    def chain_spy(plan, q, b, n, xs, tops=False, **kwargs):
         reading[0] = tops
-        return chain(plan, q, b, n, xs, tops, line)
+        return chain(plan, q, b, n, xs, tops, **kwargs)
 
     def glue_spy(step, e, weak=True):
         if reading[0]:
@@ -336,6 +344,22 @@ def test_complex_rho_raises_on_both_paths():
     for n in (2, 6):
         real = level_spectrum(cfg.structure, q.real, cfg.measure, n)
         same = level_spectrum(cfg.structure, q.astype(complex), cfg.measure, n)
+        assert same.clusters == real.clusters
+
+
+def test_complex_weights_raise_on_both_paths():
+    cfg = load_config("sierpinski")
+    q = q_matrix(cfg.network).real
+    with pytest.raises(ValueError, match="imaginary"):
+        neumann_spectrum(q, np.ones(3) + 1j)
+    for n in (2, 7):  # the dense path, then the chain
+        with pytest.raises(ValueError, match="imaginary"):
+            level_spectrum(cfg.structure, q, cfg.measure + 1j, n)
+    with pytest.raises(ValueError, match="imaginary"):
+        spectra._cell_data(cfg.structure, q, cfg.measure + 1j)
+    for n in (2, 6):
+        real = level_spectrum(cfg.structure, q, cfg.measure, n)
+        same = level_spectrum(cfg.structure, q, cfg.measure.astype(complex), n)
         assert same.clusters == real.clusters
 
 
@@ -488,9 +512,9 @@ def count_passes(monkeypatch):
     of _chain (read-outs not included)."""
     real, passes = spectra._chain, []
 
-    def spy(plan, q, b, n, xs, tops=False, line=None):
+    def spy(plan, q, b, n, xs, tops=False, **kwargs):
         passes.extend([] if tops else [xs.size])
-        return real(plan, q, b, n, xs, tops, line)
+        return real(plan, q, b, n, xs, tops, **kwargs)
 
     monkeypatch.setattr(spectra, "_chain", spy)
     return passes
@@ -523,6 +547,38 @@ def test_missed_candidates_fall_back_to_bisection(name, n, monkeypatch):
     for cond in CONDITIONS:
         assert_same_lists(chain_spectrum(*args, cond), want[cond], width)
     assert len(passes) > 3 * 2
+
+
+def test_interval_counts_stay_on_the_line(monkeypatch):
+    # The interval's pole y = -1 is a critical point of its step, so a point
+    # near an eigenvalue on it moves the later pivots by the square of its
+    # distance; held in two parts, the line still decides their signs.  A
+    # Dirichlet pass reads no last-cell pivot and sends the matrix chain only
+    # the points unsure at an interior pivot; a Neumann pass sends at most
+    # the one bracket end that sits on an eigenvalue.
+    cfg, *_ = line_of("interval")
+    line_chain, chain = spectra._line_chain, spectra._chain
+    unsure, sent = [], []
+
+    def line_spy(*args):
+        out = line_chain(*args)
+        unsure.append((int(np.count_nonzero(out[2])), int(np.count_nonzero(out[2] | out[3]))))
+        return out
+
+    def chain_spy(plan, q, b, n, xs, tops=False, line=None, **kwargs):
+        if line is None and not tops:
+            sent.append(xs.size)
+        return chain(plan, q, b, n, xs, tops, line, **kwargs)
+
+    monkeypatch.setattr(spectra, "_line_chain", line_spy)
+    monkeypatch.setattr(spectra, "_chain", chain_spy)
+    for n in range(8, 13):
+        for cond, read in (("dirichlet", 0), ("neumann", 1)):
+            unsure.clear()
+            sent.clear()
+            chain_spectrum(cfg.structure, cfg.network, cfg.measure, n, cond)
+            assert sum(sent) == sum(u[read] for u in unsure)
+            assert sum(sent) <= (0 if cond == "dirichlet" else 1)
 
 
 def test_interval_closed_form():

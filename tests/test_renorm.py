@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fractal_spectra import symplectic
 from fractal_spectra.config import BUILTIN_NAMES, load_config
 from fractal_spectra.errors import NotEquivariant, SingularInterior
 from fractal_spectra.grassmann import exp_eta, pair, renorm_lift
@@ -160,6 +161,26 @@ def test_g_map_defects_on_weak_divisor(gbar):
         point = HomogeneousPoint(((0.37 + 0.21j, 1.0), (-z, 1.0)))
         _, defect = g_map(frame_from_pairs(point, CHART3), gbar)
         assert defect == want
+
+
+def test_g_map_takes_one_meet(gasket, gbar, monkeypatch):
+    # The reduced frame and the defect are read from one kernel L cap W, on
+    # a regular point and on points of the divisor alike.
+    calls = []
+    real = symplectic._meet
+
+    def spy(l, w):
+        calls.append(1)
+        return real(l, w)
+
+    monkeypatch.setattr(symplectic, "_meet", spy)
+    points = [(gasket, from_sym(1j * np.eye(3)), 0),
+              (gasket, frame_from_pairs(HomogeneousPoint(((0.4 + 0.2j, 1.0), (1.0, 0.0))), CHART3), 1),
+              (gbar, frame_from_pairs(HomogeneousPoint(((0.37 + 0.21j, 1.0), (-5.0, 1.0))), CHART3), 2)]
+    for st, frame, want in points:
+        calls.clear()
+        assert g_map(frame, st)[1] == want
+        assert len(calls) == 1
 
 
 def test_iterated_lift_orders_match_level2_nd(gasket, triangle, triangle_q):

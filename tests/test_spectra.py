@@ -180,6 +180,25 @@ def test_complex_q_raises_at_every_pencil_entry_point(gasket, triangle):
         assert call(q.astype(complex)).clusters == call(q).clusters
 
 
+def test_complex_weights_raise_at_every_pencil_entry_point(gasket, triangle):
+    q = assemble_network(gasket, triangle, 2).real
+    b = assemble_measure(gasket, np.ones(3), 2)
+    boundary = build_lattice(gasket, 2).boundary
+    calls = (
+        lambda w: neumann_spectrum(q, w),
+        lambda w: dirichlet_spectrum(q, w, boundary),
+        lambda w: nd_spectrum(q, w, boundary),
+        lambda w: green_proxy(q, w, [-1.0], 3, 2),
+        lambda w: generalized_sym_eig(q, w),
+        lambda w: generalized_sym_eigvals(q, w),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="imaginary"):
+            call(b + 1j)
+    for call in calls[:3]:
+        assert call(b.astype(complex)).clusters == call(b).clusters
+
+
 def test_green_proxy_finite_and_divergent(gasket, triangle):
     q1 = assemble_network(gasket, triangle, 1).real
     b1 = assemble_measure(gasket, np.ones(3), 1)
