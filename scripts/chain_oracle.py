@@ -11,10 +11,11 @@ chain counted on the pencil line or with cell matrices.  For every N-D
 cluster whose multiplicity differs, it also lists the singular values of
 the stacked matrix [Q + lam I_b ; boundary rows] over the largest one, so
 the near-zero directions the two paths count differently are visible.
-The exit status is 1 if anything raised, a Neumann or Dirichlet list
-differs, or a Neumann or Dirichlet value differs by more than 1e-10 of the
-width (the bound the tests hold the builtins to); N-D differences are
-reported only.
+The exit status is 1 if anything raised, a list differs under any of the
+three conditions, or a value differs by more than 1e-10 of the width (the
+bound the tests hold the builtins to).  Both paths rank N-D directions by
+one rule (spectra._boundary_ranks), so their N-D lists are held to each
+other like the Neumann and Dirichlet ones.
 
 The draw: structures take, in turn, the gluings of sierpinski,
 gamma_bar(1, 2) (with its weak network) and interval.  One
@@ -136,7 +137,7 @@ def main():
                     nd_diffs.append({"structure": i, "level": n, "clusters": nd_differences(
                         chain, dense["nd"], dense["neumann"], q_n, b_n, boundary)})
     exact = all(summary[c]["identical"] == summary[c]["compared"]
-                and summary[c]["worst_value_diff"] <= 1e-10 for c in ("neumann", "dirichlet"))
+                and summary[c]["worst_value_diff"] <= 1e-10 for c in CONDITIONS)
     for row in summary.values():
         row["worst_value_diff"] = float(f"{row['worst_value_diff']:.3g}")
     print(json.dumps({"seed": args.seed, "structures": args.structures, "levels": args.levels,

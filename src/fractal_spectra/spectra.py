@@ -5,7 +5,9 @@ measure b: eigenvalues solve (Q + lam I_b) f = 0.  Dirichlet restricts to
 functions vanishing on the boundary (interior principal submatrices);
 Neumann-Dirichlet eigenfunctions satisfy both conditions at once and are
 counted per eigenvalue by the dimension of the boundary-vanishing part of
-the Neumann eigenspace.
+the Neumann eigenspace: its size less the rank of the boundary values of
+its b-unit eigenfunctions, ranked by one rule (_boundary_ranks) on the
+dense path and on the chain.
 
 Above the crossover of the chain's engine (`LINE_MIN_VERTICES` on the
 pencil line, `CHAIN_MIN_VERTICES` otherwise), and when the structure
@@ -58,8 +60,9 @@ from .selfsim import (
 # Relative clustering width: eigenvalues this close (times spectral width)
 # count as one cluster, so multiplicities survive floating-point splits.
 CLUSTER_TOL = 1e-7
-# Neumann-Dirichlet threshold: a boundary singular value of an eigenspace
-# basis at most this fraction of the basis vectors' scale counts as zero.
+# Neumann-Dirichlet threshold: a singular value of the boundary values of a
+# cluster's b-unit eigenfunctions at most this fraction of max(1, the
+# largest) counts as zero (_boundary_ranks, on both paths).
 ND_TOL = 1e-8
 # nd_kernel_dimension: singular values <= this * the largest count as zero.
 KERNEL_ORACLE_TOL = 1e-7
@@ -201,38 +204,51 @@ def dirichlet_spectrum(q_n, b_n, boundary, level=0) -> SpectrumReport:
 
 def nd_spectrum(q_n, b_n, boundary, level=0, cluster_tol=CLUSTER_TOL) -> SpectrumReport:
     """Neumann-Dirichlet spectrum: per Neumann cluster, the dimension of
-    the boundary-vanishing subspace of the eigenspace.
+    the boundary-vanishing subspace of the eigenspace, its size less the
+    rank of its eigenvectors' boundary values (_boundary_ranks).  With no
+    boundary that is every Neumann cluster.
 
     Computed from eigenspace bases (well conditioned); the stacked-kernel
-    formulation is kept in the tests as an independent oracle.  The
-    boundary-evaluation block of a pure N-D cluster is entirely at noise
-    level, so its singular values are thresholded against the eigenvector
-    scale, not only against each other."""
+    formulation is kept in the tests as an independent oracle."""
     lam, vecs = generalized_sym_eig(q_n, b_n)
     return _nd_report(lam, vecs, boundary, level, cluster_tol)
 
 
 def _nd_report(lam, vecs, boundary, level=0, cluster_tol=CLUSTER_TOL) -> SpectrumReport:
     """nd_spectrum from the pencil's eigenpairs (lam ascending, vecs
-    b-orthonormal columns)."""
+    b-orthonormal columns), at the Neumann cluster means."""
     clusters = cluster_eigenvalues(lam, cluster_tol)
-    boundary = list(boundary)
-    out_values = []
-    out_clusters = []
-    pos = 0
-    for value, mult in clusters:
-        block = vecs[:, pos : pos + mult]
-        pos += mult
-        if not boundary:
-            dim = 0
-        else:
-            s = np.linalg.svd(block[boundary, :], compute_uv=False)
-            cut = ND_TOL * max(1.0, float(np.max(np.abs(block))), s[0] if s.size else 0.0)
-            dim = int(np.sum(s <= cut)) + max(0, mult - len(s))
-        if dim > 0:
-            out_clusters.append((value, dim))
-            out_values.extend([value] * dim)
-    return SpectrumReport(level, "nd", np.array(out_values), out_clusters)
+    values, mult = np.array([v for v, _ in clusters]), np.array([m for _, m in clusters], dtype=np.int64)
+    ranks = _boundary_ranks(vecs[list(boundary)].T, np.repeat(np.arange(mult.size), mult), mult.size)
+    return _report(level, "nd", values, mult - ranks)
+
+
+def _boundary_ranks(rows, labels, count):
+    """The rank of each of `count` clusters' boundary values, the one
+    Neumann-Dirichlet rank rule of the dense path and the chain.  Row i of
+    `rows` holds the boundary values of a b-unit eigenfunction of cluster
+    labels[i]; each cluster's rows, in the order given, are the columns of
+    one matrix, ranked in batches of clusters with as many rows.  A singular
+    value counts where it exceeds ND_TOL max(1, the largest): a cut that
+    needs no interior entry, which the chain never forms."""
+    ranks = np.zeros(count, dtype=np.int64)
+    order = np.argsort(labels, kind="stable")
+    rows, labels = rows[order], labels[order]
+    g, begin, width = np.unique(labels, return_index=True, return_counts=True)
+    for ncols in np.flatnonzero(np.bincount(width)):
+        sel = width == ncols
+        sv = np.linalg.svd(np.swapaxes(rows[begin[sel, None] + np.arange(ncols)], 1, 2), compute_uv=False)
+        ranks[g[sel]] = np.count_nonzero(sv > ND_TOL * np.maximum(1.0, sv[:, :1]), axis=1)
+    return ranks
+
+
+def _report(level, condition, values, mult) -> SpectrumReport:
+    """The SpectrumReport of distinct values with multiplicities, those of
+    multiplicity 0 dropped."""
+    keep = mult > 0
+    values, mult = values[keep], mult[keep].astype(int)
+    clusters = [(float(v), int(m)) for v, m in zip(values, mult)]
+    return SpectrumReport(level, condition, np.repeat(values, mult), clusters)
 
 
 def nd_kernel_dimension(q_n, b_n, boundary, lam):
@@ -822,15 +838,16 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
     counts decide which hold eigenvalues, and the rest is bisected.  A
     point on a pole of the trace map is read where it is, as the limit from
     above (PIVOT_TOL), so every point gives a count and every bracket
-    shrinks.  Neumann-Dirichlet multiplicities come from
-    the last cell matrix E at each eigenvalue: the level-n matrix is
-    congruent to E plus eliminated directions that are nonsingular there,
-    with the boundary values unchanged, so each Neumann cluster is the
-    eliminated directions that cross zero (which vanish on the boundary)
-    plus the kernel of E, and the Neumann-Dirichlet part is the cluster
-    size less the rank of the kernel's boundary values (ND_TOL, as in
-    nd_spectrum), read from the eigenpairs of E that gave the pass its
-    counts."""
+    shrinks.  Neumann-Dirichlet multiplicities come from the last cell
+    matrix E at each eigenvalue: the level-n matrix is congruent to E plus
+    eliminated directions that are nonsingular there, with the boundary
+    values unchanged, so each Neumann cluster is the eliminated directions
+    that cross zero (which vanish on the boundary) plus the kernel of E,
+    and the Neumann-Dirichlet part is the cluster size less the rank of the
+    kernel's boundary values (_boundary_ranks, the rule of nd_spectrum),
+    read from the eigenpairs of E that gave the pass its counts."""
+    if condition not in ("neumann", "dirichlet", "nd"):
+        raise ValueError(f"unknown condition {condition!r}")
     step = _chain_plan(structure)
     q, b = _cell_data(structure, rho, b)
     return _chain_spectrum(structure, step, q, b, _pencil_line(step, q, b), n, condition)
@@ -838,13 +855,12 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
 
 def _chain_spectrum(structure, step, q, b, line, n, condition):
     """chain_spectrum from the structure's LevelStep, the checked cell form
-    and measure, and their _PencilLine (None off the plane)."""
-    if condition not in ("neumann", "dirichlet", "nd"):
-        raise ValueError(f"unknown condition {condition!r}")
+    and measure, and their _PencilLine (None off the plane), for a known
+    condition."""
     col = 0 if condition == "dirichlet" else 1
     total = num_vertices(structure, n) - (step.cell_size if col == 0 else 0)
     if total == 0:
-        return SpectrumReport(n, condition, np.zeros(0), [])
+        return _report(n, condition, np.zeros(0), np.zeros(0))
 
     def count(xs):
         return _chain(step, q, b, n, np.asarray(xs, dtype=float), line=line, neumann=col == 1)
@@ -932,15 +948,15 @@ def _chain_spectrum(structure, step, q, b, line, n, condition):
     values = np.bincount(group, values * mult) / size
     if condition == "nd":
         # Boundary values of the kernel of the last cell matrix E at each
-        # distinct eigenvalue, ranked over each whole group, as nd_spectrum
-        # takes the boundary-vanishing part of each whole cluster.  E is
-        # read at the upper end b of the eigenvalue's bracket (a, b], where
-        # the counts were taken (on a pole, at b + 0 as they were).  A
-        # kernel branch is an eigenvalue w of E with slope s = y^T E' y > 0
-        # that reaches 0 in the bracket (widened by its width on each side,
-        # as the counts and E can disagree by rounding); the eigenfunction
-        # its eigenvector y extends to has |f|_b^2 = s, which scales y to
-        # unit b-norm.
+        # distinct eigenvalue, ranked over each whole group by
+        # _boundary_ranks, the rule nd_spectrum applies to each whole dense
+        # cluster.  E is read at the upper end b of the eigenvalue's bracket
+        # (a, b], where the counts were taken (on a pole, at b + 0 as they
+        # were).  A kernel branch is an eigenvalue w of E with slope
+        # s = y^T E' y > 0 that reaches 0 in the bracket (widened by its
+        # width on each side, as the counts and E can disagree by rounding);
+        # the eigenfunction its eigenvector y extends to has |f|_b^2 = s,
+        # which scales y to unit b-norm.
         # A Neumann-Dirichlet eigenfunction is also a Dirichlet one, so only
         # groups whose span holds a Dirichlet eigenvalue are read; the
         # others have none.
@@ -949,31 +965,18 @@ def _chain_spectrum(structure, step, q, b, line, n, condition):
         last = np.concatenate([first[1:], [group.size]]) - 1
         shared = ca[first, 0] > cb[last, 0]
         read = np.flatnonzero(shared[group])
-        cols, labels = [np.zeros((0, k))], [np.zeros(0, dtype=np.int64)]
+        rows, labels = [np.zeros((0, k))], [np.zeros(0, dtype=np.int64)]
         if read.size:
             a, bb, group = a[read], bb[read], group[read]
             for js, w, vec, slope in _chain(step, q, b, n, bb, tops=True)[2]:
                 cross = bb[js, None] - np.divide(w, slope, out=np.full_like(w, np.inf), where=slope > 0)
                 branch = np.abs(cross - 0.5 * (a + bb)[js, None]) <= 1.5 * (bb - a)[js, None]
                 i, j = np.nonzero(branch)
-                cols.append(vec[i, :k, j] / np.sqrt(slope[i, j])[:, None])
+                rows.append(vec[i, :k, j] / np.sqrt(slope[i, j])[:, None])
                 labels.append(group[js[i]])
-        # The boundary values of each group's branches, in the order they
-        # were read, as the columns of one matrix: ranked in batches of
-        # groups with as many branches.
-        labels = np.concatenate(labels)
-        order = np.argsort(labels, kind="stable")
-        cols, labels = np.concatenate(cols)[order], labels[order]
-        g, begin, width = np.unique(labels, return_index=True, return_counts=True)
-        for ncols in np.flatnonzero(np.bincount(width)):
-            sel = width == ncols
-            sv = np.linalg.svd(np.swapaxes(cols[begin[sel, None] + np.arange(ncols)], 1, 2), compute_uv=False)
-            size[g[sel]] -= np.count_nonzero(sv > ND_TOL * np.maximum(1.0, sv[:, :1]), axis=1)
+        size -= _boundary_ranks(np.concatenate(rows), np.concatenate(labels), size.size)
         size[~shared] = 0
-    keep = size > 0
-    values, size = values[keep], size[keep].astype(int)
-    clusters = [(float(val), int(m)) for val, m in zip(values, size)]
-    return SpectrumReport(n, condition, np.repeat(values, size), clusters)
+    return _report(n, condition, values, size)
 
 
 def level_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
@@ -983,7 +986,10 @@ def level_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
     hypothesis H and the lattice has at least the crossover of the chain's
     engine: LINE_MIN_VERTICES vertices where the step of (rho, b) keeps the
     pencil plane (_pencil_line), CHAIN_MIN_VERTICES otherwise.  Below it
-    level n is assembled and solved densely."""
+    level n is assembled and solved densely.  An unknown condition raises
+    before either path starts."""
+    if condition not in ("neumann", "dirichlet", "nd"):
+        raise ValueError(f"unknown condition {condition!r}")
     q, b = _cell_data(structure, rho, b)
     size = num_vertices(structure, n)
     if structure.hypothesis_h()[0] and size >= LINE_MIN_VERTICES:
@@ -998,9 +1004,7 @@ def level_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
         return neumann_spectrum(q_n, b_n, n)
     if condition == "dirichlet":
         return dirichlet_spectrum(q_n, b_n, boundary, n)
-    if condition == "nd":
-        return nd_spectrum(q_n, b_n, boundary, n)
-    raise ValueError(f"unknown condition {condition!r}")
+    return nd_spectrum(q_n, b_n, boundary, n)
 
 
 def dos_histogram(reports, num_copies, bins, lo=None, hi=None):

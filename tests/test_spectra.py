@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fractal_spectra import spectra
 from fractal_spectra.linalg import generalized_sym_eig, generalized_sym_eigvals
 from fractal_spectra.network import q_matrix
 from fractal_spectra.selfsim import assemble_measure, assemble_network, build_lattice
@@ -69,6 +70,29 @@ def test_nd_level1_matches_stacked_kernel(gasket, gbar, triangle):
         neu = neumann_spectrum(q1, b1)
         for value, _ in neu.clusters:
             assert rep.multiplicity_at(value) == nd_kernel_dimension(q1, b1, bnd, value)
+
+
+def test_nd_without_boundary_is_neumann(gasket, triangle):
+    # With no boundary every Neumann eigenfunction vanishes on it, as the
+    # stacked-kernel oracle says; the level-2 gasket has degenerate clusters.
+    q2 = assemble_network(gasket, triangle, 2).real
+    b2 = assemble_measure(gasket, np.ones(3), 2)
+    rep = nd_spectrum(q2, b2, [], 2)
+    neu = neumann_spectrum(q2, b2, 2)
+    assert [m for _, m in rep.clusters] == [m for _, m in neu.clusters]
+    assert np.allclose([v for v, _ in rep.clusters], [v for v, _ in neu.clusters], atol=1e-12)
+    for value, mult in neu.clusters:
+        assert rep.multiplicity_at(value) == nd_kernel_dimension(q2, b2, [], value) == mult
+
+
+def test_unknown_condition_raises_before_assembly(gasket, triangle, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled level n for an unknown condition")
+
+    monkeypatch.setattr(spectra, "assemble_q", refuse)
+    for n in (2, 7):  # dense and chain levels
+        with pytest.raises(ValueError, match="unknown condition"):
+            level_spectrum(gasket, triangle, np.ones(3), n, "robin")
 
 
 def test_nd_replication_inequality(gasket, triangle):
