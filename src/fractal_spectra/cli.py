@@ -51,19 +51,24 @@ def cmd_spectrum(args):
 
 
 def cmd_dos(args):
-    cfg = load_config(args.config)
-    reports = [
-        level_spectrum(cfg.structure, cfg.network, cfg.measure, args.level, "neumann")
-    ]
-    edges, masses = dos_histogram(reports, cfg.structure.num_copies, args.bins)
-    # The proxy is computed before anything is written, so a bad grid or eps
-    # exits without partial output.
+    # The bins, grid and eps are checked before the level-n spectrum or form
+    # is built, and the proxy is computed before anything is written.
+    if args.bins < 1:
+        raise ValueError("need at least one bin")
     if args.green:
         try:
             lo, hi, count = args.green.split(":")
             grid = np.linspace(float(lo), float(hi), int(count))
         except ValueError:
             raise ConfigError("--green expects lo:hi:count")
+        if not args.eps > 0:
+            raise ValueError(f"eps must be positive, got {args.eps!r}")
+    cfg = load_config(args.config)
+    reports = [
+        level_spectrum(cfg.structure, cfg.network, cfg.measure, args.level, "neumann")
+    ]
+    edges, masses = dos_histogram(reports, cfg.structure.num_copies, args.bins)
+    if args.green:
         q_n = assemble_network(cfg.structure, cfg.network, args.level).real
         b_n = assemble_measure(cfg.structure, cfg.measure, args.level)
         vals = green_proxy(

@@ -25,15 +25,15 @@ stays alpha q + beta D and a step is a rational map of the pair
 (alpha, beta): the count passes carry two numbers per point (the line
 engine, _line_chain).  There the eigenvalues are also known in advance:
 each is a preimage, under n steps of y = beta / alpha, of a pole or of a
-zero of the step (_line_candidates), so one count pass at candidate
-+- resolution certifies them all, and bisection only finds what no
-candidate catches.  Near a pole where the step is critical the line also
-holds each point in two parts, a pole's orbit and a small offset, so the
-signs it needs there survive rounding.  Weak networks (whose step is not
-homogeneous) and conductances that leave the plane take the matrix chain,
-which carries a stack of cell matrices; it also reads the
-Neumann-Dirichlet multiplicities, and it takes the rare points whose signs
-the line still cannot resolve.
+zero of the step (_line_candidates), so one count pass, at the bracket's
+ends and at each candidate +- resolution, certifies them all, and
+bisection only finds what no candidate catches.  Near a pole where the
+step is critical the line also holds each point in two parts, a pole's
+orbit and a small offset, so the signs it needs there survive rounding.
+Weak networks (whose step is not homogeneous) and conductances that
+leave the plane take the matrix chain, which carries a stack of cell
+matrices; it also reads the Neumann-Dirichlet multiplicities, and it
+takes the rare points whose signs the line still cannot resolve.
 
 Sign convention: Q in the network cone gives nonpositive spectra
 (report with flipped sign for Laplacian-style output via the CLI flag).
@@ -115,24 +115,26 @@ VANISH_TOL = 1e-8
 MERGE_TOL = 1e-12
 # Crossovers: the chain takes over from the dense eigensolve at this many
 # level-n vertices, one rule per engine.  Milliseconds on a 2-core host,
-# one thread, best-median of five runs alternating chain and dense in one
-# session, chain / dense, for Neumann, Dirichlet and Neumann-Dirichlet
+# one thread, chain / dense, for Neumann, Dirichlet and Neumann-Dirichlet
 # (same multiplicity lists, values within 1e-12 of the width, everywhere).
 #
-# With cell matrices (the matrix chain), three runs:
+# With cell matrices (the matrix chain), best-median of five runs
+# alternating chain and dense in one session, three runs:
 #   gamma_bar L5 (729)    121-129 / 44       110-160 / 45-53      137-142 / 71-82
 #   gamma_bar L6 (2187)   229-263 / 1023-1031  229-257 / 1033-1100  288-328 / 1715-1728
 CHAIN_MIN_VERTICES = 1050
-# On the pencil line (_line_chain):
-#   sierpinski L3 (42)    2.3-2.4 / 0.5      2.2 / 0.6            5.0 / 0.9
-#   sierpinski L4 (123)   2.8 / 1.2-1.3      2.7 / 1.3            7.3 / 2.2
-#   sierpinski L5 (366)   3.4 / 8.7-8.9      3.3 / 10.0-10.1      10.0 / 14.1
-#   sierpinski L6 (1095)  3.4-3.7 / 127-133  3.3-3.4 / 134-138    11.0-11.3 / 209-213
-#   interval L7 (129)     7.2-7.3 / 1.6-1.7  5.1 / 1.7-1.8        12.1-12.3 / 4.3-4.4
-#   interval L8 (257)     8.8-8.9 / 4.5-4.6  6.4-6.6 / 4.8-4.9    14.9-15.7 / 11.5-11.6
-#   interval L9 (513)     10.8-11.0 / 18.0-18.1  8.2-8.4 / 19.6   20.0-20.3 / 41-42
-#   interval L10 (1025)   16.2-16.7 / 116-118    13.2-15.4 / 140-142  32-40 / 255-275
-# The line loses at 257 vertices and wins from 366 on.
+# On the pencil line (_line_chain), one count pass per spectrum: median of
+# five runs alternating chain and dense, range over three sessions:
+#   sierpinski L3 (42)    1.6-2.7 / 0.4-0.7  1.4-2.6 / 0.4-0.8    3.8-6.9 / 0.7-1.3
+#   sierpinski L4 (123)   1.9-3.2 / 1.0-1.6  1.8-3.0 / 1.0-1.7    5.5-10.4 / 1.7-2.8
+#   sierpinski L5 (366)   2.3-4.1 / 8.1-12   2.2-3.7 / 9.0-13     7.8-8.4 / 12
+#   sierpinski L6 (1095)  3.3-4.4 / 132-147  3.0-4.8 / 139-189    12-17 / 231-251
+#   interval L7 (129)     4.0-6.8 / 1.7-2.7  3.8-6.5 / 1.8-2.8    9.0-16 / 2.5-4.2
+#   interval L8 (257)     5.0-8.7 / 4.7-6.5  5.3-8.6 / 5.1-7.1    12-19 / 7.6-11
+#   interval L9 (513)     6.8-7.4 / 18-19    6.9-7.3 / 19-20      18-29 / 35-47
+#   interval L10 (1025)   13-18 / 121-140    14-17 / 145-164      28-39 / 224-254
+# The line still loses at 257 vertices (N-D by about 1.5x; Neumann and
+# Dirichlet about even) and wins from 366 on.
 LINE_MIN_VERTICES = 300
 
 
@@ -176,12 +178,13 @@ def _cluster_ids(values, tol):
     return np.concatenate([[0], np.cumsum(np.diff(values) > gap)])
 
 
-def cluster_eigenvalues(values, tol=CLUSTER_TOL):
-    """Group an ascending eigenvalue list into (mean, multiplicity) runs."""
+def cluster_eigenvalues(values):
+    """Group an ascending eigenvalue list into (mean, multiplicity) runs at
+    gaps wider than CLUSTER_TOL times its width."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return []
-    ends = np.flatnonzero(np.diff(_cluster_ids(values, tol))) + 1
+    ends = np.flatnonzero(np.diff(_cluster_ids(values, CLUSTER_TOL))) + 1
     return [(float(chunk.mean()), len(chunk)) for chunk in np.split(values, ends)]
 
 
@@ -202,7 +205,7 @@ def dirichlet_spectrum(q_n, b_n, boundary, level=0) -> SpectrumReport:
     return SpectrumReport(level, "dirichlet", lam, cluster_eigenvalues(lam))
 
 
-def nd_spectrum(q_n, b_n, boundary, level=0, cluster_tol=CLUSTER_TOL) -> SpectrumReport:
+def nd_spectrum(q_n, b_n, boundary, level=0) -> SpectrumReport:
     """Neumann-Dirichlet spectrum: per Neumann cluster, the dimension of
     the boundary-vanishing subspace of the eigenspace, its size less the
     rank of its eigenvectors' boundary values (_boundary_ranks).  With no
@@ -211,13 +214,13 @@ def nd_spectrum(q_n, b_n, boundary, level=0, cluster_tol=CLUSTER_TOL) -> Spectru
     Computed from eigenspace bases (well conditioned); the stacked-kernel
     formulation is kept in the tests as an independent oracle."""
     lam, vecs = generalized_sym_eig(q_n, b_n)
-    return _nd_report(lam, vecs, boundary, level, cluster_tol)
+    return _nd_report(lam, vecs, boundary, level)
 
 
-def _nd_report(lam, vecs, boundary, level=0, cluster_tol=CLUSTER_TOL) -> SpectrumReport:
+def _nd_report(lam, vecs, boundary, level=0) -> SpectrumReport:
     """nd_spectrum from the pencil's eigenpairs (lam ascending, vecs
     b-orthonormal columns), at the Neumann cluster means."""
-    clusters = cluster_eigenvalues(lam, cluster_tol)
+    clusters = cluster_eigenvalues(lam)
     values, mult = np.array([v for v, _ in clusters]), np.array([m for _, m in clusters], dtype=np.int64)
     ranks = _boundary_ranks(vecs[list(boundary)].T, np.repeat(np.arange(mult.size), mult), mult.size)
     return _report(level, "nd", values, mult - ranks)
@@ -636,9 +639,13 @@ def _line_chain(step, line, n, xs):
     and a later pivot that vanishes on that residue inherits it, so a point
     is unsure where a pivot alpha nu + beta (or alpha mu + beta at the last
     cell) is within PIVOT_TOL (1 + err) of zero, on the scale |(nu, 1)|.
-    The derivative (da, db) in x is taken relative to the pair's scale, so
-    sums of d/dx log|alpha nu + beta| over it are those of the unscaled
-    matrices.
+    `err` estimates the rounding and does not bound it at the last few
+    ulps: on the pair alone (the gasket, which has no critical pole) a
+    count it leaves sure can differ from the matrix chain's at points
+    1e-14 or 1e-15 of the width from an eigenvalue, below BISECT_TOL, which
+    the bisection tolerates.  The derivative (da, db) in x is taken
+    relative to the pair's scale, so sums of d/dx log|alpha nu + beta| over
+    it are those of the unscaled matrices.
 
     Near a critical pole of the step (_PencilLine.critical, where R' = 0)
     the pair loses what a later pivot needs: on the interval the pole
@@ -766,7 +773,8 @@ def _chain(step, q, b, n, xs, tops=False, line=None, neumann=True):
     assembles and eliminates a stack of cell matrices.  Without `neumann`
     the caller reads no Neumann count or rate, so a point the line leaves
     unsure only at the last cell keeps its line counts, and its Neumann
-    column is void.
+    column is void: the interval's Dirichlet bracket ends at -2, a Neumann
+    eigenvalue, and stays on the line.
 
     Returns (counts, rates, pairs): counts[:, 0] is the Dirichlet count
     #{lam > x}, counts[:, 1] the Neumann count and counts[:, 2] the part of
@@ -834,11 +842,11 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
     when _pencil_line finds the step of (rho, b) on the pencil plane with
     no weak network, and from the matrix chain otherwise; both give the
     same counts, and the read-out below always uses the matrix chain.  On
-    the line, the first round cuts at the candidates of _line_candidates:
-    counts decide which hold eigenvalues, and the rest is bisected.  A
-    point on a pole of the trace map is read where it is, as the limit from
-    above (PIVOT_TOL), so every point gives a count and every bracket
-    shrinks.  Neumann-Dirichlet multiplicities come from the last cell
+    the line, the pass that counts the bracket's ends also counts at the
+    candidates of _line_candidates: that one pass decides which hold
+    eigenvalues, and the rest is bisected.  A point on a pole of the trace
+    map is read where it is, as the limit from above (PIVOT_TOL), so every
+    point gives a count and every bracket shrinks.  Neumann-Dirichlet multiplicities come from the last cell
     matrix E at each eigenvalue: the level-n matrix is congruent to E plus
     eliminated directions that are nonsingular there, with the boundary
     values unchanged, so each Neumann cluster is the eliminated directions
@@ -865,21 +873,27 @@ def _chain_spectrum(structure, step, q, b, line, n, condition):
     def count(xs):
         return _chain(step, q, b, n, np.asarray(xs, dtype=float), line=line, neumann=col == 1)
 
-    # Bracket the spectrum, starting from the cell's Gershgorin scale.
+    # One pass counts the bracket's ends and, on the pencil line, tol / 4
+    # either side of each candidate (_line_candidates), merged where closer
+    # than tol / 2: the parts with no jump drop, and those around a
+    # candidate finish.  The bracket starts from the cell's Gershgorin
+    # scale, which also sets tol, and reaches out to every cut; an end
+    # whose count fails is doubled and the pass repeated.
     span = float(np.max(np.abs(q).sum(axis=1) / b)) * step.gamma**n or 1.0
+    y = _line_candidates(line, n, col == 1) * step.gamma**n if line is not None else np.zeros(0)
     lo, hi = -span, span
     for _ in range(64):
         tol = BISECT_TOL * (hi - lo)
-        ends, rates, _ = count([lo, hi])
-        if ends[0, col] == total and ends[1, col] == 0:
+        cuts = _merge_runs(y, 0.5 * tol)[:, None] + 0.25 * tol * np.array([-1.0, 1.0])
+        x = np.concatenate([[lo], cuts.ravel(), [hi]])
+        x[[0, -1]] = x.min(), x.max()
+        cx, rx, _ = count(x)
+        if cx[0, col] == total and cx[-1, col] == 0:
             break
-        lo, hi = (lo if ends[0, col] == total else 2 * lo), (hi if ends[1, col] == 0 else 2 * hi)
+        lo, hi = (lo if cx[0, col] == total else 2 * lo), (hi if cx[-1, col] == 0 else 2 * hi)
     else:
         raise SingularInterior("could not bracket the spectrum")
-    # On the pencil line the first round cuts (lo, hi] tol / 4 either side
-    # of each candidate (_line_candidates), merged where closer than tol / 2:
-    # the parts with no jump drop, and those around a candidate finish.
-    # Every other round cuts every open interval (a, b], with count jump m
+    # Every later round cuts every open interval (a, b], with count jump m
     # across it.  Where the Newton steps x - m / rate(x) from both ends
     # agree to a quarter of the interval (rate = d/dx log|det|, about
     # m / (x - lam) near a cluster of m eigenvalues at lam), or m is 1, it
@@ -887,50 +901,39 @@ def _chain_spectrum(structure, step, q, b, line, n, condition):
     # agree it is also halved, unless it already halved in the last round;
     # elsewhere it is cut into min(m + 1, 16) equal parts.  The parts that
     # hold eigenvalues stay open until narrower than tol.
-    a, bb, ca, cb = np.array([lo]), np.array([hi]), ends[:1], ends[1:]
-    ra, rb = rates[:1, col], rates[1:, col]
-    last = np.array([np.inf])  # each interval's width a round earlier
+    x, cx, rx = x[None], cx[None], rx[None, :, col]
+    a, bb = np.array([-np.inf]), np.array([np.inf])  # the round before the first: the whole line
     done = []
-    seeded = None  # the candidates' cuts, used by the first round
-    if line is not None:
-        y = _line_candidates(line, n, col == 1) * step.gamma**n
-        y = _merge_runs(y[(y > lo) & (y < hi)], 0.5 * tol)
-        x = (y[:, None] + 0.25 * tol * np.array([-1.0, 1.0])).ravel()
-        x = x[(x > lo) & (x < hi)]
-        seeded = np.concatenate([[lo], x, [hi]])[None] if x.size else None
-    while a.size:
+    while True:
+        i, j = np.nonzero(cx[:, :-1, col] > cx[:, 1:, col])
+        last = (bb - a)[i]  # each interval's width a round earlier
+        a, bb, ca, cb, ra, rb = x[i, j], x[i, j + 1], cx[i, j], cx[i, j + 1], rx[i, j], rx[i, j + 1]
         fin = bb - a <= tol
         done.append((a[fin], bb[fin], ca[fin], cb[fin]))
         a, bb, ca, cb, ra, rb, last = (v[~fin] for v in (a, bb, ca, cb, ra, rb, last))
         if not a.size:
             break
-        if seeded is not None:
-            x, seeded = seeded, None
-        else:
-            m = ca[:, col] - cb[:, col]
-            r = np.column_stack([ra, rb])
-            shift = np.divide(m[:, None], r, out=np.full_like(r, np.inf), where=r != 0)
-            target = np.column_stack([a, bb]) - shift
-            newton = np.where(np.abs(shift[:, 0]) < np.abs(shift[:, 1]), target[:, 0], target[:, 1])
-            newton = newton[:, None] + 0.25 * tol * np.array([-1.0, 1.0])
-            newton[(newton <= a[:, None]) | (newton >= bb[:, None])] = np.nan
-            agree = np.abs(target[:, 0] - target[:, 1]) <= 0.25 * (bb - a)
-            halving = (bb - a <= 0.5 * last) & np.isfinite(newton).any(axis=1)
-            parts = np.where(agree, np.where(halving, 1, 2), np.clip(m + 1, 2, 16))
-            cuts = np.arange(1, 16) / parts[:, None]
-            x = np.column_stack([a[:, None] + (bb - a)[:, None] * np.where(cuts < 1, cuts, np.nan),
-                                 np.where((agree | (m == 1))[:, None], newton, np.nan)])
-            x = np.column_stack([a, np.sort(x, axis=1), bb])  # unused points (nan) sort last
-            x[np.isnan(x)] = np.broadcast_to(bb[:, None], x.shape)[np.isnan(x)]
+        m = ca[:, col] - cb[:, col]
+        r = np.column_stack([ra, rb])
+        shift = np.divide(m[:, None], r, out=np.full_like(r, np.inf), where=r != 0)
+        target = np.column_stack([a, bb]) - shift
+        newton = np.where(np.abs(shift[:, 0]) < np.abs(shift[:, 1]), target[:, 0], target[:, 1])
+        newton = newton[:, None] + 0.25 * tol * np.array([-1.0, 1.0])
+        newton[(newton <= a[:, None]) | (newton >= bb[:, None])] = np.nan
+        agree = np.abs(target[:, 0] - target[:, 1]) <= 0.25 * (bb - a)
+        halving = (bb - a <= 0.5 * last) & np.isfinite(newton).any(axis=1)
+        parts = np.where(agree, np.where(halving, 1, 2), np.clip(m + 1, 2, 16))
+        cuts = np.arange(1, 16) / parts[:, None]
+        x = np.column_stack([a[:, None] + (bb - a)[:, None] * np.where(cuts < 1, cuts, np.nan),
+                             np.where((agree | (m == 1))[:, None], newton, np.nan)])
+        x = np.column_stack([a, np.sort(x, axis=1), bb])  # unused points (nan) sort last
+        x[np.isnan(x)] = np.broadcast_to(bb[:, None], x.shape)[np.isnan(x)]
         inner = x[:, 1:-1] < bb[:, None]
         cs, rs, _ = count(x[:, 1:-1][inner])
         cx = np.broadcast_to(cb[:, None], (a.size, x.shape[1], 3)).copy()
         rx = np.broadcast_to(rb[:, None], x.shape).copy()
         cx[:, 0], rx[:, 0] = ca, ra
         cx[:, 1:-1][inner], rx[:, 1:-1][inner] = cs, rs[:, col]
-        i, j = np.nonzero(cx[:, :-1, col] > cx[:, 1:, col])
-        last = (bb - a)[i]
-        a, bb, ca, cb, ra, rb = x[i, j], x[i, j + 1], cx[i, j], cx[i, j + 1], rx[i, j], rx[i, j + 1]
     a, bb, ca, cb = (np.concatenate(parts) for parts in zip(*done))
     order = np.argsort(a)
     a, bb, ca, cb = a[order], bb[order], ca[order], cb[order]

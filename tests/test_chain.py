@@ -520,17 +520,19 @@ def count_passes(monkeypatch):
     return passes
 
 
-@pytest.mark.parametrize("n", [6, 10])
+@pytest.mark.parametrize("n", [6, 10, 12])
 def test_candidates_certify_in_one_pass(n, monkeypatch):
-    # Backward iteration of the Sierpinski step map y -> y (2y + 5) gives
-    # every eigenvalue: one pass brackets the spectrum and one counts at
-    # each candidate +- tol / 4, which finishes every bracket.
-    cfg, *_ = line_of("sierpinski")
+    # Backward iteration of the step map (y -> y (2y + 5) on the Sierpinski
+    # gasket) gives every eigenvalue: one pass counts the bracket's ends and
+    # each candidate +- tol / 4, which finishes every bracket, and no point
+    # goes to the matrix chain.
     passes = count_passes(monkeypatch)
-    for cond in CONDITIONS:
-        passes.clear()
-        chain_spectrum(cfg.structure, cfg.network, cfg.measure, n, cond)
-        assert len(passes) == 2
+    for name in {6: ["sierpinski"], 10: ["sierpinski", "interval"], 12: ["interval"]}[n]:
+        cfg, *_ = line_of(name)
+        for cond in CONDITIONS:
+            passes.clear()
+            chain_spectrum(cfg.structure, cfg.network, cfg.measure, n, cond)
+            assert len(passes) == 1
 
 
 @pytest.mark.parametrize("name,n", [("sierpinski", 7), ("interval", 10)])
@@ -554,8 +556,9 @@ def test_interval_counts_stay_on_the_line(monkeypatch):
     # near an eigenvalue on it moves the later pivots by the square of its
     # distance; held in two parts, the line still decides their signs.  A
     # Dirichlet pass reads no last-cell pivot and sends the matrix chain only
-    # the points unsure at an interior pivot; a Neumann pass sends at most
-    # the one bracket end that sits on an eigenvalue.
+    # the points unsure at an interior pivot.  A Neumann pass sends none
+    # either: its bracket reaches out to the cuts around the lowest
+    # eigenvalue -2, so no end sits on an eigenvalue.
     cfg, *_ = line_of("interval")
     line_chain, chain = spectra._line_chain, spectra._chain
     unsure, sent = [], []
@@ -578,7 +581,7 @@ def test_interval_counts_stay_on_the_line(monkeypatch):
             sent.clear()
             chain_spectrum(cfg.structure, cfg.network, cfg.measure, n, cond)
             assert sum(sent) == sum(u[read] for u in unsure)
-            assert sum(sent) <= (0 if cond == "dirichlet" else 1)
+            assert sum(sent) == 0
 
 
 def test_interval_closed_form():

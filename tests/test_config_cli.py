@@ -199,6 +199,23 @@ def test_dos_green_zero_eps(capsys):
     assert out.out == ""
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--bins", "0"], "need at least one bin"),
+    (["--bins", "4", "--green=bad"], "lo:hi:count"),
+    (["--bins", "4", "--green=-2:0:2", "--eps", "0"], "eps must be positive"),
+], ids=["bins", "grid", "eps"])
+def test_dos_checks_input_before_the_spectrum(flags, message, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built level n before checking the input")
+
+    monkeypatch.setattr(cli, "level_spectrum", refuse)
+    monkeypatch.setattr(cli, "assemble_network", refuse)
+    assert cli.main(["dos", "--config", "sierpinski", "--level", "7", *flags]) == 2
+    out = capsys.readouterr()
+    assert message in out.err
+    assert out.out == ""
+
+
 def _sierpinski_raw(change):
     raw = json.loads(dump_config(load_config("sierpinski")))
     change(raw)

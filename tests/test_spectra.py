@@ -108,14 +108,16 @@ def test_nd_replication_inequality(gasket, triangle):
             assert rep_n1.multiplicity_at(value) >= 3 * mult
 
 
-def test_cluster_tolerance_soundness(gasket, triangle):
+def test_cluster_tolerance_soundness(gasket, triangle, monkeypatch):
     b = np.ones(3)
     q2 = assemble_network(gasket, triangle, 2).real
     b2 = assemble_measure(gasket, b, 2)
     bnd = build_lattice(gasket, 2).boundary
-    base = nd_spectrum(q2, b2, bnd, 2, cluster_tol=1e-7)
+    monkeypatch.setattr(spectra, "CLUSTER_TOL", 1e-7)
+    base = nd_spectrum(q2, b2, bnd, 2)
     for tol in (1e-8, 1e-6):
-        other = nd_spectrum(q2, b2, bnd, 2, cluster_tol=tol)
+        monkeypatch.setattr(spectra, "CLUSTER_TOL", tol)
+        other = nd_spectrum(q2, b2, bnd, 2)
         assert [(round(v, 6), m) for v, m in other.clusters] == [
             (round(v, 6), m) for v, m in base.clusters
         ]
@@ -256,5 +258,5 @@ def test_green_proxy_finite_past_det_overflow(gasket, triangle):
 
 def test_cluster_eigenvalues_grouping():
     vals = np.array([0.0, 1e-12, 1.0, 1.0 + 1e-12, 2.0])
-    clusters = cluster_eigenvalues(vals, tol=1e-7)
+    clusters = cluster_eigenvalues(vals)
     assert [m for _, m in clusters] == [2, 2, 1]
