@@ -18,7 +18,7 @@ from .errors import ConfigError, FractalSpectraError
 from .network import q_matrix
 from .renorm import orbit
 from .selfsim import assemble_measure, assemble_network
-from .spectra import dos_histogram, green_proxy, level_spectrum
+from .spectra import check_green_grid, dos_histogram, green_proxy, level_spectrum
 FMT = "%.17g"
 
 
@@ -61,8 +61,7 @@ def cmd_dos(args):
             grid = np.linspace(float(lo), float(hi), int(count))
         except ValueError:
             raise ConfigError("--green expects lo:hi:count")
-        if not args.eps > 0:
-            raise ValueError(f"eps must be positive, got {args.eps!r}")
+        check_green_grid(grid, args.eps)
     cfg = load_config(args.config)
     reports = [
         level_spectrum(cfg.structure, cfg.network, cfg.measure, args.level, "neumann")

@@ -27,7 +27,6 @@ from .symplectic import (
     from_sym,
     in_siegel,
     reduce_with_defect,
-    tau_translate_frame,
     to_sym,
     w_renorm,
 )
@@ -68,10 +67,10 @@ def block_copy_frame(l: LagrangianFrame, structure) -> LagrangianFrame:
         cols[n * k + i * k : n * k + (i + 1) * k, i * k : (i + 1) * k] = (
             w[i] * l.columns[k:, :]
         )
-    frame = LagrangianFrame(cols)
     if structure.weak is not None:
-        frame = tau_translate_frame(frame, q_matrix(structure.weak))
-    return frame
+        # the weak-network shear [[I, 0], [Q0, I]] (tau_translate_frame)
+        cols[n * k :, :] += q_matrix(structure.weak) @ cols[: n * k, :]
+    return LagrangianFrame(cols)
 
 
 def g_map(l: LagrangianFrame, structure):

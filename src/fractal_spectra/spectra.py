@@ -88,11 +88,11 @@ PIVOT_TOL = 8 * np.finfo(float).eps
 # eps / NEAR_TOL (2e-12) of the scale, and counts near a pole of the trace
 # map stay exact.
 NEAR_TOL = 1e-4
-# Where Neumann-Dirichlet multiplicities are read, kept eigenvalues of one
-# sign closer than this fraction of the same scale (and than a quarter of
-# their size) count as one degenerate cluster, whose directions uncoupled
-# from the boundary are eliminated: a few thousand ulps, the rounding of
-# eigenvalues that symmetry makes equal.  The same rounding decides, once
+# In every matrix-chain pass, kept eigenvalues of one sign closer than
+# this fraction of the same scale (and than a quarter of their size) count
+# as one degenerate run, whose directions uncoupled from the boundary are
+# eliminated: a few thousand ulps, the rounding of eigenvalues that
+# symmetry makes equal.  The same rounding decides, once
 # per spectrum, whether a chain step keeps the pencil plane (_pencil_line)
 # and which of its poles are critical, and on the line, where the image of
 # a critical pole lands on a pivot's zero (_line_chain).
@@ -437,8 +437,8 @@ def _sym(m):
 
 def _clusters(d, spread):
     """Cuts that split kept eigenvalues d (negative first, then positive,
-    each in order of |d|) into runs of one sign whose neighbours lie within
-    `spread` (and a quarter of their size)."""
+    each in order of |d|) into degenerate runs: runs of one sign whose
+    neighbours lie within `spread` (and a quarter of their size)."""
     joined = ((d[1:] < 0) == (d[:-1] < 0)) & (
         np.abs(np.diff(d)) <= np.minimum(spread, 0.25 * np.abs(d[:-1])))
     return np.flatnonzero(~joined) + 1
@@ -447,15 +447,15 @@ def _clusters(d, spread):
 def _keep_near(t, dt, k, cuts):
     """Reduce the stack of cell matrices t = [[S, G], [G^T, diag(d)]],
     whose extra coordinates are nearly singular interior directions split
-    into clusters of one sign at `cuts` (the same for the whole stack), and
-    their derivatives dt.
+    into degenerate runs at `cuts` (_clusters, the same for the whole
+    stack), and their derivatives dt.
 
-    In a cluster with more than k directions, a rotation by the right
-    singular vectors of its boundary coupling leaves all but k of them
-    uncoupled from the boundary up to rounding; those are eliminated, which
-    is exact for the counts and loses nothing, as the cluster's block is
-    definite.  Within a degenerate cluster they are eigenvectors, so each
-    eigenfunction stays whole.  A stack with no cluster of more than k
+    In a run with more than k directions, a rotation by the right singular
+    vectors of its boundary coupling leaves all but k of them uncoupled
+    from the boundary up to rounding; those are eliminated, which is exact
+    for the counts and loses nothing, as the run's block is definite (one
+    sign).  Within a degenerate run they are eigenvectors, so each
+    eigenfunction stays whole.  A stack with no run of more than k
     directions is returned as it is.  The reduced stack keeps its exact
     size: nothing is padded.  Returns the reduced matrices, their derivatives, the numbers
     of negatives eliminated and kept, and the derivative of log|det| of the
@@ -483,7 +483,7 @@ def _keep_near(t, dt, k, cuts):
     return out, dout, eliminated, negatives - eliminated, rate
 
 
-def _eliminate(a, da, k, tops=False):
+def _eliminate(a, da, k):
     """Eliminate the interior (indices k and up) of each symmetric matrix in
     the stack `a`, whose derivative in x is `da`, through an
     eigendecomposition of the interior block.
@@ -494,11 +494,10 @@ def _eliminate(a, da, k, tops=False):
     trace map loses no precision.  An eigenvalue within PIVOT_TOL of zero
     (x on a pole) is read at x + 0, as |d|; here, in _clusters and in
     _keep_near a direction is negative where d < 0.  Every point that keeps
-    some goes through _keep_near, grouped by their number r and, where r exceeds k, by their
-    clusters: each sign for the counts; with `tops` (where the last cell
-    matrices are read), each degenerate run, so that a reduced direction is
-    a whole eigenfunction.  Each new cell matrix has its exact size:
-    nothing is padded.
+    some goes through _keep_near, grouped by their number r and, where r
+    exceeds k, by their degenerate runs (_clusters), so that in every pass
+    a reduced direction is a whole eigenfunction.  Each new cell matrix has
+    its exact size: nothing is padded.
     Returns (cells, eliminated, kept, rate): the new cell matrices as
     (indices, stack, derivative stack) triples, the numbers of negative
     eigenvalues eliminated and kept, and the derivative of log|det| of the
@@ -548,21 +547,13 @@ def _eliminate(a, da, k, tops=False):
     full = np.take_along_axis(np.take_along_axis(full, cols[:, :, None], 1), cols[:, None, :], 2)
     dfull = np.take_along_axis(np.take_along_axis(dfull, cols[:, :, None], 1), cols[:, None, :], 2)
     # One stack per number r of near directions and their cuts into
-    # clusters: for the counts, one cut where the sign changes; with tops,
-    # each degenerate run.  At most k near directions leave nothing to
-    # reduce, so r alone is the key there.
-    if tops:
-        patterns = {}
-        for j, i in enumerate(wide):
-            cuts = _clusters(np.diagonal(full[j])[k:k + r[j]], DEGENERATE_TOL * big[i, 0]) if r[j] > k else ()
-            patterns.setdefault((r[j], tuple(cuts)), []).append(j)
-        groups = [(size, list(cuts), np.array(js)) for (size, cuts), js in patterns.items()]
-    else:
-        split = np.where(r > k, np.count_nonzero(near & (d < 0), axis=1), 0)
-        keys, inverse = np.unique(r * (m + 1) + split, return_inverse=True)
-        groups = [(size, [s], np.flatnonzero(inverse == i))
-                  for i, (size, s) in enumerate(zip(*divmod(keys, m + 1)))]
-    for size, cuts, js in groups:
+    # degenerate runs.  At most k near directions leave nothing to reduce,
+    # so r alone is the key there.
+    groups = {}
+    for j, i in enumerate(wide):
+        cuts = _clusters(np.diagonal(full[j])[k:k + r[j]], DEGENERATE_TOL * big[i, 0]) if r[j] > k else ()
+        groups.setdefault((r[j], tuple(cuts)), []).append(j)
+    for (size, cuts), js in groups.items():
         cell, dcell, neg, kept[wide[js]], extra = _keep_near(
             full[js, :k + size, :k + size], dfull[js, :k + size, :k + size], k, cuts)
         eliminated[wide[js]] += neg
@@ -763,7 +754,7 @@ def _line_chain(step, line, n, xs):
     return counts, rates, inner, bad.any(axis=0)
 
 
-def _chain(step, q, b, n, xs, tops=False, line=None, neumann=True):
+def _chain(step, q, b, n, xs, line=None, neumann=True):
     """One pass of the Schur chain at every x.
 
     Two engines give the same Dirichlet and Neumann counts.  Given the
@@ -784,9 +775,8 @@ def _chain(step, q, b, n, xs, tops=False, line=None, neumann=True):
     sum_k 1 / (x - lam_k).  From the matrix chain, pairs lists per stack of
     last cell matrices E (boundary first, then kept interior directions) the
     eigenpairs that give the Neumann count and rate, as (indices, w, v, dw)
-    with slopes dw = v^T E' v; the line engine gives None.  `tops` selects
-    only how kept directions are grouped: by degenerate runs, so that each
-    is a whole eigenfunction, not by sign."""
+    with slopes dw = v^T E' v; the line engine gives None.  Every pass,
+    the N-D read-out's too, groups kept directions by degenerate runs."""
     if line is not None:
         counts, rates, inner, last = _line_chain(step, line, n, xs)
         unsure = inner | last if neumann else inner
@@ -804,7 +794,7 @@ def _chain(step, q, b, n, xs, tops=False, line=None, neumann=True):
         nxt = []
         for idx, e, de in cells:
             sub, eliminated, kept[idx], rate = _eliminate(
-                step.glue(e), step.glue(de, weak=False), k, tops)
+                step.glue(e), step.glue(de, weak=False), k)
             counts[idx, 2] += ncopies ** (n - 1 - m) * eliminated
             rates[idx, 0] += ncopies ** (n - 1 - m) * rate
             nxt.extend((idx[j], c, dc) for j, c, dc in sub)
@@ -971,7 +961,7 @@ def _chain_spectrum(structure, step, q, b, line, n, condition):
         rows, labels = [np.zeros((0, k))], [np.zeros(0, dtype=np.int64)]
         if read.size:
             a, bb, group = a[read], bb[read], group[read]
-            for js, w, vec, slope in _chain(step, q, b, n, bb, tops=True)[2]:
+            for js, w, vec, slope in _chain(step, q, b, n, bb)[2]:
                 cross = bb[js, None] - np.divide(w, slope, out=np.full_like(w, np.inf), where=slope > 0)
                 branch = np.abs(cross - 0.5 * (a + bb)[js, None]) <= 1.5 * (bb - a)[js, None]
                 i, j = np.nonzero(branch)
@@ -1018,7 +1008,7 @@ def dos_histogram(reports, num_copies, bins, lo=None, hi=None):
     if bins < 1:
         raise ValueError("need at least one bin")
     reports = list(reports)
-    allvals = np.concatenate([r.eigenvalues for r in reports if r.count]) if reports else np.zeros(0)
+    allvals = np.concatenate([np.zeros(0)] + [r.eigenvalues for r in reports if r.count])
     if lo is None:
         lo = float(allvals.min()) if allvals.size else 0.0
     if hi is None:
@@ -1036,6 +1026,17 @@ def dos_histogram(reports, num_copies, bins, lo=None, hi=None):
     return edges, masses
 
 
+def check_green_grid(lam_grid, eps):
+    """The Green-proxy grid as floats, checked with its eps: both finite,
+    and eps positive (at 0 the log is -inf at every eigenvalue)."""
+    grid = np.asarray(lam_grid, dtype=float)
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if not np.isfinite(grid).all():
+        raise ValueError("Green-proxy grid points must be finite")
+    return grid
+
+
 def green_proxy(q_n, b_n, lam_grid, num_copies, level, eps=1e-6):
     """(1/N^n) ln |det(Q + (lam + i eps) I_b)| over a real grid.
 
@@ -1046,11 +1047,9 @@ def green_proxy(q_n, b_n, lam_grid, num_copies, level, eps=1e-6):
         det(Q + z I_b) = prod_i b_i * prod_k (z - lam_k),   z = lam + i eps,
 
     summed as logs, so the value stays finite where the determinant itself
-    overflows.  eps must be positive: at eps = 0 the log is -inf at every
-    eigenvalue on the grid."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    overflows.  The grid and eps are checked first (check_green_grid)."""
+    grid = check_green_grid(lam_grid, eps)
     lam = generalized_sym_eigvals(q_n, b_n)
-    dist = np.hypot(np.asarray(lam_grid, dtype=float)[:, None] - lam[None, :], eps)
+    dist = np.hypot(grid[:, None] - lam[None, :], eps)
     log_det = np.log(dist).sum(axis=1) + np.log(np.real(b_n)).sum()
     return log_det / num_copies**level

@@ -38,7 +38,7 @@ CONDITIONS = ("neumann", "dirichlet", "nd")
 BUILTIN_LEVELS = [
     (name, n)
     for name, top in (("sierpinski", 6), ("gamma_bar", 6), ("gamma_bar_semi", 6), ("interval", 8))
-    for n in range(1, top + 1)
+    for n in range(top + 1)
 ]
 
 
@@ -232,11 +232,11 @@ def test_chain_reads_poles_from_above(monkeypatch, engine, builtin_dense):
     real = spectra._eliminate
     on_pole = []
 
-    def spy(a, da, k, tops=False):
+    def spy(a, da, k):
         big = np.abs(a[:, k:, :]).max(axis=(1, 2))[:, None]
         d = np.linalg.eigvalsh(a[:, k:, k:])
         on_pole.append(int(np.count_nonzero(np.abs(d) <= spectra.PIVOT_TOL * big)))
-        return real(a, da, k, tops)
+        return real(a, da, k)
 
     monkeypatch.setattr(spectra, "_eliminate", spy)
     for n in range(3, 9):
@@ -315,18 +315,18 @@ def test_nd_read_out_keeps_degenerate_runs_whole():
 
 def test_nd_read_out_keeps_few_directions(monkeypatch, engine):
     # The read-out pass keeps the count passes' near-singular directions
-    # only, so its cell stacks stay about as small as theirs.
+    # only, so its cell stacks stay about as small as theirs.  It is the
+    # last pass of an N-D spectrum, so each pass starts the record afresh.
     cfg = load_config("sierpinski")
     chain, glue = spectra._chain, LevelStep.glue
-    reading, extra = [False], []
+    extra = []
 
-    def chain_spy(plan, q, b, n, xs, tops=False, **kwargs):
-        reading[0] = tops
-        return chain(plan, q, b, n, xs, tops, **kwargs)
+    def chain_spy(*args, **kwargs):
+        extra.clear()
+        return chain(*args, **kwargs)
 
     def glue_spy(step, e, weak=True):
-        if reading[0]:
-            extra.append(e.shape[1] - step.cell_size)
+        extra.append(e.shape[1] - step.cell_size)
         return glue(step, e, weak)
 
     monkeypatch.setattr(spectra, "_chain", chain_spy)
@@ -509,12 +509,18 @@ def test_weak_networks_and_uneven_conductances_take_matrix_chain(rng, monkeypatc
 
 def count_passes(monkeypatch):
     """A list that gains one entry, its number of points, per count pass
-    of _chain (read-outs not included)."""
-    real, passes = spectra._chain, []
+    of _chain (read-outs not included).  On the line builtins the N-D
+    read-out is the only top-level pass without a line: the matrix-chain
+    passes of the points the line leaves unsure run inside a count pass."""
+    real, passes, depth = spectra._chain, [], [0]
 
-    def spy(plan, q, b, n, xs, tops=False, **kwargs):
-        passes.extend([] if tops else [xs.size])
-        return real(plan, q, b, n, xs, tops, **kwargs)
+    def spy(plan, q, b, n, xs, line=None, **kwargs):
+        passes.extend([xs.size] if depth[0] or line is not None else [])
+        depth[0] += 1
+        try:
+            return real(plan, q, b, n, xs, line, **kwargs)
+        finally:
+            depth[0] -= 1
 
     monkeypatch.setattr(spectra, "_chain", spy)
     return passes
@@ -568,10 +574,10 @@ def test_interval_counts_stay_on_the_line(monkeypatch):
         unsure.append((int(np.count_nonzero(out[2])), int(np.count_nonzero(out[2] | out[3]))))
         return out
 
-    def chain_spy(plan, q, b, n, xs, tops=False, line=None, **kwargs):
-        if line is None and not tops:
+    def chain_spy(plan, q, b, n, xs, line=None, **kwargs):
+        if line is None:
             sent.append(xs.size)
-        return chain(plan, q, b, n, xs, tops, line, **kwargs)
+        return chain(plan, q, b, n, xs, line, **kwargs)
 
     monkeypatch.setattr(spectra, "_line_chain", line_spy)
     monkeypatch.setattr(spectra, "_chain", chain_spy)

@@ -203,7 +203,9 @@ def test_dos_green_zero_eps(capsys):
     (["--bins", "0"], "need at least one bin"),
     (["--bins", "4", "--green=bad"], "lo:hi:count"),
     (["--bins", "4", "--green=-2:0:2", "--eps", "0"], "eps must be positive"),
-], ids=["bins", "grid", "eps"])
+    (["--bins", "4", "--green=-1:0:2", "--eps", "inf"], "eps must be positive and finite"),
+    (["--bins", "4", "--green=nan:0:3"], "grid points must be finite"),
+], ids=["bins", "grid", "eps", "eps-inf", "grid-nan"])
 def test_dos_checks_input_before_the_spectrum(flags, message, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("built level n before checking the input")

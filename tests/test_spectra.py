@@ -150,6 +150,14 @@ def test_dos_single_eigenvalue():
     assert masses[0][0] == pytest.approx(1.0 / 9.0)
 
 
+def test_dos_of_empty_reports():
+    # The level-0 Dirichlet report has no eigenvalue: zero masses on [0, 1].
+    for reports in ([SpectrumReport(0, "dirichlet", np.zeros(0))], []):
+        edges, masses = dos_histogram(reports, 3, 4)
+        assert edges.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert masses.shape == (len(reports), 4) and not masses.any()
+
+
 def test_dos_total_mass(gasket, triangle):
     rep = level_spectrum(gasket, triangle, np.ones(3), 3, "neumann")
     edges, masses = dos_histogram([rep], 3, 16)
@@ -238,9 +246,15 @@ def test_green_proxy_finite_and_divergent(gasket, triangle):
 
 
 def test_green_proxy_needs_positive_eps(triangle_q):
-    for eps in (0.0, -1e-6):
+    for eps in (0.0, -1e-6, np.inf, np.nan):
         with pytest.raises(ValueError, match="eps"):
             green_proxy(triangle_q.real, np.ones(3), [-3.0, 0.0], 3, 0, eps=eps)
+
+
+def test_green_proxy_needs_finite_grid(triangle_q):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            green_proxy(triangle_q.real, np.ones(3), [-3.0, bad], 3, 0)
 
 
 def test_green_proxy_finite_past_det_overflow(gasket, triangle):
