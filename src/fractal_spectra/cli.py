@@ -3,7 +3,8 @@
 Configs are JSON files (or builtin names: sierpinski, gamma_bar,
 gamma_bar_semi, interval).  CSV output uses 17 significant digits so
 identical invocations are byte-identical.  Exit codes: 0 ok, 1 verify
-failures, 2 config errors, 3 numeric failures.
+failures, 2 config errors (printed as "config error:") and other bad input
+("input error:"), 3 numeric failures.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def cmd_dos(args):
             lo, hi, count = args.green.split(":")
             grid = np.linspace(float(lo), float(hi), int(count))
         except ValueError:
-            raise ConfigError("--green expects lo:hi:count")
+            raise ValueError("--green expects lo:hi:count")
         check_green_grid(grid, args.eps)
     cfg = load_config(args.config)
     reports = [
@@ -170,8 +171,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except FractalSpectraError as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)

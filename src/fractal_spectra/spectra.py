@@ -59,6 +59,8 @@ from .selfsim import (
 
 # Relative clustering width: eigenvalues this close (times spectral width)
 # count as one cluster, so multiplicities survive floating-point splits.
+# Depth limit: the interval's end eigenvalues, 1 - cos(pi / 2^n) apart on
+# a width of 2, join from level 13 on (two doubles).
 CLUSTER_TOL = 1e-7
 # Neumann-Dirichlet threshold: a singular value of the boundary values of a
 # cluster's b-unit eigenfunctions at most this fraction of max(1, the
@@ -71,7 +73,10 @@ KERNEL_ORACLE_TOL = 1e-7
 #
 # Final bisection width, relative to the width of the bracket that holds
 # the whole spectrum (a small multiple of the spectral width): each distinct
-# eigenvalue is located to about this fraction of it.
+# eigenvalue is located to about this fraction of it.  Depth limit: the
+# interval's end gap 1 - cos(pi / 2^n) falls below it times its bracket
+# [-2, 2] from level 21 on.  It cannot go much lower: next to a pole the
+# matrix chain's counts are off within about 2e-12 of the width.
 BISECT_TOL = 1e-12
 # An interior eigenvalue (pivot) of at most this fraction of the largest
 # entry of its rows in the level-1 assembly is zero up to rounding: x sits
@@ -585,10 +590,11 @@ def _log_det_rate(e, de):
 def _advance(line, c, d, e):
     """One step y -> R(y) = B(y) / A(y) of the _PencilLine `line` on points
     held in two parts, y = c + d, with d known to e.  Returns (R(c), its
-    rounding, R(c + d) - R(c), what that is known to, R'(c + d), ok).  The
-    difference is summed over the Taylor coefficients of A and B at c, so a
-    d far below the rounding of c survives; `ok` is false where A is within
-    NEAR_TOL of vanishing at c or c + d (R has a pole there)."""
+    rounding, R(c + d) - R(c), what that is known to, ok).  The difference
+    is summed over the Taylor coefficients of A and B at c, so a d far below
+    the rounding of c survives, and carries the error e through R'(c + d);
+    `ok` is false where A is within NEAR_TOL of vanishing at c or c + d (R
+    has a pole there)."""
     k = line.taylor.shape[0]
     pc, pd = np.ones((k, c.size)), np.ones((k, c.size))
     for i in range(1, k):
@@ -606,17 +612,17 @@ def _advance(line, c, d, e):
     known = ulps * np.sum(terms, axis=0) / np.abs(a0 * at) + np.abs(slope) * e
     image = tb[0] / a0
     moved = np.sum((a0 * tb[1:] - tb[0] * ta[1:]) * pd[1:], axis=0) / (a0 * at)
-    return image, ulps * (sb[0] + np.abs(image) * sa[0]) / np.abs(a0), moved, known, slope, ok
+    return image, ulps * (sb[0] + np.abs(image) * sa[0]) / np.abs(a0), moved, known, ok
 
 
 def _line_chain(step, line, n, xs):
     """The count pass of _chain on the pencil plane: each cell matrix is
     alpha q + beta D, and a step maps the pair (alpha, beta) by the
-    _PencilLine `line`.  Returns (counts, rates, inner, last): counts and
-    rates as _chain gives them, void where `inner` marks a point whose
-    interior signs the pair cannot resolve; `last` marks the points whose
-    last-cell signs it cannot resolve, which void only the Neumann count
-    and rate.
+    _PencilLine `line`.  It only counts: Newton rates come from the matrix
+    chain.  Returns (counts, inner, last): counts as _chain gives them, void
+    where `inner` marks a point whose interior signs the pair cannot
+    resolve; `last` marks the points whose last-cell signs it cannot
+    resolve, which void only the Neumann count.
 
     The pair is kept at unit length.  Before it is normalized, each step's
     image is multiplied by |alpha nu + beta| of the interior pole nearest
@@ -625,7 +631,7 @@ def _line_chain(step, line, n, xs):
     rounding costs is tracked as an error `err` of the pair's direction, in
     units of eps: each step adds its own rounding, relative to the image,
     to the error it carries through the step's derivative along the line
-    (`turn`, the image of the direction's tangent).  A step near a pole
+    (the image (ta, tb) of the direction's tangent).  A step near a pole
     rounds the image's part off the nearest residue to eps over the pivot,
     and a later pivot that vanishes on that residue inherits it, so a point
     is unsure where a pivot alpha nu + beta (or alpha mu + beta at the last
@@ -634,9 +640,7 @@ def _line_chain(step, line, n, xs):
     ulps: on the pair alone (the gasket, which has no critical pole) a
     count it leaves sure can differ from the matrix chain's at points
     1e-14 or 1e-15 of the width from an eigenvalue, below BISECT_TOL, which
-    the bisection tolerates.  The derivative (da, db) in x is taken
-    relative to the pair's scale, so sums of d/dx log|alpha nu + beta| over
-    it are those of the unscaled matrices.
+    the bisection tolerates.
 
     Near a critical pole of the step (_PencilLine.critical, where R' = 0)
     the pair loses what a later pivot needs: on the interval the pole
@@ -657,17 +661,15 @@ def _line_chain(step, line, n, xs):
     targets = np.concatenate([-line.nu, -line.mu])
     a, b = np.ones(xs.size), xs / step.gamma**n
     norm = np.hypot(a, b)
-    a, b, da, db = a / norm, b / norm, np.zeros(xs.size), step.gamma**-n / norm
+    a, b = a / norm, b / norm
     err = np.ones(xs.size)
     counts = np.zeros((xs.size, 3), dtype=np.int64)
-    rates = np.zeros((xs.size, 2))
     inner = np.zeros(xs.size, dtype=bool)
     # The points held in two parts, y = base + off: base is a critical pole
     # or its image under some steps, snapped to a pivot's zero where it
-    # lands within DEGENERATE_TOL of one; off is known to `known` and has
-    # derivative doff in x.
+    # lands within DEGENERATE_TOL of one; off is known to `known`.
     held = np.zeros(xs.size, dtype=bool)
-    base, off, known, doff = np.full(xs.size, np.nan), np.zeros(xs.size), np.zeros(xs.size), np.zeros(xs.size)
+    base, off, known = np.full(xs.size, np.nan), np.zeros(xs.size), np.zeros(xs.size)
 
     def parts(values):
         """y + v from the two parts (nan where a point is not held), and
@@ -677,32 +679,21 @@ def _line_chain(step, line, n, xs):
         return v, known + PIVOT_TOL * (np.abs(gap) + np.abs(v))
 
     def pivots(values):
-        """The pivots alpha v + beta, 1 where unsure, the unsure ones, and
-        d/dx log|alpha v + beta|.  A held point's pivot is alpha (y + v)
-        from the two parts where they know it better than the pair."""
+        """The pivots alpha v + beta, 1 where unsure, and the unsure ones.
+        A held point's pivot is alpha (y + v) from the two parts where they
+        know it better than the pair."""
         t = values * a + b
         tol = (1.0 + err) * (PIVOT_TOL * np.hypot(values, 1.0))
         bad = np.abs(t) <= tol
-        if not held.any():
-            t[bad] = 1.0
-            return t, bad, (values * da + db) / t
-        v, vk = parts(values)
-        two = (np.abs(a) * vk < tol) & (a != 0)
-        t[two], bad[two] = (a * v)[two], (np.abs(v) <= vk)[two]
+        if held.any():
+            v, vk = parts(values)
+            two = (np.abs(a) * vk < tol) & (a != 0)
+            t[two], bad[two] = (a * v)[two], (np.abs(v) <= vk)[two]
         t[bad] = 1.0
-        rate = (values * da + db) / t
-        sure = two & ~bad
-        rate[sure] = (da / np.where(a == 0, 1.0, a) + doff / np.where(sure, v, 1.0))[sure]
-        return t, bad, rate
-
-    def image(va, vb, t, near, ah, rate):
-        """The step's derivative, times `near`, applied to (va, vb), with
-        rate the derivative of log|t| along (va, vb)."""
-        w = (2 * va - a * rate) * ah
-        return near * (va * fq + vb * mq) - rq @ w, near * (va * fd + vb * md) - rd @ w
+        return t, bad
 
     for m in range(n):
-        t, bad, rate = pivots(nu)
+        t, bad = pivots(nu)
         unsure = bad.any(axis=0)
         inner |= unsure
         near = np.abs(t).min(axis=0)
@@ -719,25 +710,22 @@ def _line_chain(step, line, n, xs):
             delta[better], dk[better] = (t[g, np.arange(xs.size)] / safe)[better], pair_known[better]
             start = crit & (~held | (np.abs(delta) < np.abs(off)))
             base[start], off[start], known[start] = -line.nu[g][start], delta[start], dk[start]
-            new = start & better
-            doff[new] = ((db * a - b * da) / safe**2)[new]
             held |= start
         ah = a * near / t
         na, nb = near * (a * fq + b * mq) - rq @ (a * ah), near * (a * fd + b * md) - rd @ (a * ah)
-        da, db = image(da, db, t, near, ah, rate)
-        ta, tb = image(-b, a, t, near, ah, (a - nu * b) / t)
-        copies = step.num_copies ** (n - 1 - m)
-        counts[:, 2] += copies * (line.mult @ (t < 0))
-        rates[:, 0] += copies * (line.mult @ rate)
+        # The image of the direction's tangent (-b, a), times `near`; along
+        # it t moves by a - nu b.
+        w = (-2 * b - a * ((a - nu * b) / t)) * ah
+        ta, tb = near * (-b * fq + a * mq) - rq @ w, near * (-b * fd + a * md) - rd @ w
+        counts[:, 2] += step.num_copies ** (n - 1 - m) * (line.mult @ (t < 0))
         norm = np.hypot(na, nb)
         norm[norm == 0] = 1.0  # a zero image leaves every pivot unsure
         fresh = near * (abs(fq) + abs(fd) + abs(mq) + abs(md)) + (abs(rq) + abs(rd)) @ np.abs(a * ah)
         err = (err * np.abs(na * tb - nb * ta) / norm + fresh) / norm
-        a, b, da, db = na / norm, nb / norm, da / norm, db / norm
+        a, b = na / norm, nb / norm
         if held.any():
             i = np.flatnonzero(held)
-            c, rounding, off[i], known[i], slope, ok = _advance(line, base[i], off[i], known[i])
-            doff[i] *= slope
+            c, rounding, off[i], known[i], ok = _advance(line, base[i], off[i], known[i])
             # A base within DEGENERATE_TOL of a pivot's zero is on it;
             # elsewhere its rounding adds to what off is known to.
             gap = np.abs(c[:, None] - targets)
@@ -747,11 +735,10 @@ def _line_chain(step, line, n, xs):
             base[i] = np.where(on, targets[j], c)
             held[i] = ok
             base[~held] = np.nan
-    t, bad, rate = pivots(line.mu[:, None])
+    t, bad = pivots(line.mu[:, None])
     counts[:, 0] = counts[:, 2]
     counts[:, 1] = counts[:, 2] + np.count_nonzero(t < 0, axis=0)
-    rates[:, 1] = rates[:, 0] + np.sum(rate, axis=0)
-    return counts, rates, inner, bad.any(axis=0)
+    return counts, inner, bad.any(axis=0)
 
 
 def _chain(step, q, b, n, xs, line=None, neumann=True):
@@ -761,24 +748,28 @@ def _chain(step, q, b, n, xs, line=None, neumann=True):
     _PencilLine `line` of (q, b), a pass maps two numbers per point through
     _line_chain, whose last cell keeps no interior direction, and takes the
     points it leaves unsure from the matrix chain; otherwise each step
-    assembles and eliminates a stack of cell matrices.  Without `neumann`
-    the caller reads no Neumann count or rate, so a point the line leaves
-    unsure only at the last cell keeps its line counts, and its Neumann
-    column is void: the interval's Dirichlet bracket ends at -2, a Neumann
-    eigenvalue, and stays on the line.
+    assembles and eliminates a stack of cell matrices.  The line only
+    counts: its points get zero rates, which take no Newton step, and the
+    points it sends the matrix chain keep that chain's rates.  Without
+    `neumann` the caller reads no Neumann count or rate, so a point the
+    line leaves unsure only at the last cell keeps its line counts, and its
+    Neumann column is void: the interval's Dirichlet bracket ends at -2, a
+    Neumann eigenvalue, and stays on the line.
 
     Returns (counts, rates, pairs): counts[:, 0] is the Dirichlet count
     #{lam > x}, counts[:, 1] the Neumann count and counts[:, 2] the part of
     both taken before the last cell matrix, every one read at x + 0 where x
     sits on a pole (PIVOT_TOL); rates[:, 0] and rates[:, 1] are d/dx
     log|det| of the level-n Dirichlet and Neumann matrices,
-    sum_k 1 / (x - lam_k).  From the matrix chain, pairs lists per stack of
-    last cell matrices E (boundary first, then kept interior directions) the
-    eigenpairs that give the Neumann count and rate, as (indices, w, v, dw)
-    with slopes dw = v^T E' v; the line engine gives None.  Every pass,
-    the N-D read-out's too, groups kept directions by degenerate runs."""
+    sum_k 1 / (x - lam_k), or 0 from the line.  From the matrix chain,
+    pairs lists per stack of last cell matrices E (boundary first, then kept
+    interior directions) the eigenpairs that give the Neumann count and
+    rate, as (indices, w, v, dw) with slopes dw = v^T E' v; the line engine
+    gives None.  Every pass, the N-D read-out's too, groups kept directions
+    by degenerate runs."""
     if line is not None:
-        counts, rates, inner, last = _line_chain(step, line, n, xs)
+        counts, inner, last = _line_chain(step, line, n, xs)
+        rates = np.zeros((xs.size, 2))
         unsure = inner | last if neumann else inner
         if unsure.any():
             counts[unsure], rates[unsure], _ = _chain(step, q, b, n, xs[unsure])
@@ -889,8 +880,10 @@ def _chain_spectrum(structure, step, q, b, line, n, condition):
     # m / (x - lam) near a cluster of m eigenvalues at lam), or m is 1, it
     # is cut tol / 4 either side of the shorter step's target.  Where they
     # agree it is also halved, unless it already halved in the last round;
-    # elsewhere it is cut into min(m + 1, 16) equal parts.  The parts that
-    # hold eigenvalues stay open until narrower than tol.
+    # elsewhere it is cut into min(m + 1, 16) equal parts.  A zero rate
+    # takes no step: the line gives none, so there an interval that no
+    # candidate caught is cut into equal parts, halved where m is 1.  The
+    # parts that hold eigenvalues stay open until narrower than tol.
     x, cx, rx = x[None], cx[None], rx[None, :, col]
     a, bb = np.array([-np.inf]), np.array([np.inf])  # the round before the first: the whole line
     done = []
@@ -910,7 +903,9 @@ def _chain_spectrum(structure, step, q, b, line, n, condition):
         newton = np.where(np.abs(shift[:, 0]) < np.abs(shift[:, 1]), target[:, 0], target[:, 1])
         newton = newton[:, None] + 0.25 * tol * np.array([-1.0, 1.0])
         newton[(newton <= a[:, None]) | (newton >= bb[:, None])] = np.nan
-        agree = np.abs(target[:, 0] - target[:, 1]) <= 0.25 * (bb - a)
+        gap = np.subtract(target[:, 0], target[:, 1], out=np.full(a.size, np.inf),
+                          where=np.isfinite(target).all(axis=1))
+        agree = np.abs(gap) <= 0.25 * (bb - a)
         halving = (bb - a <= 0.5 * last) & np.isfinite(newton).any(axis=1)
         parts = np.where(agree, np.where(halving, 1, 2), np.clip(m + 1, 2, 16))
         cuts = np.arange(1, 16) / parts[:, None]

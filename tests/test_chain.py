@@ -557,6 +557,25 @@ def test_missed_candidates_fall_back_to_bisection(name, n, monkeypatch):
     assert len(passes) > 3 * 2
 
 
+def test_rateless_intervals_on_the_matrix_chain(monkeypatch):
+    # Counts with zero rates, as the line gives them: no Newton step is
+    # taken, every interval is cut into equal parts, and the lists stay the
+    # same.
+    cfg = load_config("gamma_bar")
+    args = (cfg.structure, cfg.network, cfg.measure, 3)
+    want = {cond: chain_spectrum(*args, cond) for cond in CONDITIONS}
+    real = spectra._chain
+
+    def rateless(*a, **kwargs):
+        counts, rates, pairs = real(*a, **kwargs)
+        return counts, np.zeros_like(rates), pairs
+
+    monkeypatch.setattr(spectra, "_chain", rateless)
+    width = float(np.ptp(want["neumann"].eigenvalues))
+    for cond in CONDITIONS:
+        assert_same_lists(chain_spectrum(*args, cond), want[cond], width)
+
+
 def test_interval_counts_stay_on_the_line(monkeypatch):
     # The interval's pole y = -1 is a critical point of its step, so a point
     # near an eigenvalue on it moves the later pivots by the square of its
@@ -571,7 +590,7 @@ def test_interval_counts_stay_on_the_line(monkeypatch):
 
     def line_spy(*args):
         out = line_chain(*args)
-        unsure.append((int(np.count_nonzero(out[2])), int(np.count_nonzero(out[2] | out[3]))))
+        unsure.append((int(np.count_nonzero(out[1])), int(np.count_nonzero(out[1] | out[2]))))
         return out
 
     def chain_spy(plan, q, b, n, xs, line=None, **kwargs):

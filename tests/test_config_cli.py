@@ -218,6 +218,17 @@ def test_dos_checks_input_before_the_spectrum(flags, message, monkeypatch, capsy
     assert out.out == ""
 
 
+def test_error_labels(tmp_path, capsys):
+    # A config that cannot be read is a config error; a bad number on the
+    # command line is an input error.  Both exit 2.
+    missing = str(tmp_path / "missing.json")
+    assert cli.main(["spectrum", "--config", missing, "--level", "1"]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read config")
+    assert cli.main(["dos", "--config", "sierpinski", "--level", "3", "--bins", "4",
+                     "--green=-1:0:2", "--eps", "inf"]) == 2
+    assert capsys.readouterr().err.startswith("input error: eps must be positive and finite")
+
+
 def _sierpinski_raw(change):
     raw = json.loads(dump_config(load_config("sierpinski")))
     change(raw)
