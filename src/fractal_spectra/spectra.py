@@ -7,7 +7,8 @@ Neumann-Dirichlet eigenfunctions satisfy both conditions at once and are
 counted per eigenvalue by the dimension of the boundary-vanishing part of
 the Neumann eigenspace: its size less the rank of the boundary values of
 its b-unit eigenfunctions, ranked by one rule (_boundary_ranks) on the
-dense path and on the chain.
+dense path and on the matrix chain (the pencil line reads the same
+dimension from the trace, below).
 
 Above the crossover of the chain's engine (`LINE_MIN_VERTICES` on the
 pencil line, `CHAIN_MIN_VERTICES` otherwise), and when the structure
@@ -32,8 +33,11 @@ step is critical the line also holds each point in two parts, a pole's
 orbit and a small offset, so the signs it needs there survive rounding.
 Weak networks (whose step is not homogeneous) and conductances that
 leave the plane take the matrix chain, which carries a stack of cell
-matrices; it also reads the Neumann-Dirichlet multiplicities, and it
-takes the rare points whose signs the line still cannot resolve.
+matrices; off the line it also reads the Neumann-Dirichlet multiplicities,
+and it takes the rare points whose signs the line still cannot resolve.
+On the line the Neumann-Dirichlet multiplicities come from the trace's
+residue: nd(lam) = mult_D(lam) less its rank at lam, read from the line's
+pairs at a bracket's two ends (_line_residue_ranks).
 
 Sign convention: Q in the network cone gives nonpositive spectra
 (report with flipped sign for Laplacian-style output via the CLI flag).
@@ -66,6 +70,16 @@ CLUSTER_TOL = 1e-7
 # cluster's b-unit eigenfunctions at most this fraction of max(1, the
 # largest) counts as zero (_boundary_ranks, on both paths).
 ND_TOL = 1e-8
+# On the pencil line (_line_residue_ranks), a pivot of the residue of the
+# level-n trace at most this fraction of the largest counts as zero.  The
+# pivots that vanish in exact arithmetic, largest over a level's brackets:
+#   sierpinski  L5 3.1e-12  L10 9.8e-9  L12 4.2e-7  L13 2.1e-6  L14 9.7e-6
+#   interval   L10 4.3e-14  L12 7.1e-12  L14 1.8e-9
+# about 5x per level on the gasket, 16x on the interval from L11; the others
+# round to 1 of the largest.  ND_TOL would cut too low from sierpinski L11
+# on.  Depth limit: from sierpinski L15 on the vanishing pivots reach the
+# cut (4e-5 below it, 1.1e-4 just above it, counted) and the N-D law fails.
+RESIDUE_TOL = 1e-4
 # nd_kernel_dimension: singular values <= this * the largest count as zero.
 KERNEL_ORACLE_TOL = 1e-7
 
@@ -619,10 +633,12 @@ def _line_chain(step, line, n, xs):
     """The count pass of _chain on the pencil plane: each cell matrix is
     alpha q + beta D, and a step maps the pair (alpha, beta) by the
     _PencilLine `line`.  It only counts: Newton rates come from the matrix
-    chain.  Returns (counts, inner, last): counts as _chain gives them, void
-    where `inner` marks a point whose interior signs the pair cannot
-    resolve; `last` marks the points whose last-cell signs it cannot
-    resolve, which void only the Neumann count.
+    chain.  Returns (counts, inner, last, pair): counts as _chain gives
+    them, void where `inner` marks a point whose interior signs the pair
+    cannot resolve; `last` marks the points whose last-cell signs it cannot
+    resolve, which void only the Neumann count; `pair` is the final unit
+    pair (alpha, beta), shape (2, points), the level-n trace up to a
+    positive factor, which the N-D read-out ranks (_line_residue_ranks).
 
     The pair is kept at unit length.  Before it is normalized, each step's
     image is multiplied by |alpha nu + beta| of the interior pole nearest
@@ -738,7 +754,30 @@ def _line_chain(step, line, n, xs):
     t, bad = pivots(line.mu[:, None])
     counts[:, 0] = counts[:, 2]
     counts[:, 1] = counts[:, 2] + np.count_nonzero(t < 0, axis=0)
-    return counts, inner, bad.any(axis=0)
+    return counts, inner, bad.any(axis=0), np.stack([a, b])
+
+
+def _line_residue_ranks(step, line, n, lo, hi):
+    """The rank of the residue of the level-n trace in each bracket
+    (lo, hi], from the line's unit pairs (alpha, beta) at its two ends, and
+    whether the line leaves either end unsure (_line_chain).
+
+    Near a Dirichlet eigenvalue lam the trace is R / (lam - x) plus a regular
+    part, with R >= 0 in span{q, D}, so across a pole the pair turns to the
+    opposite direction and at the lower end its largest last-cell pivot
+    alpha mu_j + beta is positive.  A bracket without both has no pole: a
+    flip whose lower pair is negative definite is a zero of the trace (on
+    the Sierpinski gasket y = -3), and the rank is 0.  Across a pole the
+    difference of the two pairs is R, up to scale, with the regular part
+    cancelled to second order; its pivots Delta alpha mu_j + Delta beta
+    above RESIDUE_TOL of the largest give the rank."""
+    _, inner, last, pair = _line_chain(step, line, n, np.concatenate([lo, hi]))
+    (a0, a1), (b0, b1) = pair.reshape(2, 2, -1)
+    pole = (a0 * a1 + b0 * b1 < 0) & (np.max(a0[:, None] * line.mu + b0[:, None], axis=1) > 0)
+    residue = np.abs((a1 - a0)[:, None] * line.mu + (b1 - b0)[:, None])
+    big = residue.max(axis=1, keepdims=True)
+    rank = np.where(pole, np.count_nonzero(residue > RESIDUE_TOL * big, axis=1), 0)
+    return rank, (inner | last).reshape(2, -1).any(axis=0)
 
 
 def _chain(step, q, b, n, xs, line=None, neumann=True):
@@ -764,11 +803,12 @@ def _chain(step, q, b, n, xs, line=None, neumann=True):
     sum_k 1 / (x - lam_k), or 0 from the line.  From the matrix chain,
     pairs lists per stack of last cell matrices E (boundary first, then kept
     interior directions) the eigenpairs that give the Neumann count and
-    rate, as (indices, w, v, dw) with slopes dw = v^T E' v; the line engine
-    gives None.  Every pass, the N-D read-out's too, groups kept directions
-    by degenerate runs."""
+    rate, as (indices, w, v, dw) with slopes dw = v^T E' v, which the
+    matrix chain's N-D read-out ranks; the line engine gives None (its N-D
+    read-out calls _line_chain itself).  Every matrix-chain pass, the N-D
+    read-out's too, groups kept directions by degenerate runs."""
     if line is not None:
-        counts, inner, last = _line_chain(step, line, n, xs)
+        counts, inner, last, _ = _line_chain(step, line, n, xs)
         rates = np.zeros((xs.size, 2))
         unsure = inner | last if neumann else inner
         if unsure.any():
@@ -814,6 +854,16 @@ def _cell_data(structure, rho, b):
     return np.real(q).astype(float), np.real(b).astype(float)
 
 
+def _level_size(structure, n):
+    """|V_n|, checked: the chain's counts are int64, so a level with 2^63
+    vertices or more (sierpinski L40, interval L63) raises ValueError
+    instead of counts that wrap."""
+    size = num_vertices(structure, n)
+    if size >= 2**63:
+        raise ValueError(f"level {n} has {size} vertices; spectra need fewer than 2^63")
+    return size
+
+
 def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
     """Level-n spectrum of (rho, b) by bisection on Schur-chain counts.
 
@@ -822,21 +872,30 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
     jump of the count across it.  The counts come from the line engine
     when _pencil_line finds the step of (rho, b) on the pencil plane with
     no weak network, and from the matrix chain otherwise; both give the
-    same counts, and the read-out below always uses the matrix chain.  On
-    the line, the pass that counts the bracket's ends also counts at the
-    candidates of _line_candidates: that one pass decides which hold
-    eigenvalues, and the rest is bisected.  A point on a pole of the trace
-    map is read where it is, as the limit from above (PIVOT_TOL), so every
-    point gives a count and every bracket shrinks.  Neumann-Dirichlet multiplicities come from the last cell
-    matrix E at each eigenvalue: the level-n matrix is congruent to E plus
-    eliminated directions that are nonsingular there, with the boundary
-    values unchanged, so each Neumann cluster is the eliminated directions
-    that cross zero (which vanish on the boundary) plus the kernel of E,
-    and the Neumann-Dirichlet part is the cluster size less the rank of the
+    same counts.  On the line, the pass that counts the bracket's ends also
+    counts at the candidates of _line_candidates: that one pass decides
+    which hold eigenvalues, and the rest is bisected.  A point on a pole of
+    the trace map is read where it is, as the limit from above (PIVOT_TOL),
+    so every point gives a count and every bracket shrinks.  A level with
+    2^63 vertices or more raises ValueError (_level_size).
+
+    Neumann-Dirichlet multiplicities are nd(lam) = mult_D(lam) less the
+    rank of the residue of the level-n trace at lam.  On the line that
+    trace stays in span{q, D}, and the rank is read from the line's unit
+    pairs at the two ends of each bracket whose Dirichlet count drops
+    (_line_residue_ranks): one more line pass, with no cell matrix.  Off
+    the line, and for a group with an end the line leaves unsure, it comes
+    from the last cell matrix E of a matrix-chain pass at each eigenvalue:
+    the level-n matrix is congruent to E plus eliminated directions that
+    are nonsingular there, with the boundary values unchanged, so each
+    Neumann cluster is the eliminated directions that cross zero (which
+    vanish on the boundary) plus the kernel of E, and the
+    Neumann-Dirichlet part is the cluster size less the rank of the
     kernel's boundary values (_boundary_ranks, the rule of nd_spectrum),
-    read from the eigenpairs of E that gave the pass its counts."""
+    read from the eigenpairs of E."""
     if condition not in ("neumann", "dirichlet", "nd"):
         raise ValueError(f"unknown condition {condition!r}")
+    _level_size(structure, n)
     step = _chain_plan(structure)
     q, b = _cell_data(structure, rho, b)
     return _chain_spectrum(structure, step, q, b, _pencil_line(step, q, b), n, condition)
@@ -935,6 +994,24 @@ def _chain_spectrum(structure, step, q, b, line, n, condition):
     size = np.bincount(group, mult)
     values = np.bincount(group, values * mult) / size
     if condition == "nd":
+        # nd(lam) = mult_D(lam) - the rank of the residue of the level-n trace
+        # at lam.  A Neumann-Dirichlet eigenfunction is also a Dirichlet one,
+        # so only groups whose span holds a Dirichlet eigenvalue are read;
+        # the others have none.  On the line the rank comes from the pairs at
+        # each bracket's ends (_line_residue_ranks); a group with an end the
+        # line leaves unsure, and every group off the line, is read from the
+        # matrix chain below.
+        first = np.flatnonzero(np.concatenate([[True], np.diff(group) > 0]))
+        last = np.concatenate([first[1:], [group.size]]) - 1
+        matrix = ca[first, 0] > cb[last, 0]
+        nd = np.zeros(size.size)
+        if line is not None:
+            drop = ca[:, 0] - cb[:, 0]
+            read = np.flatnonzero(drop > 0)
+            rank, unsure = _line_residue_ranks(step, line, n, a[read], bb[read])
+            sure = np.bincount(group[read], unsure, size.size) == 0
+            nd[sure] = np.bincount(group[read], drop[read] - rank, size.size)[sure]
+            matrix &= ~sure
         # Boundary values of the kernel of the last cell matrix E at each
         # distinct eigenvalue, ranked over each whole group by
         # _boundary_ranks, the rule nd_spectrum applies to each whole dense
@@ -945,16 +1022,10 @@ def _chain_spectrum(structure, step, q, b, line, n, condition):
         # width on each side, as the counts and E can disagree by rounding);
         # the eigenfunction its eigenvector y extends to has |f|_b^2 = s,
         # which scales y to unit b-norm.
-        # A Neumann-Dirichlet eigenfunction is also a Dirichlet one, so only
-        # groups whose span holds a Dirichlet eigenvalue are read; the
-        # others have none.
-        k = step.cell_size
-        first = np.flatnonzero(np.concatenate([[True], np.diff(group) > 0]))
-        last = np.concatenate([first[1:], [group.size]]) - 1
-        shared = ca[first, 0] > cb[last, 0]
-        read = np.flatnonzero(shared[group])
-        rows, labels = [np.zeros((0, k))], [np.zeros(0, dtype=np.int64)]
+        read = np.flatnonzero(matrix[group])
         if read.size:
+            k = step.cell_size
+            rows, labels = [np.zeros((0, k))], [np.zeros(0, dtype=np.int64)]
             a, bb, group = a[read], bb[read], group[read]
             for js, w, vec, slope in _chain(step, q, b, n, bb)[2]:
                 cross = bb[js, None] - np.divide(w, slope, out=np.full_like(w, np.inf), where=slope > 0)
@@ -962,8 +1033,9 @@ def _chain_spectrum(structure, step, q, b, line, n, condition):
                 i, j = np.nonzero(branch)
                 rows.append(vec[i, :k, j] / np.sqrt(slope[i, j])[:, None])
                 labels.append(group[js[i]])
-        size -= _boundary_ranks(np.concatenate(rows), np.concatenate(labels), size.size)
-        size[~shared] = 0
+            ranks = _boundary_ranks(np.concatenate(rows), np.concatenate(labels), size.size)
+            nd[matrix] = (size - ranks)[matrix]
+        size = nd
     return _report(n, condition, values, size)
 
 
@@ -974,12 +1046,13 @@ def level_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
     hypothesis H and the lattice has at least the crossover of the chain's
     engine: LINE_MIN_VERTICES vertices where the step of (rho, b) keeps the
     pencil plane (_pencil_line), CHAIN_MIN_VERTICES otherwise.  Below it
-    level n is assembled and solved densely.  An unknown condition raises
-    before either path starts."""
+    level n is assembled and solved densely.  An unknown condition, and a
+    level too large for int64 counts (_level_size), raise before either
+    path starts."""
     if condition not in ("neumann", "dirichlet", "nd"):
         raise ValueError(f"unknown condition {condition!r}")
     q, b = _cell_data(structure, rho, b)
-    size = num_vertices(structure, n)
+    size = _level_size(structure, n)
     if structure.hypothesis_h()[0] and size >= LINE_MIN_VERTICES:
         step = _chain_plan(structure)
         line = _pencil_line(step, q, b)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fractal_spectra import spectra
+from fractal_spectra import cli, spectra
 from fractal_spectra.config import load_config
 from fractal_spectra.errors import InvalidStructure
 from fractal_spectra.linalg import generalized_sym_eig, generalized_sym_eigvals
@@ -314,15 +314,18 @@ def test_nd_read_out_keeps_degenerate_runs_whole():
 
 
 def test_nd_read_out_keeps_few_directions(monkeypatch, engine):
-    # The read-out pass keeps the count passes' near-singular directions
-    # only, so its cell stacks stay about as small as theirs.  It is the
-    # last pass of an N-D spectrum, so each pass starts the record afresh.
-    cfg = load_config("sierpinski")
+    # On the matrix chain the read-out pass keeps the count passes'
+    # near-singular directions only, so its cell stacks stay about as small
+    # as theirs.  It is the last pass of an N-D spectrum, so each pass
+    # starts the record afresh.  On the line the read-out takes the line's
+    # pairs, so once the _PencilLine is built no cell matrix is glued.
+    cfg, plan, q, b, line = line_of("sierpinski")
     chain, glue = spectra._chain, LevelStep.glue
     extra = []
 
     def chain_spy(*args, **kwargs):
-        extra.clear()
+        if engine == "matrix":
+            extra.clear()
         return chain(*args, **kwargs)
 
     def glue_spy(step, e, weak=True):
@@ -331,8 +334,12 @@ def test_nd_read_out_keeps_few_directions(monkeypatch, engine):
 
     monkeypatch.setattr(spectra, "_chain", chain_spy)
     monkeypatch.setattr(LevelStep, "glue", glue_spy)
-    chain_spectrum(cfg.structure, cfg.network, cfg.measure, 8, "nd")
-    assert extra and max(extra) <= 12
+    if engine == "matrix":
+        chain_spectrum(cfg.structure, cfg.network, cfg.measure, 8, "nd")
+        assert extra and max(extra) <= 12
+    else:
+        rep = spectra._chain_spectrum(cfg.structure, plan, q, b, line, 8, "nd")
+        assert rep.count == 9202 and extra == []
 
 
 def test_complex_rho_raises_on_both_paths():
@@ -509,9 +516,12 @@ def test_weak_networks_and_uneven_conductances_take_matrix_chain(rng, monkeypatc
 
 def count_passes(monkeypatch):
     """A list that gains one entry, its number of points, per count pass
-    of _chain (read-outs not included).  On the line builtins the N-D
-    read-out is the only top-level pass without a line: the matrix-chain
-    passes of the points the line leaves unsure run inside a count pass."""
+    of _chain (read-outs not included).  On the line builtins every
+    top-level pass has a line: the N-D read-out there calls _line_chain
+    directly, and the matrix-chain passes of the points the line leaves
+    unsure run inside a count pass.  A matrix-chain N-D read-out, which
+    the line builtins take only for groups the line leaves unsure, is a
+    top-level pass without a line."""
     real, passes, depth = spectra._chain, [], [0]
 
     def spy(plan, q, b, n, xs, line=None, **kwargs):
@@ -633,6 +643,127 @@ def test_sierpinski_count_laws():
     for n in range(1, 10):
         nd = level_spectrum(*args, n, "nd").count
         assert num_vertices(cfg.structure, n) - nd == 5 * 2 ** (n - 1) + 1
+
+
+@pytest.mark.parametrize("n,rows,total", [(12, 3068, 786922), (13, 5802, 2371005)])
+def test_sierpinski_nd_law_at_depth(n, rows, total):
+    # The law |V_n| - nd_n = 5 * 2^(n-1) + 1 at levels 12 and 13, from the
+    # trace's residue on the line, read per bracket: at level 12 some
+    # CLUSTER_TOL groups hold distinct eigenvalues.
+    cfg = load_config("sierpinski")
+    rep = level_spectrum(cfg.structure, cfg.network, cfg.measure, n, "nd")
+    assert (len(rep.clusters), rep.count) == (rows, total)
+    assert num_vertices(cfg.structure, n) - total == 5 * 2 ** (n - 1) + 1
+
+
+def test_interval_has_no_nd_eigenvalue_at_level_14():
+    # Every eigenvalue of the interval is simple and none is N-D.  At level
+    # 14 CLUSTER_TOL groups six simple eigenvalues at each end, whose
+    # boundary values pooled have rank 2; the residue is read per bracket,
+    # so each group holds no N-D eigenvalue.
+    cfg = load_config("interval")
+    assert level_spectrum(cfg.structure, cfg.network, cfg.measure, 14, "nd").clusters == []
+
+
+@pytest.mark.parametrize("name,n", [("sierpinski", 40), ("interval", 63)])
+def test_levels_beyond_int64_counts_raise(name, n, capsys):
+    # The chain counts in int64: from 2^63 vertices on, every entry point
+    # raises ValueError (the CLI's input error) instead of wrapping to a
+    # negative count.  One level lower the count is still exact.
+    cfg = load_config(name)
+    args = (cfg.structure, cfg.network, cfg.measure)
+    assert num_vertices(cfg.structure, n - 1) < 2**63 <= num_vertices(cfg.structure, n)
+    for spectrum in (level_spectrum, chain_spectrum):
+        for cond in CONDITIONS:
+            with pytest.raises(ValueError, match="2\\^63"):
+                spectrum(*args, n, cond)
+    assert cli.main(["spectrum", "--config", name, "--level", str(n), "--bc", "nd"]) == 2
+    assert "input error:" in capsys.readouterr().err
+    _, plan, q, b, line = line_of(name)
+    below = -1.01 * float(np.max(np.abs(q).sum(axis=1) / b)) * plan.gamma ** (n - 1)
+    counts = spectra._chain(plan, q, b, n - 1, np.array([below]), line=line)[0]
+    assert counts[0, 1] == num_vertices(cfg.structure, n - 1)
+
+
+def line_nd_reads(monkeypatch):
+    """A list that gains (lo, hi, rank, unsure) per N-D read on the line."""
+    real, reads = spectra._line_residue_ranks, []
+
+    def spy(step, line, n, lo, hi):
+        out = real(step, line, n, lo, hi)
+        reads.append((lo, hi) + out)
+        return out
+
+    monkeypatch.setattr(spectra, "_line_residue_ranks", spy)
+    return reads
+
+
+@pytest.mark.parametrize("name,n", [(name, n) for name in ("sierpinski", "interval", "scaled")
+                                    for n in range(1, 7)])
+def test_line_nd_matches_dense(name, n, monkeypatch):
+    # The line's N-D read, nd = mult_D less the rank of the trace's residue,
+    # against dense nd_spectrum.  No structure of the random oracle keeps
+    # the pencil plane, so nothing else holds this read to dense.  "scaled"
+    # is the gasket cell with conductances times 1.7 and measure times 0.6.
+    if name == "scaled":
+        st = sierpinski()
+        rho = ElectricalNetwork(3, {(0, 1): 1.7, (0, 2): 1.7, (1, 2): 1.7})
+        b = np.full(3, 0.6)
+    else:
+        cfg = load_config(name)
+        st, rho, b = cfg.structure, cfg.network, cfg.measure
+    reads = line_nd_reads(monkeypatch)
+    dense = dense_reports(st, rho, b, n)
+    assert_same_spectrum(chain_spectrum(st, rho, b, n, "nd"), dense["nd"], neumann_width(dense))
+    assert len(reads) == 1 and not reads[0][3].any()
+
+
+@pytest.mark.parametrize("name,n", [("sierpinski", 7), ("interval", 10)])
+def test_unsure_line_nd_falls_back_to_matrix_read(name, n, monkeypatch):
+    # Every end point of the line's N-D read marked unsure: each group is
+    # read from the last cell matrices of a matrix-chain pass, as off the
+    # line, and the lists stay the same.
+    cfg, *_ = line_of(name)
+    args = (cfg.structure, cfg.network, cfg.measure, n)
+    want = chain_spectrum(*args, "nd")
+    width = float(np.ptp(chain_spectrum(*args).eigenvalues))
+    ranks, chain = spectra._line_residue_ranks, spectra._chain
+    sent = []
+
+    def unsure(step, line, n, lo, hi):
+        return ranks(step, line, n, lo, hi)[0], np.ones(lo.size, dtype=bool)
+
+    def chain_spy(plan, q, b, n, xs, line=None, **kwargs):
+        if line is None:
+            sent.append(xs.size)
+        return chain(plan, q, b, n, xs, line, **kwargs)
+
+    monkeypatch.setattr(spectra, "_line_residue_ranks", unsure)
+    monkeypatch.setattr(spectra, "_chain", chain_spy)
+    assert_same_lists(chain_spectrum(*args, "nd"), want, width)
+    assert len(sent) == 1 and sent[0] > 0
+
+
+def test_line_nd_tells_a_pole_from_a_zero(monkeypatch):
+    # Sierpinski L2 has two Dirichlet eigenvalues, -3 and -2.5, each of
+    # multiplicity 3.  Across both the line's pair turns to the opposite
+    # direction.  At -2.5 the trace has a pole whose residue has rank 2,
+    # which leaves nd 1.  At -3 (y = -3, the common zero of the step's A
+    # and B) it passes through a zero, its lower pair negative definite:
+    # no pole, rank 0, and all 3 are N-D.
+    _, plan, q, b, line = line_of("sierpinski")
+    reads = line_nd_reads(monkeypatch)
+    rep = spectra._chain_spectrum(sierpinski(), plan, q, b, line, 2, "nd")
+    assert [m for _, m in rep.clusters] == [3, 1]
+    np.testing.assert_allclose([v for v, _ in rep.clusters], [-3.0, -2.5], atol=1e-10)
+    ((lo, hi, rank, unsure),) = reads
+    assert not unsure.any()
+    for value, r, lower in ((-3.0, 0, -1), (-2.5, 2, 1)):
+        i = np.argmin(np.abs(lo + hi - 2 * value))
+        assert rank[i] == r
+        alpha, beta = spectra._line_chain(plan, line, 2, np.array([lo[i], hi[i]]))[3]
+        assert alpha[0] * alpha[1] + beta[0] * beta[1] < 0
+        assert np.sign(np.max(alpha[0] * line.mu + beta[0])) == lower
 
 
 def oracle_draw():
