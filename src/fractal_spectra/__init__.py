@@ -22,6 +22,7 @@ from .errors import (
     NotHermitian,
     NotSymmetric,
     OrderUnstable,
+    ResidueUnresolved,
     SingularInterior,
     ZeroScale,
 )

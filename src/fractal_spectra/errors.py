@@ -48,6 +48,10 @@ class DegreeUnresolved(FractalSpectraError):
     """No rational fit of admissible degree matched the samples."""
 
 
+class ResidueUnresolved(FractalSpectraError):
+    """A residue pivot of the trace lies too near its cut to be ranked."""
+
+
 class InvalidStructure(FractalSpectraError):
     """Self-similar structure data violates its invariants."""
 

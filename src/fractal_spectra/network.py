@@ -184,9 +184,9 @@ def _split(q, boundary):
     return boundary, interior
 
 
-def _solve_interior(q, interior, rhs):
-    """(Q|int)^{-1} rhs; raises SingularInterior on the pole set."""
-    qii = q[np.ix_(interior, interior)]
+def _solve_interior(qii, rhs):
+    """qii^{-1} rhs for an interior block qii; raises SingularInterior on
+    the pole set."""
     s = np.linalg.svd(qii, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= SINGULAR_TOL * s[0]:
         raise SingularInterior("interior block is numerically singular")
@@ -202,10 +202,17 @@ def trace_map(q, boundary):
     """
     q = check_symmetric(q)
     bnd, interior = _split(q, boundary)
-    if not interior:
-        return q[np.ix_(bnd, bnd)]
-    b = q[np.ix_(bnd, interior)]
-    out = q[np.ix_(bnd, bnd)] - b @ _solve_interior(q, interior, b.T)
+    order = bnd + interior
+    return trace_leading(q[np.ix_(order, order)], len(bnd))
+
+
+def trace_leading(q, k):
+    """trace_map(q, range(k)) by slices, for a q the caller has checked
+    symmetric: the Schur complement onto the leading k vertices."""
+    if q.shape[0] == k:
+        return q[:k, :k]
+    b = q[:k, k:]
+    out = q[:k, :k] - b @ _solve_interior(q[k:, k:], b.T)
     return (out + out.T) / 2.0
 
 
@@ -223,7 +230,7 @@ def harmonic_extension(q, boundary, f):
     h = np.zeros(q.shape[0], dtype=complex)
     h[bnd] = f
     if interior:
-        h[interior] = -_solve_interior(q, interior, q[np.ix_(interior, bnd)] @ f)
+        h[interior] = -_solve_interior(q[np.ix_(interior, interior)], q[np.ix_(interior, bnd)] @ f)
     return h
 
 

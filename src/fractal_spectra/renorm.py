@@ -20,8 +20,8 @@ import numpy as np
 from .errors import AtInfinity, DegreeUnresolved, NotEquivariant, SingularInterior
 from .grassmann import GrassmannElement, mul, renorm_lift, vanishing_order
 from .linalg import check_symmetric
-from .network import q_matrix, trace_map
-from .selfsim import assemble_q, build_lattice
+from .network import q_matrix, trace_leading
+from .selfsim import assemble_q
 from .symplectic import (
     LagrangianFrame,
     from_sym,
@@ -41,11 +41,11 @@ FIT_TOL = 1e-7
 
 def t_map(q, structure):
     """One renormalization step on symmetric matrices:
-    boundary trace of the level-1 assembly, in cell coordinates."""
+    boundary trace of the level-1 assembly, in cell coordinates.  Level 1
+    numbers the K boundary vertices first, in F order (LevelStep), so the
+    trace is the Schur complement onto the leading block."""
     q = check_symmetric(q)
-    lat = build_lattice(structure, 1)
-    q1 = assemble_q(structure, q, 1)
-    return trace_map(q1, lat.boundary)
+    return trace_leading(assemble_q(structure, q, 1), structure.cell_size)
 
 
 def t_iterate(q, structure, n):

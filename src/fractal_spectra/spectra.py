@@ -45,12 +45,13 @@ Sign convention: Q in the network cone gives nonpositive spectra
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidStructure, SingularInterior
+from .errors import InvalidStructure, ResidueUnresolved, SingularInterior
 from .linalg import _pencil, generalized_sym_eig, generalized_sym_eigvals, kernel_basis
 from .network import ElectricalNetwork, q_matrix
 from .selfsim import (
@@ -74,12 +75,22 @@ ND_TOL = 1e-8
 # level-n trace at most this fraction of the largest counts as zero.  The
 # pivots that vanish in exact arithmetic, largest over a level's brackets:
 #   sierpinski  L5 3.1e-12  L10 9.8e-9  L12 4.2e-7  L13 2.1e-6  L14 9.7e-6
-#   interval   L10 4.3e-14  L12 7.1e-12  L14 1.8e-9
-# about 5x per level on the gasket, 16x on the interval from L11; the others
-# round to 1 of the largest.  ND_TOL would cut too low from sierpinski L11
-# on.  Depth limit: from sierpinski L15 on the vanishing pivots reach the
-# cut (4e-5 below it, 1.1e-4 just above it, counted) and the N-D law fails.
+#               L15 1.1e-4  L16 2.8e-3
+#   interval   L10 4.3e-14  L12 7.1e-12  L14 1.8e-9  L16 4.7e-7  L17 7.5e-6
+# about 5x per level on the gasket (faster from L15), 16x on the interval
+# from L11; the others round to 1 of the largest.  ND_TOL would cut too low
+# from sierpinski L11 on.
 RESIDUE_TOL = 1e-4
+# A pivot of a pole's residue within this factor of RESIDUE_TOL, either
+# side, is ranked by rounding, not by the residue: the read raises
+# ResidueUnresolved.  The band (2.5e-5, 4e-4] of the largest holds no pivot
+# through sierpinski L14 (the largest vanishing one is 2.6x below it) and
+# interval L17; at sierpinski L15 it holds pivots of 9 brackets, among them
+# the 1.1e-4 that, counted, breaks the N-D law, and at L16 of 561.  A
+# narrower bracket would shrink the vanishing pivots, but at L15 the line
+# leaves the midpoint of each of the five brackets with the largest ones
+# unsure, and the matrix chain's pass at one such point took over 4 GB.
+RESIDUE_MARGIN = 4.0
 # nd_kernel_dimension: singular values <= this * the largest count as zero.
 KERNEL_ORACLE_TOL = 1e-7
 
@@ -371,15 +382,15 @@ def _pencil_line(step, q, b):
         return None
     root = np.sqrt(b)
     nu = np.array([nu[g].mean() for g in groups])
-    poles = np.array([np.poly(-np.delete(nu, g)) for g in range(nu.size)])
-    numerators = np.array([np.polysub(np.polymul([coef[1, c], coef[0, c]], np.poly(-nu)),
-                                      coef[2:, c] @ poles) for c in (0, 1)])
+    # prod_g (y + nu_g), and for each g the product over the other poles
+    poles = np.array([_monic(np.delete(nu, g)) for g in range(nu.size)])
+    numerators = np.array([np.convolve([coef[1, c], coef[0, c]], _monic(nu)) for c in (0, 1)])
+    numerators[:, 2:] -= np.array([coef[2:, c] @ poles for c in (0, 1)])
     # Row i, column k: binom(i + k, k) times the coefficient of y^(i + k).
     low = numerators[:, ::-1]
     d = low.shape[1]
     i, j = np.indices((d, d))
-    taylor = np.concatenate(np.where(i + j < d, np.vectorize(math.comb)(i + j, j) * low[:, np.minimum(i + j, d - 1)],
-                                     0.0), axis=1)
+    taylor = np.concatenate(np.where(i + j < d, _binomials(d) * low[:, np.minimum(i + j, d - 1)], 0.0), axis=1)
     # A pole is critical where R' = (A B' - B A') / A^2 vanishes on it, to
     # DEGENERATE_TOL of the size of its terms.
     at_pole = np.vander(-nu, d, increasing=True) @ taylor
@@ -389,6 +400,22 @@ def _pencil_line(step, q, b):
     return _PencilLine(coef[0], coef[1], coef[2:], nu, np.array([g.size for g in groups]),
                        np.linalg.eigvalsh(q / root[:, None] / root), numerators, taylor,
                        critical)
+
+
+def _monic(roots):
+    """Coefficients of prod_r (y + r), highest degree first."""
+    out = np.ones(1)
+    for r in roots:
+        out = np.convolve(out, [1.0, r])
+    return out
+
+
+@functools.cache
+def _binomials(d):
+    """The d x d table binom(i + j, j), read-only."""
+    out = np.array([[math.comb(i + j, j) for j in range(d)] for i in range(d)], dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def _merge_runs(v, gap):
@@ -638,7 +665,8 @@ def _line_chain(step, line, n, xs):
     cannot resolve; `last` marks the points whose last-cell signs it cannot
     resolve, which void only the Neumann count; `pair` is the final unit
     pair (alpha, beta), shape (2, points), the level-n trace up to a
-    positive factor, which the N-D read-out ranks (_line_residue_ranks).
+    positive factor, which _chain hands on for the N-D read-out
+    (_line_residue_ranks).
 
     The pair is kept at unit length.  Before it is normalized, each step's
     image is multiplied by |alpha nu + beta| of the interior pole nearest
@@ -757,10 +785,12 @@ def _line_chain(step, line, n, xs):
     return counts, inner, bad.any(axis=0), np.stack([a, b])
 
 
-def _line_residue_ranks(step, line, n, lo, hi):
+def _line_residue_ranks(line, lo, hi, pair_lo, pair_hi):
     """The rank of the residue of the level-n trace in each bracket
-    (lo, hi], from the line's unit pairs (alpha, beta) at its two ends, and
-    whether the line leaves either end unsure (_line_chain).
+    (lo, hi], from the line's unit pairs (alpha, beta) at its two ends,
+    shape (brackets, 2) each, and whether the line leaves either end unsure
+    (a nan pair).  The pairs are those the count passes took at the ends
+    (_chain): the read runs no pass of its own.
 
     Near a Dirichlet eigenvalue lam the trace is R / (lam - x) plus a regular
     part, with R >= 0 in span{q, D}, so across a pole the pair turns to the
@@ -770,14 +800,23 @@ def _line_residue_ranks(step, line, n, lo, hi):
     the Sierpinski gasket y = -3), and the rank is 0.  Across a pole the
     difference of the two pairs is R, up to scale, with the regular part
     cancelled to second order; its pivots Delta alpha mu_j + Delta beta
-    above RESIDUE_TOL of the largest give the rank."""
-    _, inner, last, pair = _line_chain(step, line, n, np.concatenate([lo, hi]))
-    (a0, a1), (b0, b1) = pair.reshape(2, 2, -1)
+    above RESIDUE_TOL of the largest give the rank.  A pivot within
+    RESIDUE_MARGIN of that cut raises ResidueUnresolved, naming its
+    bracket."""
+    (a0, b0), (a1, b1) = pair_lo.T, pair_hi.T
     pole = (a0 * a1 + b0 * b1 < 0) & (np.max(a0[:, None] * line.mu + b0[:, None], axis=1) > 0)
     residue = np.abs((a1 - a0)[:, None] * line.mu + (b1 - b0)[:, None])
     big = residue.max(axis=1, keepdims=True)
+    near = (residue > RESIDUE_TOL / RESIDUE_MARGIN * big) & (residue <= RESIDUE_TOL * RESIDUE_MARGIN * big)
+    bad = np.flatnonzero(pole & near.any(axis=1))
+    if bad.size:
+        i = bad[0]
+        raise ResidueUnresolved(
+            f"{bad.size} residue ranks unresolved, the first in ({float(lo[i])!r}, {float(hi[i])!r}]: a pivot "
+            f"{float(np.min(residue[i][near[i]] / big[i, 0])):.3g} of the largest lies within "
+            f"{RESIDUE_MARGIN:g}x of the cut {RESIDUE_TOL:g}")
     rank = np.where(pole, np.count_nonzero(residue > RESIDUE_TOL * big, axis=1), 0)
-    return rank, (inner | last).reshape(2, -1).any(axis=0)
+    return rank, np.isnan(pair_lo).any(axis=1) | np.isnan(pair_hi).any(axis=1)
 
 
 def _chain(step, q, b, n, xs, line=None, neumann=True):
@@ -804,16 +843,20 @@ def _chain(step, q, b, n, xs, line=None, neumann=True):
     pairs lists per stack of last cell matrices E (boundary first, then kept
     interior directions) the eigenpairs that give the Neumann count and
     rate, as (indices, w, v, dw) with slopes dw = v^T E' v, which the
-    matrix chain's N-D read-out ranks; the line engine gives None (its N-D
-    read-out calls _line_chain itself).  Every matrix-chain pass, the N-D
-    read-out's too, groups kept directions by degenerate runs."""
+    matrix chain's N-D read-out ranks.  From the line engine pairs holds
+    each point's final unit pair (alpha, beta), shape (points, 2), nan
+    where the line leaves the point unsure at any pivot: the line's N-D
+    read-out ranks the pairs of the points the count passes took
+    (_line_residue_ranks).  Every matrix-chain pass, the N-D read-out's
+    too, groups kept directions by degenerate runs."""
     if line is not None:
-        counts, inner, last, _ = _line_chain(step, line, n, xs)
+        counts, inner, last, pair = _line_chain(step, line, n, xs)
         rates = np.zeros((xs.size, 2))
         unsure = inner | last if neumann else inner
         if unsure.any():
             counts[unsure], rates[unsure], _ = _chain(step, q, b, n, xs[unsure])
-        return counts, rates, None
+        pair[:, inner | last] = np.nan
+        return counts, rates, pair.T
     k, ncopies = step.cell_size, step.num_copies
     p = xs.size
     counts = np.zeros((p, 3), dtype=np.int64)
@@ -883,8 +926,10 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
     rank of the residue of the level-n trace at lam.  On the line that
     trace stays in span{q, D}, and the rank is read from the line's unit
     pairs at the two ends of each bracket whose Dirichlet count drops
-    (_line_residue_ranks): one more line pass, with no cell matrix.  Off
-    the line, and for a group with an end the line leaves unsure, it comes
+    (_line_residue_ranks), the pairs the count passes took there: no pass
+    of its own and no cell matrix.  A residue pivot too near the read's cut
+    raises ResidueUnresolved (sierpinski from L15).  Off the line, and for
+    a group with an end the line leaves unsure, it comes
     from the last cell matrix E of a matrix-chain pass at each eigenvalue:
     the level-n matrix is congruent to E plus eliminated directions that
     are nonsingular there, with the boundary values unchanged, so each
@@ -911,7 +956,10 @@ def _chain_spectrum(structure, step, q, b, line, n, condition):
         return _report(n, condition, np.zeros(0), np.zeros(0))
 
     def count(xs):
-        return _chain(step, q, b, n, np.asarray(xs, dtype=float), line=line, neumann=col == 1)
+        """Counts, rates and, on the line, the unit pairs at xs (nan off it)."""
+        xs = np.asarray(xs, dtype=float)
+        counts, rates, pairs = _chain(step, q, b, n, xs, line=line, neumann=col == 1)
+        return counts, rates, pairs if line is not None else np.full((xs.size, 2), np.nan)
 
     # One pass counts the bracket's ends and, on the pencil line, tol / 4
     # either side of each candidate (_line_candidates), merged where closer
@@ -927,7 +975,7 @@ def _chain_spectrum(structure, step, q, b, line, n, condition):
         cuts = _merge_runs(y, 0.5 * tol)[:, None] + 0.25 * tol * np.array([-1.0, 1.0])
         x = np.concatenate([[lo], cuts.ravel(), [hi]])
         x[[0, -1]] = x.min(), x.max()
-        cx, rx, _ = count(x)
+        cx, rx, px = count(x)
         if cx[0, col] == total and cx[-1, col] == 0:
             break
         lo, hi = (lo if cx[0, col] == total else 2 * lo), (hi if cx[-1, col] == 0 else 2 * hi)
@@ -942,17 +990,19 @@ def _chain_spectrum(structure, step, q, b, line, n, condition):
     # elsewhere it is cut into min(m + 1, 16) equal parts.  A zero rate
     # takes no step: the line gives none, so there an interval that no
     # candidate caught is cut into equal parts, halved where m is 1.  The
-    # parts that hold eigenvalues stay open until narrower than tol.
-    x, cx, rx = x[None], cx[None], rx[None, :, col]
+    # parts that hold eigenvalues stay open until narrower than tol.  Each
+    # point keeps its counts, its rate and its pair (the N-D read's input).
+    x, cx, rx, px = x[None], cx[None], rx[None, :, col], px[None]
     a, bb = np.array([-np.inf]), np.array([np.inf])  # the round before the first: the whole line
     done = []
     while True:
         i, j = np.nonzero(cx[:, :-1, col] > cx[:, 1:, col])
         last = (bb - a)[i]  # each interval's width a round earlier
         a, bb, ca, cb, ra, rb = x[i, j], x[i, j + 1], cx[i, j], cx[i, j + 1], rx[i, j], rx[i, j + 1]
+        pa, pb = px[i, j], px[i, j + 1]
         fin = bb - a <= tol
-        done.append((a[fin], bb[fin], ca[fin], cb[fin]))
-        a, bb, ca, cb, ra, rb, last = (v[~fin] for v in (a, bb, ca, cb, ra, rb, last))
+        done.append((a[fin], bb[fin], ca[fin], cb[fin], pa[fin], pb[fin]))
+        a, bb, ca, cb, ra, rb, pa, pb, last = (v[~fin] for v in (a, bb, ca, cb, ra, rb, pa, pb, last))
         if not a.size:
             break
         m = ca[:, col] - cb[:, col]
@@ -973,19 +1023,20 @@ def _chain_spectrum(structure, step, q, b, line, n, condition):
         x = np.column_stack([a, np.sort(x, axis=1), bb])  # unused points (nan) sort last
         x[np.isnan(x)] = np.broadcast_to(bb[:, None], x.shape)[np.isnan(x)]
         inner = x[:, 1:-1] < bb[:, None]
-        cs, rs, _ = count(x[:, 1:-1][inner])
+        cs, rs, ps = count(x[:, 1:-1][inner])
         cx = np.broadcast_to(cb[:, None], (a.size, x.shape[1], 3)).copy()
         rx = np.broadcast_to(rb[:, None], x.shape).copy()
-        cx[:, 0], rx[:, 0] = ca, ra
-        cx[:, 1:-1][inner], rx[:, 1:-1][inner] = cs, rs[:, col]
-    a, bb, ca, cb = (np.concatenate(parts) for parts in zip(*done))
+        px = np.broadcast_to(pb[:, None], (a.size, x.shape[1], 2)).copy()
+        cx[:, 0], rx[:, 0], px[:, 0] = ca, ra, pa
+        cx[:, 1:-1][inner], rx[:, 1:-1][inner], px[:, 1:-1][inner] = cs, rs[:, col], ps
+    a, bb, ca, cb, pa, pb = (np.concatenate(parts) for parts in zip(*done))
     order = np.argsort(a)
-    a, bb, ca, cb = a[order], bb[order], ca[order], cb[order]
+    a, bb, ca, cb, pa, pb = a[order], bb[order], ca[order], cb[order], pa[order], pb[order]
     # A point that lands on an eigenvalue splits it between two finished
     # intervals that share that endpoint: join them.
     first = np.flatnonzero(np.concatenate([[True], a[1:] != bb[:-1]]))
     last = np.concatenate([first[1:], [a.size]]) - 1
-    a, bb, ca, cb = a[first], bb[last], ca[first], cb[last]
+    a, bb, ca, cb, pa, pb = a[first], bb[last], ca[first], cb[last], pa[first], pb[last]
     values = 0.5 * (a + bb)
     mult = ca[:, col] - cb[:, col]
     # Group distinct eigenvalues by the rule of cluster_eigenvalues, so both
@@ -1008,7 +1059,7 @@ def _chain_spectrum(structure, step, q, b, line, n, condition):
         if line is not None:
             drop = ca[:, 0] - cb[:, 0]
             read = np.flatnonzero(drop > 0)
-            rank, unsure = _line_residue_ranks(step, line, n, a[read], bb[read])
+            rank, unsure = _line_residue_ranks(line, a[read], bb[read], pa[read], pb[read])
             sure = np.bincount(group[read], unsure, size.size) == 0
             nd[sure] = np.bincount(group[read], drop[read] - rank, size.size)[sure]
             matrix &= ~sure

@@ -69,8 +69,9 @@ class LagrangianFrame:
         if cols.shape[1] != cols.shape[0] // 2:
             raise ValueError("frame does not have full rank K")
         k = cols.shape[1]
-        iso = cols.T @ omega_matrix(k) @ cols
-        if k and np.max(np.abs(iso)) > FRAME_TOL:
+        # omega on the columns, X^T Omega X = A^T B - B^T A for X = [A; B]
+        a, b = cols[:k], cols[k:]
+        if k and np.max(np.abs(a.T @ b - b.T @ a)) > FRAME_TOL:
             raise ValueError("frame is not isotropic")
         cols.flags.writeable = False
         self.columns = cols
@@ -162,6 +163,8 @@ class CoisotropicSubspace:
               coordinates; ker(proj restricted to W) = W^o and the
               pullback of the canonical form of V_p along proj equals
               omega on W.
+    wo_omega: (W^o)^T Omega, formed once; every reduction reads L cap W
+              as its null space on L (_meet).
     """
 
     frame: np.ndarray
@@ -177,6 +180,7 @@ class CoisotropicSubspace:
         if self.frame.shape[1] != k + p or self.wo_frame.shape[1] != k - p:
             raise ValueError("dimension bookkeeping failed")
         om = omega_matrix(k)
+        self.wo_omega = self.wo_frame.T @ om
         if self.wo_frame.shape[1]:
             if np.max(np.abs(self.frame.T @ om @ self.wo_frame)) > FRAME_TOL:
                 raise ValueError("W^o is not omega-orthogonal to W")
@@ -265,7 +269,7 @@ def _meet(l: LagrangianFrame, w: CoisotropicSubspace):
     k = l.half_dim
     if w.wo_frame.shape[1] == 0:
         return np.eye(k, dtype=complex)
-    _, s, vh = np.linalg.svd(w.wo_frame.T @ omega_matrix(k) @ l.columns)
+    _, s, vh = np.linalg.svd(w.wo_omega @ l.columns)
     return vh[np.count_nonzero(s > RANK_TOL):].conj().T
 
 
@@ -280,10 +284,14 @@ def reduce_frame(l: LagrangianFrame, w: CoisotropicSubspace) -> LagrangianFrame:
 
 def reduce_with_defect(l: LagrangianFrame, w: CoisotropicSubspace):
     """(reduce_frame(l, w), reduction_defect(l, w)), both read from one
-    kernel L cap W."""
+    kernel L cap W.  Where the defect is 0 the image of the kernel goes to
+    the frame as it is, whose constructor orthonormalizes it; a positive
+    defect's image spans p dimensions in more columns, trimmed here."""
     meet = _meet(l, w)
-    reduced = orthonormalize(w.proj @ l.columns @ meet)
+    reduced = w.proj @ l.columns @ meet
     p = w.reduced_half_dim
+    if reduced.shape[1] > p:
+        reduced = orthonormalize(reduced)
     if reduced.shape[1] != p:
         raise ValueError(
             f"reduction produced rank {reduced.shape[1]}, expected {p}"

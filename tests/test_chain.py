@@ -8,7 +8,7 @@ import pytest
 
 from fractal_spectra import cli, spectra
 from fractal_spectra.config import load_config
-from fractal_spectra.errors import InvalidStructure
+from fractal_spectra.errors import InvalidStructure, ResidueUnresolved
 from fractal_spectra.linalg import generalized_sym_eig, generalized_sym_eigvals
 from fractal_spectra.network import ElectricalNetwork, q_matrix
 from fractal_spectra.selfsim import (
@@ -517,11 +517,11 @@ def test_weak_networks_and_uneven_conductances_take_matrix_chain(rng, monkeypatc
 def count_passes(monkeypatch):
     """A list that gains one entry, its number of points, per count pass
     of _chain (read-outs not included).  On the line builtins every
-    top-level pass has a line: the N-D read-out there calls _line_chain
-    directly, and the matrix-chain passes of the points the line leaves
-    unsure run inside a count pass.  A matrix-chain N-D read-out, which
-    the line builtins take only for groups the line leaves unsure, is a
-    top-level pass without a line."""
+    top-level pass has a line: the N-D read-out there ranks the pairs the
+    count passes took and runs no pass, and the matrix-chain passes of the
+    points the line leaves unsure run inside a count pass.  A matrix-chain
+    N-D read-out, which the line builtins take only for groups the line
+    leaves unsure, is a top-level pass without a line."""
     real, passes, depth = spectra._chain, [], [0]
 
     def spy(plan, q, b, n, xs, line=None, **kwargs):
@@ -689,8 +689,8 @@ def line_nd_reads(monkeypatch):
     """A list that gains (lo, hi, rank, unsure) per N-D read on the line."""
     real, reads = spectra._line_residue_ranks, []
 
-    def spy(step, line, n, lo, hi):
-        out = real(step, line, n, lo, hi)
+    def spy(line, lo, hi, *pairs):
+        out = real(line, lo, hi, *pairs)
         reads.append((lo, hi) + out)
         return out
 
@@ -730,8 +730,8 @@ def test_unsure_line_nd_falls_back_to_matrix_read(name, n, monkeypatch):
     ranks, chain = spectra._line_residue_ranks, spectra._chain
     sent = []
 
-    def unsure(step, line, n, lo, hi):
-        return ranks(step, line, n, lo, hi)[0], np.ones(lo.size, dtype=bool)
+    def unsure(line, lo, hi, *pairs):
+        return ranks(line, lo, hi, *pairs)[0], np.ones(lo.size, dtype=bool)
 
     def chain_spy(plan, q, b, n, xs, line=None, **kwargs):
         if line is None:
@@ -742,6 +742,38 @@ def test_unsure_line_nd_falls_back_to_matrix_read(name, n, monkeypatch):
     monkeypatch.setattr(spectra, "_chain", chain_spy)
     assert_same_lists(chain_spectrum(*args, "nd"), want, width)
     assert len(sent) == 1 and sent[0] > 0
+
+
+@pytest.mark.parametrize("name", ["sierpinski", "interval"])
+def test_line_nd_takes_one_line_pass(name, monkeypatch):
+    # The N-D read on the line ranks the pairs the count pass took at each
+    # bracket's ends: a spectrum whose candidates certify it in one pass
+    # runs _line_chain once.
+    cfg, *_ = line_of(name)
+    real, calls = spectra._line_chain, []
+
+    def spy(*args):
+        calls.append(args[-1].size)
+        return real(*args)
+
+    monkeypatch.setattr(spectra, "_line_chain", spy)
+    for n in range(6, 13):
+        calls.clear()
+        chain_spectrum(cfg.structure, cfg.network, cfg.measure, n, "nd")
+        assert len(calls) == 1, (n, calls)
+
+
+def test_residue_pivot_near_the_cut_raises(monkeypatch, capsys):
+    # At sierpinski L12 the largest vanishing residue pivot is 4.2e-7 of its
+    # bracket's largest.  With the cut moved next to it, within
+    # RESIDUE_MARGIN, the rank would follow rounding: the read raises
+    # ResidueUnresolved, which the CLI reports as a numeric failure.
+    cfg = load_config("sierpinski")
+    monkeypatch.setattr(spectra, "RESIDUE_TOL", 1e-6)
+    with pytest.raises(ResidueUnresolved, match="residue ranks unresolved"):
+        level_spectrum(cfg.structure, cfg.network, cfg.measure, 12, "nd")
+    assert cli.main(["spectrum", "--config", "sierpinski", "--level", "12", "--bc", "nd"]) == 3
+    assert "numeric failure: ResidueUnresolved" in capsys.readouterr().err
 
 
 def test_line_nd_tells_a_pole_from_a_zero(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractal_spectra import grassmann
 from fractal_spectra.errors import OrderUnstable, ZeroScale
 from fractal_spectra.grassmann import (
     GrassmannElement,
@@ -229,6 +230,27 @@ def test_compiled_lift_matches_dict_kernel(rng):
             want = _dict_kernel_lift(x, st_)
             got = renorm_lift(x, st_)
             assert (got - want).norm() <= 1e-12 * want.norm(), name
+
+
+@pytest.mark.parametrize("name,full,pruned", [
+    ("sierpinski", [20, 236, 1404], [20, 100, 100]),
+    ("gamma_bar", [20, 400, 8000], [20, 328, 1184]),
+    ("gamma_bar_semi", [20, 400, 8000], [20, 328, 1184]),
+])
+def test_pruned_lift_plan_forms_only_read_keys(name, full, pruned, rng):
+    # Each copy of the compiled lift forms only the products whose key a
+    # later stage reads, and the coefficients stay bitwise those of the
+    # full tables: every kept sum has the same terms in the same order.
+    st_ = builtin_structures()[name]
+    whole = grassmann._compile_lift(st_)
+    plan = grassmann._lift_plan(st_)
+    assert [z_idx.size for z_idx, *_ in whole.copies] == full
+    assert [z_idx.size for z_idx, *_ in plan.copies] == pruned
+    chart = symmetric_chart(3)
+    for _ in range(4):
+        u = rng.uniform(-2.0, 2.0, 2) + 1j * rng.uniform(0.5, 2.0, 2)
+        for x in (exp_eta(random_sym(rng, 3)), exp_eta(chart.matrix(u))):
+            assert renorm_lift(x, st_).coeffs == grassmann._run_lift(whole, x).coeffs
 
 
 def test_determinant_bridge(gasket, gbar, triangle_q):
