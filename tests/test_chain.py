@@ -744,6 +744,23 @@ def test_unsure_line_nd_falls_back_to_matrix_read(name, n, monkeypatch):
     assert len(sent) == 1 and sent[0] > 0
 
 
+def test_chain_hands_on_the_line_pairs():
+    # A count pass on the line hands on each point's unit pair for the N-D
+    # read, nan where the line leaves the point unsure at any pivot (the
+    # read then takes the matrix chain): on the candidates, which are the
+    # eigenvalues themselves, most points are unsure.
+    _, plan, q, b, line = line_of("sierpinski")
+    n = 3
+    y = spectra._line_candidates(line, n, True) * plan.gamma**n
+    xs = np.concatenate([y, y + 1e-3])
+    _, inner, last, pair = spectra._line_chain(plan, line, n, xs)
+    got = spectra._chain(plan, q, b, n, xs, line=line)[2]
+    unsure = inner | last
+    assert unsure.any() and not unsure.all()
+    assert np.array_equal(np.isnan(got).any(axis=1), unsure)
+    assert np.array_equal(got[~unsure], pair.T[~unsure])
+
+
 @pytest.mark.parametrize("name", ["sierpinski", "interval"])
 def test_line_nd_takes_one_line_pass(name, monkeypatch):
     # The N-D read on the line ranks the pairs the count pass took at each
