@@ -25,6 +25,7 @@ dense coefficient vectors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
@@ -127,19 +128,31 @@ class GrassmannElement:
 def exp_eta(q) -> GrassmannElement:
     """All minors of a symmetric matrix: coefficient(I, J) = det Q[I, J]."""
     q = check_symmetric(q)
-    k = q.shape[0]
-    support = [i for i in range(k) if np.any(q[i, :] != 0) or np.any(q[:, i] != 0)]
+    nonzero = q != 0
+    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
     coeffs = {(0, 0): 1.0 + 0j}
+    for index, keys in _minor_tables(tuple(support.tolist())):
+        # one batched det per minor size: block[r, c] = q[subsets[r], subsets[c]]
+        for key, d in zip(keys, np.linalg.det(q[index]).ravel().tolist()):
+            if d != 0:
+                coeffs[key] = d
+    return GrassmannElement(q.shape[0], coeffs)
+
+
+@functools.cache
+def _minor_tables(support):
+    """Per minor size over the index tuple `support`: the read-only fancy
+    index that gathers every block q[I, J] for one batched det, and the keys
+    (I, J) of the dets in row-major order."""
+    out = []
     for size in range(1, len(support) + 1):
         subsets = np.array(list(combinations(support, size)))
         masks = [_mask(c) for c in subsets]
-        # one batched det per minor size: block[r, c] = q[subsets[r], subsets[c]]
-        dets = np.linalg.det(q[subsets[:, None, :, None], subsets[None, :, None, :]])
-        for i_mask, row in zip(masks, dets):
-            for j_mask, d in zip(masks, row):
-                if d != 0:
-                    coeffs[(i_mask, j_mask)] = complex(d)
-    return GrassmannElement(k, coeffs)
+        index = (subsets[:, None, :, None], subsets[None, :, None, :])
+        for a in index:
+            a.flags.writeable = False
+        out.append((index, [(i, j) for i in masks for j in masks]))
+    return tuple(out)
 
 
 def mul(x: GrassmannElement, y: GrassmannElement) -> GrassmannElement:

@@ -86,11 +86,17 @@ def _pencil(q, b):
     pencil is real: a Q or weights with a nonzero imaginary part raise
     ValueError, and so does a NaN or infinite entry of Q or b."""
     q, b = np.asarray(q), np.asarray(b)
-    if np.any(np.imag(q)):
-        raise ValueError("spectra need a real Q; this one has a nonzero imaginary part")
-    if np.any(np.imag(b)):
-        raise ValueError("spectra need real weights; these have a nonzero imaginary part")
-    q, b = np.real(q).astype(float), np.real(b).astype(float)
+    # Only complex input has an imaginary part to check and drop; a float64
+    # array passes on uncopied.
+    if np.iscomplexobj(q):
+        if np.any(q.imag):
+            raise ValueError("spectra need a real Q; this one has a nonzero imaginary part")
+        q = q.real
+    if np.iscomplexobj(b):
+        if np.any(b.imag):
+            raise ValueError("spectra need real weights; these have a nonzero imaginary part")
+        b = b.real
+    q, b = q.astype(float, copy=False), b.astype(float, copy=False)
     if not (np.isfinite(q).all() and np.isfinite(b).all()):
         raise ValueError("the pencil needs a finite Q and finite weights")
     q = _require_symmetric(q)

@@ -1,7 +1,8 @@
 """The renormalization map at all three levels, plus degree machinery.
 
 t_map acts on symmetric matrices (copy, glue, boundary-trace), g_map on
-Lagrangian frames (block copies and one symplectic reduction), and the
+Lagrangian frames (block copies and one symplectic reduction, the copy map
+folded into the reduction once per structure), and the
 Grassmann lift lives in the grassmann module.  For structures with a
 transitive symmetry group the invariant matrices form a small coordinate
 chart Q = sum u_i P_i over orthogonal projectors; there the map becomes a
@@ -24,9 +25,10 @@ from .network import q_matrix, trace_leading
 from .selfsim import assemble_q
 from .symplectic import (
     LagrangianFrame,
+    copy_reduction,
     from_sym,
     in_siegel,
-    reduce_with_defect,
+    reduce_copies,
     to_sym,
     w_renorm,
 )
@@ -56,7 +58,9 @@ def t_iterate(q, structure, n):
 
 def block_copy_frame(l: LagrangianFrame, structure) -> LagrangianFrame:
     """The block-diagonal frame of N copies (with per-copy scaling lifts
-    and the weak-network shear when the structure carries them)."""
+    and the weak-network shear when the structure carries them).  g_map
+    folds this copy map into its reduction instead of forming the frame;
+    reducing this frame by w_renorm is the reference it is tested against."""
     n = structure.num_copies
     k = l.half_dim
     w = structure.copy_weights()
@@ -74,20 +78,30 @@ def block_copy_frame(l: LagrangianFrame, structure) -> LagrangianFrame:
 
 
 def g_map(l: LagrangianFrame, structure):
-    """One renormalization step on Lagrangian frames.
+    """One renormalization step on Lagrangian frames: the reduction of
+    block_copy_frame(l) by W_renorm, with the copy map folded into the
+    reduction once per structure (_copy_reduction).
 
     Total map: returns (reduced frame, defect), the defect being
     dim(copies(L) cap W^o) -- positive exactly at indeterminacy points of
     the rational extension."""
-    w = _w_renorm_cached(structure)
-    tilde = block_copy_frame(l, structure)
-    return reduce_with_defect(tilde, w)
+    return reduce_copies(l, _copy_reduction(structure))
 
 
-def _w_renorm_cached(structure):
-    if "w_renorm" not in structure._cache:
-        structure._cache["w_renorm"] = w_renorm(structure)
-    return structure._cache["w_renorm"]
+def _copy_reduction(structure):
+    """W_renorm with the copy map of block_copy_frame folded in, cached:
+    S = [[I, 0], [Q0, diag(w_i I)]], the per-copy scaling lifts followed by
+    the weak-network shear (Q0 = 0 without one)."""
+    if "copy_reduction" not in structure._cache:
+        n, k = structure.num_copies, structure.cell_size
+        weights = structure.copy_weights()
+        s = np.zeros((2 * n * k, 2 * n * k))
+        s[: n * k, : n * k] = np.eye(n * k)
+        s[n * k :, n * k :] = np.diag(np.repeat(weights, k))
+        if structure.weak is not None:
+            s[n * k :, : n * k] = q_matrix(structure.weak)
+        structure._cache["copy_reduction"] = copy_reduction(w_renorm(structure), s, weights)
+    return structure._cache["copy_reduction"]
 
 
 @dataclass(eq=False)

@@ -74,19 +74,19 @@ ND_TOL = 1e-8
 # On the pencil line (_line_residue_ranks), a pivot of the residue of the
 # level-n trace at most this fraction of the largest counts as zero.  The
 # pivots that vanish in exact arithmetic, largest over a level's brackets:
-#   sierpinski  L5 3.1e-12  L10 9.8e-9  L12 4.2e-7  L13 2.1e-6  L14 9.7e-6
-#               L15 1.1e-4  L16 2.8e-3
+#   sierpinski  L5 7.3e-13  L10 2.3e-9  L12 5.8e-8  L13 3.2e-7  L14 4.2e-6
+#               L15 1.2e-4  L16 2.8e-3
 #   interval   L10 4.3e-14  L12 7.1e-12  L14 1.8e-9  L16 4.7e-7  L17 7.5e-6
-# about 5x per level on the gasket (faster from L15), 16x on the interval
+# about 5x per level on the gasket (faster from L14), 16x on the interval
 # from L11; the others round to 1 of the largest.  ND_TOL would cut too low
 # from sierpinski L11 on.
 RESIDUE_TOL = 1e-4
 # A pivot of a pole's residue within this factor of RESIDUE_TOL, either
 # side, is ranked by rounding, not by the residue: the read raises
 # ResidueUnresolved.  The band (2.5e-5, 4e-4] of the largest holds no pivot
-# through sierpinski L14 (the largest vanishing one is 2.6x below it) and
-# interval L17; at sierpinski L15 it holds pivots of 9 brackets, among them
-# the 1.1e-4 that, counted, breaks the N-D law, and at L16 of 561.  A
+# through sierpinski L14 (the largest vanishing one is 6x below it) and
+# interval L17; at sierpinski L15 it holds pivots of 3 brackets (up to
+# 1.2e-4, above the cut), and at L16 of 479.  A
 # narrower bracket would shrink the vanishing pivots, but at L15 the line
 # leaves the midpoint of each of the five brackets with the largest ones
 # unsure, and the matrix chain's pass at one such point took over 4 GB.
@@ -429,17 +429,22 @@ def _merge_runs(v, gap):
 
 def _real_roots(c, scale):
     """The real roots of the polynomials in the rows of c (highest degree
-    first), from one batched companion-matrix eigensolve per degree.
-    Leading coefficients of rounding size (eps of the row's largest) are
-    dropped: their roots lie beyond 1 / eps of the scale."""
-    c = c[np.abs(c).max(axis=1, initial=0.0) > 0]
-    c = c / np.abs(c).max(axis=1, keepdims=True)
+    first): in closed form up to degree 2, beyond that from one batched
+    companion-matrix eigensolve per degree.  Leading coefficients of
+    rounding size (eps of the row's largest) are dropped: their roots lie
+    beyond 1 / eps of the scale."""
+    size = np.abs(c).max(axis=1, initial=0.0)
+    c = c[size > 0] / size[size > 0, None]
     lead = np.argmax(np.abs(c) > np.finfo(float).eps, axis=1)
     roots = [np.zeros(0)]
     for start in np.flatnonzero(np.bincount(lead)):
         rows = c[lead == start, start:]
         deg = rows.shape[1] - 1
-        if deg:
+        if deg == 1:
+            roots.append(-rows[:, 1] / rows[:, 0])
+        elif deg == 2:
+            roots.append(_quadratic_real_roots(rows, scale))
+        elif deg:
             companion = np.zeros((rows.shape[0], deg, deg))
             companion[:, 0] = -rows[:, 1:] / rows[:, :1]
             companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
@@ -449,9 +454,39 @@ def _real_roots(c, scale):
             gap = np.abs(r[:, :, None] - r[:, None, :]) + np.diag(np.full(deg, np.inf))
             near = np.argmin(gap, axis=2)
             pair = np.min(gap, axis=2) <= ROOT_REAL_TOL * (scale + np.abs(r))
-            roots.append(np.where(pair, 0.5 * (r + np.take_along_axis(r, near, 1)), r).ravel())
-    r = np.concatenate(roots)
-    return np.sort(r.real[r.imag == 0])
+            r = np.where(pair, 0.5 * (r + np.take_along_axis(r, near, 1)), r).ravel()
+            roots.append(r.real[r.imag == 0])
+    return np.sort(np.concatenate(roots))
+
+
+def _quadratic_real_roots(rows, scale):
+    """The real roots of a y^2 + b y + c for the rows (a, b, c), a != 0, in
+    closed form.  The two roots lie sqrt|b^2 - 4ac| / |a| apart; within
+    ROOT_REAL_TOL of the scale plus |-b / 2a| they are one real double root
+    at their mean -b / 2a, twice, whether rounding left them real or
+    complex (the companion path's rule, with the mean's size for each
+    root's).  Farther apart a complex pair has no real root, and a real
+    pair comes from the stable formula q = -(b + sign(b) sqrt(b^2 - 4ac))
+    / 2, roots q / a and c / q."""
+    a, b, c = rows.T
+    disc = b * b - 4.0 * a * c
+    root = np.sqrt(np.abs(disc))
+    mid = -0.5 * b / a
+    pair = root <= ROOT_REAL_TOL * np.abs(a) * (scale + np.abs(mid))
+    real = (disc > 0) & ~pair
+    q = -0.5 * (b[real] + np.copysign(root[real], b[real]))
+    return np.concatenate([mid[pair], mid[pair], q / a[real], c[real] / q])
+
+
+def _deflate(p, z):
+    """The quotient of the polynomial p (highest degree first) by y - z,
+    by synthetic division; the remainder p(z) is dropped."""
+    out = np.empty(p.size - 1)
+    acc = 0.0
+    for i, coef in enumerate(p[:-1]):
+        acc = acc * z + coef
+        out[i] = acc
+    return out
 
 
 def _line_candidates(line, n, neumann):
@@ -463,13 +498,19 @@ def _line_candidates(line, n, neumann):
     poles -nu_g, where a pivot crosses zero, and the common real zeros of
     A and B, where the step's image vanishes (on the Sierpinski gasket
     y = -3, a removable 0/0 of R(y) = y (2y + 5)); for Neumann spectra also
-    -mu_j at the last cell.  Each step back takes the real roots of
-    B - t A for every target t and merges near-duplicates (MERGE_TOL)."""
+    -mu_j at the last cell.  Each common zero z is a root of B - tA for
+    every t, so it is divided out of A and B once (it stays a target), and
+    each step back takes the real roots of B - tA for every target t and
+    merges near-duplicates (MERGE_TOL)."""
     a, b = line.numerators
     scale = max(np.abs(line.nu).max(initial=0.0), np.abs(line.mu).max())
-    zeros = _real_roots(a[None], scale)
-    common = np.abs(np.polyval(b, zeros)) <= VANISH_TOL * np.polyval(np.abs(b), np.abs(zeros))
-    targets = np.concatenate([-line.nu, zeros[common]])
+    common = []
+    for z in _real_roots(a[None], scale):
+        # z repeats as often as it is a root of A; B may hold it fewer times
+        if abs(np.polyval(b, z)) <= VANISH_TOL * np.polyval(np.abs(b), abs(z)):
+            a, b = _deflate(a, z), _deflate(b, z)
+            common.append(z)
+    targets = np.concatenate([-line.nu, common])
     ys = np.sort(-line.mu) if neumann else np.zeros(0)
     for _ in range(n):
         ys = np.concatenate([_real_roots(b - ys[:, None] * a, scale), targets])

@@ -21,6 +21,9 @@ The reduction t_W(L) = (L cap W)/W^o is computed for every L from one
 kernel, L cap W = the null space of omega(W^o, .) on L: its image in the
 chart is the reduced frame, and what it holds beyond the reduced dimension
 p is the defect dim(L cap W^o), the indeterminacy indicator of the map.
+Reducing N copies of one frame under a fixed copy map (the renormalization
+step) reads the same kernel from W's rows and chart pulled back through
+the map once (CopyReduction), on the N plain copies of the frame.
 """
 
 from __future__ import annotations
@@ -163,8 +166,8 @@ class CoisotropicSubspace:
               coordinates; ker(proj restricted to W) = W^o and the
               pullback of the canonical form of V_p along proj equals
               omega on W.
-    wo_omega: (W^o)^T Omega, formed once; every reduction reads L cap W
-              as its null space on L (_meet).
+    wo_omega: (W^o)^T Omega, formed once, orthonormal rows; every
+              reduction reads L cap W as its null space on L (_meet).
     """
 
     frame: np.ndarray
@@ -259,18 +262,26 @@ def compose(w: CoisotropicSubspace, w_next: CoisotropicSubspace) -> CoisotropicS
     return CoisotropicSubspace(frame, wo, w_next.proj @ w.proj)
 
 
-def _meet(l: LagrangianFrame, w: CoisotropicSubspace):
-    """Coefficients on l.columns of an orthonormal basis of L cap W: as
-    W = (W^o)^omega, the null space of c = W^o^T Omega L.  The frames are
+def _meet(rows, cols):
+    """Coefficients on `cols` of an orthonormal basis of L cap W, with L
+    spanned by `cols` and W = (W^o)^omega cut out by the orthonormal `rows`
+    spanning (W^o)^T Omega: the null space of c = rows @ cols.  A stack of
+    row blocks, one per copy, meets the direct sum of as many copies of
+    `cols`: c is the blocks' products side by side.  Rows and columns are
     orthonormal, so |c| <= 1 and a singular value above RANK_TOL (absolute:
     relative to |c| it would count rounding as rank) is nonzero."""
+    c = rows @ cols
+    if c.ndim == 3:
+        c = np.concatenate(c, axis=1)
+    if c.shape[0] == 0:
+        return np.eye(c.shape[1], dtype=complex)
+    _, s, vh = np.linalg.svd(c)
+    return vh[np.count_nonzero(s > RANK_TOL):].conj().T
+
+
+def _check_spaces(l: LagrangianFrame, w: CoisotropicSubspace):
     if l.half_dim != w.half_dim:
         raise ValueError("frame and subspace live in different spaces")
-    k = l.half_dim
-    if w.wo_frame.shape[1] == 0:
-        return np.eye(k, dtype=complex)
-    _, s, vh = np.linalg.svd(w.wo_omega @ l.columns)
-    return vh[np.count_nonzero(s > RANK_TOL):].conj().T
 
 
 def reduce_frame(l: LagrangianFrame, w: CoisotropicSubspace) -> LagrangianFrame:
@@ -284,12 +295,18 @@ def reduce_frame(l: LagrangianFrame, w: CoisotropicSubspace) -> LagrangianFrame:
 
 def reduce_with_defect(l: LagrangianFrame, w: CoisotropicSubspace):
     """(reduce_frame(l, w), reduction_defect(l, w)), both read from one
-    kernel L cap W.  Where the defect is 0 the image of the kernel goes to
-    the frame as it is, whose constructor orthonormalizes it; a positive
-    defect's image spans p dimensions in more columns, trimmed here."""
-    meet = _meet(l, w)
-    reduced = w.proj @ l.columns @ meet
-    p = w.reduced_half_dim
+    kernel L cap W."""
+    _check_spaces(l, w)
+    return _reduced_frame(w.proj @ l.columns, _meet(w.wo_omega, l.columns), w.reduced_half_dim)
+
+
+def _reduced_frame(chart, meet, p):
+    """(the reduced frame, the defect) from the chart image `chart` of L's
+    columns and the coefficients `meet` of L cap W on them (_meet).  Where
+    the defect is 0 the image of the kernel goes to the frame as it is,
+    whose constructor orthonormalizes it; a positive defect's image spans p
+    dimensions in more columns, trimmed here."""
+    reduced = chart @ meet
     if reduced.shape[1] > p:
         reduced = orthonormalize(reduced)
     if reduced.shape[1] != p:
@@ -302,7 +319,69 @@ def reduce_with_defect(l: LagrangianFrame, w: CoisotropicSubspace):
 def reduction_defect(l: LagrangianFrame, w: CoisotropicSubspace):
     """dim(L cap W^o): zero exactly where the rational reduction is regular.
     (L cap W)/(L cap W^o) is the reduced Lagrangian, of dimension p."""
-    return _meet(l, w).shape[1] - w.reduced_half_dim
+    _check_spaces(l, w)
+    return _meet(w.wo_omega, l.columns).shape[1] - w.reduced_half_dim
+
+
+@dataclass(eq=False)
+class CopyReduction:
+    """The reduction by W of S(L + ... + L): N copies of one Lagrangian L
+    of C^K + (C^K)*, put into the ambient space of W by a copy map S that
+    carries copy i's omega to w_i omega.  W's constraint rows and chart are
+    pulled back through S once, so a reduction meets the N plain copies of
+    L's orthonormal columns and never forms the 2NK x NK frame of S's image.
+
+    rows:      N x r x 2K, orthonormal rows spanning (W^o)^T Omega S, split
+               into one 2K-column block per copy (E-rows, then E*-rows)
+    chart:     N x 2p x 2K, proj S in the same blocks
+    iso_scale: max(1, w_i), the factor S puts on L's isotropy defect
+    """
+
+    rows: np.ndarray
+    chart: np.ndarray
+    reduced_half_dim: int
+    iso_scale: float
+
+
+def copy_reduction(w: CoisotropicSubspace, copy_map, weights) -> CopyReduction:
+    """Fold the copy map `copy_map` (2NK x 2NK, NK = w.half_dim, N =
+    len(weights)) into W's rows and chart.  Raises ValueError unless S
+    carries copy i's omega to weights[i] omega (so copies of a Lagrangian
+    stay isotropic) and keeps every constraint row."""
+    s = np.asarray(copy_map)
+    n, nk = len(weights), w.half_dim
+    k = nk // n
+    if s.shape != (2 * nk, 2 * nk) or k * n != nk:
+        raise ValueError("copy map must act on the ambient space of W")
+    scaled = np.diag(np.repeat(np.asarray(weights, dtype=float), k))
+    om_w = np.block([[np.zeros((nk, nk)), scaled], [-scaled, np.zeros((nk, nk))]])
+    if np.max(np.abs(s.T @ omega_matrix(nk) @ s - om_w)) > FRAME_TOL * max(1.0, np.max(np.abs(s))) ** 2:
+        raise ValueError("copy map does not carry each copy's omega to w_i omega")
+    rows = orthonormalize((w.wo_omega @ s).conj().T).conj().T
+    if rows.shape[0] != w.wo_omega.shape[0]:
+        raise ValueError("copy map loses a constraint row of W")
+    # column indices of copy i: its E-rows, then its E*-rows
+    idx = np.arange(nk).reshape(n, k)
+    idx = np.concatenate([idx, idx + nk], axis=1)
+    return CopyReduction(
+        np.ascontiguousarray(rows[:, idx].transpose(1, 0, 2)),
+        np.ascontiguousarray((w.proj @ s)[:, idx].transpose(1, 0, 2)),
+        w.reduced_half_dim,
+        max(1.0, float(np.max(weights))),
+    )
+
+
+def reduce_copies(l: LagrangianFrame, red: CopyReduction):
+    """(reduced frame, defect) of S(L + ... + L) by W, read from one kernel
+    L cap W (_meet on the copies' blocks) like reduce_with_defect."""
+    k = l.half_dim
+    if red.rows.shape[2] != 2 * k:
+        raise ValueError("frame and subspace live in different spaces")
+    a, b = l.columns[:k], l.columns[k:]
+    if k and red.iso_scale * np.max(np.abs(a.T @ b - b.T @ a)) > FRAME_TOL:
+        raise ValueError("copies of the frame are not isotropic")
+    chart = np.concatenate(red.chart @ l.columns, axis=1)
+    return _reduced_frame(chart, _meet(red.rows, l.columns), red.reduced_half_dim)
 
 
 def in_siegel(l: LagrangianFrame):

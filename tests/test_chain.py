@@ -551,6 +551,91 @@ def test_candidates_certify_in_one_pass(n, monkeypatch):
             assert len(passes) == 1
 
 
+def _companion_real_roots(c, scale):
+    """_real_roots with every degree on the companion-matrix path: the
+    reference for its closed form."""
+    c = c[np.abs(c).max(axis=1, initial=0.0) > 0]
+    c = c / np.abs(c).max(axis=1, keepdims=True)
+    lead = np.argmax(np.abs(c) > np.finfo(float).eps, axis=1)
+    roots = [np.zeros(0)]
+    for start in np.flatnonzero(np.bincount(lead)):
+        rows = c[lead == start, start:]
+        deg = rows.shape[1] - 1
+        if deg:
+            companion = np.zeros((rows.shape[0], deg, deg))
+            companion[:, 0] = -rows[:, 1:] / rows[:, :1]
+            companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+            r = np.linalg.eigvals(companion)
+            gap = np.abs(r[:, :, None] - r[:, None, :]) + np.diag(np.full(deg, np.inf))
+            near = np.argmin(gap, axis=2)
+            pair = np.min(gap, axis=2) <= spectra.ROOT_REAL_TOL * (scale + np.abs(r))
+            roots.append(np.where(pair, 0.5 * (r + np.take_along_axis(r, near, 1)), r).ravel())
+    r = np.concatenate(roots)
+    return np.sort(r.real[r.imag == 0])
+
+
+def test_closed_form_roots_match_the_companion_path(rng):
+    # Rows of degree 1 and 2: real pairs, complex pairs, double roots split
+    # by rounding within ROOT_REAL_TOL (both ways) and split farther, a zero
+    # constant term, a root at 0 twice, roots of very different sizes, and
+    # leading terms of rounding size
+    # like those of the Sierpinski step's A (2.2e-18 and 1.2e-17 against
+    # 1.5), which drop the degree.  Roots 6e-5 apart move by up to about
+    # eps / 6e-5 between the two paths; all others agree to 1e-12.
+    scale = 3.0
+    cases = [(rng.standard_normal(3), 1e-12) for _ in range(200)]
+    cases += [(np.concatenate([[0.0], rng.standard_normal(2)]), 1e-12) for _ in range(50)]
+    for r in rng.uniform(-3.0, 3.0, 20):
+        cases += [(np.array([1.0, -2 * r, r * r + d]), 1e-12) for d in (0.0, 1e-14, -1e-14, 1e-9)]
+        cases.append((np.array([1.0, -2 * r, r * r - 1e-9]), 1e-9))
+    cases += [(np.array(row), 1e-12) for row in ([2.0, 5.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 4.0],
+                                                  [1.0, 0.0, -4.0], [0.0, 3.0, 0.0])]
+    # roots 1e-6 and 1e6 together, where the textbook formula loses the small one
+    cases += [(np.array([1e-6, sign, 1e-6]), 1e-12) for sign in (1.0, -1.0)]
+    cases += [(np.array([2.2e-18, 1.2e-17, 0.5, 1.5 - 3 * t]), 1e-12) for t in rng.uniform(-3.0, 0.0, 20)]
+    cases += [(np.array([4.3e-17, 1.0, 2.0 + t]), 1e-12) for t in rng.uniform(-3.0, 0.0, 20)]
+    for row, tol in cases:
+        row = np.atleast_2d(row)
+        got, want = spectra._real_roots(row, scale), _companion_real_roots(row, scale)
+        assert got.shape == want.shape, row
+        assert np.all(np.abs(got - want) <= tol * (scale + np.abs(want))), row
+    # all rows at once, as _line_candidates passes them
+    stack = np.array([np.pad(row, (4 - row.size, 0)) for row, _ in cases])
+    got, want = spectra._real_roots(stack, scale), _companion_real_roots(stack, scale)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want) / (scale + np.abs(want))) <= 1e-9
+
+
+def _companion_candidates(line, n, neumann):
+    """_line_candidates with no common factor divided out and every row on
+    the companion path."""
+    a, b = line.numerators
+    scale = max(np.abs(line.nu).max(initial=0.0), np.abs(line.mu).max())
+    zeros = _companion_real_roots(a[None], scale)
+    common = np.abs(np.polyval(b, zeros)) <= spectra.VANISH_TOL * np.polyval(np.abs(b), np.abs(zeros))
+    targets = np.concatenate([-line.nu, zeros[common]])
+    ys = np.sort(-line.mu) if neumann else np.zeros(0)
+    for _ in range(n):
+        ys = np.concatenate([_companion_real_roots(b - ys[:, None] * a, scale), targets])
+        ys = spectra._merge_runs(np.sort(ys), spectra.MERGE_TOL * scale)
+    return ys
+
+
+@pytest.mark.parametrize("name,top", [("sierpinski", 12), ("interval", 14)])
+def test_candidates_match_the_companion_pass(name, top):
+    # On the gasket the common zero y = -3 of A and B is divided out, so
+    # each row B - tA is a quadratic in closed form, not a cubic with the
+    # root -3: the candidates are the same points, to rounding.
+    *_, line = line_of(name)
+    scale = max(np.abs(line.nu).max(initial=0.0), np.abs(line.mu).max())
+    for n in range(1, top + 1):
+        for neumann in (True, False):
+            got = spectra._line_candidates(line, n, neumann)
+            want = _companion_candidates(line, n, neumann)
+            assert got.shape == want.shape, (n, neumann)
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale, (n, neumann)
+
+
 @pytest.mark.parametrize("name,n", [("sierpinski", 7), ("interval", 10)])
 def test_missed_candidates_fall_back_to_bisection(name, n, monkeypatch):
     # Every other candidate dropped: the intervals left with a count jump
@@ -781,12 +866,12 @@ def test_line_nd_takes_one_line_pass(name, monkeypatch):
 
 
 def test_residue_pivot_near_the_cut_raises(monkeypatch, capsys):
-    # At sierpinski L12 the largest vanishing residue pivot is 4.2e-7 of its
+    # At sierpinski L12 the largest vanishing residue pivot is 5.8e-8 of its
     # bracket's largest.  With the cut moved next to it, within
     # RESIDUE_MARGIN, the rank would follow rounding: the read raises
     # ResidueUnresolved, which the CLI reports as a numeric failure.
     cfg = load_config("sierpinski")
-    monkeypatch.setattr(spectra, "RESIDUE_TOL", 1e-6)
+    monkeypatch.setattr(spectra, "RESIDUE_TOL", 1e-7)
     with pytest.raises(ResidueUnresolved, match="residue ranks unresolved"):
         level_spectrum(cfg.structure, cfg.network, cfg.measure, 12, "nd")
     assert cli.main(["spectrum", "--config", "sierpinski", "--level", "12", "--bc", "nd"]) == 3

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -44,6 +45,39 @@ def test_exp_eta_small():
     assert x.get(0b11, 0b11) == pytest.approx(np.linalg.det(q))
     unit = exp_eta(np.zeros((3, 3)))
     assert unit.coeffs == {(0, 0): 1.0}
+
+
+def _exp_eta_per_size(q):
+    """exp_eta with its index tables built afresh on every call: the
+    reference for the cached tables."""
+    q = np.asarray(q, dtype=complex)
+    k = q.shape[0]
+    support = [i for i in range(k) if np.any(q[i, :] != 0) or np.any(q[:, i] != 0)]
+    coeffs = {(0, 0): 1.0 + 0j}
+    for size in range(1, len(support) + 1):
+        subsets = np.array(list(combinations(support, size)))
+        masks = [grassmann._mask(c) for c in subsets]
+        dets = np.linalg.det(q[subsets[:, None, :, None], subsets[None, :, None, :]])
+        for i_mask, row in zip(masks, dets):
+            for j_mask, d in zip(masks, row):
+                if d != 0:
+                    coeffs[(i_mask, j_mask)] = complex(d)
+    return coeffs
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_exp_eta_matches_per_size_reference(k, rng):
+    # Bitwise, key order included, with and without zero rows (a zero row
+    # and column leave the support, and the tables are kept per support).
+    for zero_rows in ((), (0,), (k - 1,), tuple(range(0, k, 2))):
+        for _ in range(3):
+            q = random_sym(rng, k)
+            q[list(zero_rows), :] = 0
+            q[:, list(zero_rows)] = 0
+            got = exp_eta(q).coeffs
+            want = _exp_eta_per_size(q)
+            assert list(got) == list(want)
+            assert all(got[key] == want[key] for key in want)
 
 
 def test_key_count_bookkeeping(rng):

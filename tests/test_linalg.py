@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fractal_spectra.errors import NonPositiveWeight, NotHermitian, NotSymmetric
 from fractal_spectra.linalg import (
+    _pencil,
     generalized_sym_eig,
     generalized_sym_eigvals,
     is_positive_definite,
@@ -111,3 +112,30 @@ def test_is_positive_definite():
     assert not is_positive_definite(np.diag([1.0, 0.0, 1.0]))
     with pytest.raises(NotHermitian):
         is_positive_definite(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_pencil_reads_real_input_of_any_dtype():
+    # float64 input is used as it is; complex input with a zero imaginary
+    # part, integers and lists give the same transform, and the input is
+    # left unchanged.
+    q, b = np.array([[-2.0, 1.0], [1.0, -3.0]]), np.array([1.0, 2.0])
+    keep = q.copy()
+    want_m, want_d = _pencil(q, b)
+    assert np.array_equal(q, keep)
+    for qq, bb in ((q.astype(int), b.astype(int)), (q.astype(complex), b.astype(complex)),
+                   (q.tolist(), b.tolist())):
+        m, d = _pencil(qq, bb)
+        assert m.dtype == d.dtype == np.float64
+        assert np.array_equal(m, want_m) and np.array_equal(d, want_d)
+    with pytest.raises(ValueError, match="imaginary"):
+        _pencil(q + 1e-300j, b)
+    with pytest.raises(ValueError, match="imaginary"):
+        _pencil(q, b + 1e-300j)
+    with pytest.raises(ValueError, match="finite"):
+        _pencil(np.array([[np.nan, 1.0], [1.0, -3.0]]), b)
+    with pytest.raises(ValueError, match="finite"):
+        _pencil(q, np.array([1.0, np.inf]))
+    with pytest.raises(NotSymmetric):
+        _pencil(np.array([[-2.0, 1.0], [0.0, -3.0]]), b)
+    with pytest.raises(NonPositiveWeight):
+        _pencil(q, np.array([1.0, 0.0]))

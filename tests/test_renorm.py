@@ -183,6 +183,74 @@ def test_g_map_takes_one_meet(gasket, gbar, monkeypatch):
         assert len(calls) == 1
 
 
+def _reference_g_map(l, st):
+    """The step g_map folds into one table: the explicit block-copy frame
+    reduced by W_renorm."""
+    return symplectic.reduce_with_defect(block_copy_frame(l, st), w_renorm(st))
+
+
+def _weighted_gasket():
+    base = sierpinski()
+    return SelfSimilarStructure(3, 3, base.glue_classes, base.boundary_map,
+                                weights_w=(0.5, 1.0, 2.0), weights_b=(0.25, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("weighted",))
+def test_g_map_matches_block_copy_reduction(name, rng):
+    # Random points of the Siegel domain and random frames pushed to meet
+    # the divisor at infinity, then Q = 0: the same defect and the same
+    # Lagrangian as the reference composition.
+    st = _weighted_gasket() if name == "weighted" else load_config(name).structure
+    k = st.cell_size
+    frames = []
+    for t in range(6):
+        g = rng.standard_normal((k, k))
+        frames.append((from_sym(random_sym(rng, k, complex_=False) + 1j * (g @ g.T + 0.1 * np.eye(k))), 0))
+        frames.append((random_lagrangian(k, rng, at_infinity=True), None))
+    frames.append((from_sym(np.zeros((k, k))), {"sierpinski": 3, "interval": 1}.get(name)))
+    for frame, want in frames:
+        got, defect = g_map(frame, st)
+        ref, ref_defect = _reference_g_map(frame, st)
+        assert defect == ref_defect
+        if want is not None:
+            assert defect == want
+        assert subspace_distance(got, ref) <= 1e-13
+
+
+def test_g_map_matches_block_copy_reduction_on_the_divisor(gasket, gbar):
+    # The divisor points of test_defect_matches_its_definition.
+    for st, pairs, want in (
+        (gasket, ((0.0, 1.0), (0.0, 1.0)), 3),
+        (gasket, ((0.4 + 0.2j, 1.0), (1.0, 0.0)), 1),
+        (gbar, ((0.37 + 0.21j, 1.0), (-2.0, 1.0)), 1),
+        (gbar, ((0.37 + 0.21j, 1.0), (-5.0, 1.0)), 2),
+    ):
+        frame = frame_from_pairs(HomogeneousPoint(pairs), CHART3)
+        got, defect = g_map(frame, st)
+        ref, ref_defect = _reference_g_map(frame, st)
+        assert defect == ref_defect == want
+        assert subspace_distance(got, ref) <= 1e-13
+
+
+def test_g_map_builds_one_frame(gasket, gbar, monkeypatch):
+    # The copy map is folded into the cached reduction: a call constructs
+    # the reduced frame and no 2NK x NK frame of the copies.
+    for st in (gasket, gbar):
+        g_map(from_sym(1j * np.eye(3)), st)  # build the cached table
+    real, built = symplectic.LagrangianFrame.__post_init__, []
+
+    def spy(self):
+        built.append(np.shape(self.columns))
+        real(self)
+
+    monkeypatch.setattr(symplectic.LagrangianFrame, "__post_init__", spy)
+    frame = from_sym(1j * np.eye(3))
+    for st in (gasket, gbar):
+        built.clear()
+        g_map(frame, st)
+        assert built == [(6, 3)]
+
+
 def test_iterated_lift_orders_match_level2_nd(gasket, triangle, triangle_q):
     from fractal_spectra.grassmann import phi_curve, renorm_lift, vanishing_order
     from fractal_spectra.spectra import level_spectrum
