@@ -478,17 +478,6 @@ def _quadratic_real_roots(rows, scale):
     return np.concatenate([mid[pair], mid[pair], q / a[real], c[real] / q])
 
 
-def _deflate(p, z):
-    """The quotient of the polynomial p (highest degree first) by y - z,
-    by synthetic division; the remainder p(z) is dropped."""
-    out = np.empty(p.size - 1)
-    acc = 0.0
-    for i, coef in enumerate(p[:-1]):
-        acc = acc * z + coef
-        out[i] = acc
-    return out
-
-
 def _line_candidates(line, n, neumann):
     """Where the level-n eigenvalues of the _PencilLine `line` can sit, in
     y = beta / alpha of the first cell (x / gamma^n), ascending.
@@ -508,7 +497,7 @@ def _line_candidates(line, n, neumann):
     for z in _real_roots(a[None], scale):
         # z repeats as often as it is a root of A; B may hold it fewer times
         if abs(np.polyval(b, z)) <= VANISH_TOL * np.polyval(np.abs(b), abs(z)):
-            a, b = _deflate(a, z), _deflate(b, z)
+            a, b = np.polydiv(a, [1.0, -z])[0], np.polydiv(b, [1.0, -z])[0]
             common.append(z)
     targets = np.concatenate([-line.nu, common])
     ys = np.sort(-line.mu) if neumann else np.zeros(0)
