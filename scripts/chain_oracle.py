@@ -117,7 +117,7 @@ def main():
         engines["line" if line is not None else "matrix"] += 1
         for n in range(first, last + 1):
             q_n, b_n, boundary, dense = dense_reports(st, q, b, n)
-            width = float(np.ptp(dense["neumann"].eigenvalues)) or 1.0
+            width = float(np.ptp(dense["neumann"].values)) or 1.0
             for cond in CONDITIONS:
                 try:
                     chain = spectra.chain_spectrum(st, q, b, n, cond)
@@ -127,11 +127,10 @@ def main():
                     continue
                 row = summary[cond]
                 row["compared"] += 1
-                if [m for _, m in chain.clusters] == [m for _, m in dense[cond].clusters]:
+                if np.array_equal(chain.mult, dense[cond].mult):
                     row["identical"] += 1
-                    if chain.clusters:
-                        diff = np.abs(np.array([v for v, _ in chain.clusters])
-                                      - np.array([v for v, _ in dense[cond].clusters])).max()
+                    if chain.mult.size:
+                        diff = np.abs(chain.values - dense[cond].values).max()
                         row["worst_value_diff"] = max(row["worst_value_diff"], float(diff) / width)
                 elif cond == "nd":
                     nd_diffs.append({"structure": i, "level": n, "clusters": nd_differences(

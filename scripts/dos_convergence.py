@@ -37,10 +37,10 @@ def main():
         rep = level_spectrum(cfg.structure, cfg.network, cfg.measure, n, "neumann")
         reports.append(rep)
         print(f"level {n}: {rep.count} eigenvalues in "
-              f"[{rep.eigenvalues[0]:.4f}, {rep.eigenvalues[-1]:.4f}]")
+              f"[{rep.values[0]:.4f}, {rep.values[-1]:.4f}]")
 
-    lo = min(r.eigenvalues[0] for r in reports) - 0.1
-    hi = max(r.eigenvalues[-1] for r in reports) + 0.1
+    lo = min(r.values[0] for r in reports) - 0.1
+    hi = max(r.values[-1] for r in reports) + 0.1
     xs = np.linspace(lo, hi, 2000)
     print("\nsup-distance of consecutive normalized counting functions:")
     for a, b in zip(reports, reports[1:]):

@@ -43,10 +43,9 @@ def _emit(lines, path):
 def cmd_spectrum(args):
     cfg = load_config(args.config)
     rep = level_spectrum(cfg.structure, cfg.network, cfg.measure, args.level, args.bc)
-    sign = -1.0 if args.laplacian else 1.0
-    clusters = rep.clusters if sign > 0 else [(-v, m) for v, m in reversed(rep.clusters)]
+    values, mult = (-rep.values[::-1], rep.mult[::-1]) if args.laplacian else (rep.values, rep.mult)
     lines = ["eigenvalue,multiplicity"]
-    lines += [f"{_fmt(v)},{m}" for v, m in clusters]
+    lines += [f"{_fmt(v)},{m}" for v, m in zip(values.tolist(), mult.tolist())]
     _emit(lines, args.csv)
     return 0
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,34 +170,55 @@ LINE_MIN_VERTICES = 300
 
 @dataclass
 class SpectrumReport:
-    """Eigenvalues (ascending, with multiplicity) plus their clusters."""
+    """A level's spectrum as its distinct eigenvalues `values` (ascending,
+    float64) with their multiplicities `mult` (int64, each positive): the
+    form spectral decimation gives, a few values for |V_n| eigenvalues."""
 
     level: int
     condition: str
-    eigenvalues: np.ndarray
-    clusters: list = field(default_factory=list)  # (value, multiplicity)
+    values: np.ndarray
+    mult: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        self.mult = np.asarray(self.mult, dtype=np.int64)
+        if self.values.shape != self.mult.shape or self.values.ndim != 1:
+            raise ValueError("values and mult must be 1-D arrays of one length")
+        if np.any(self.mult <= 0) or np.any(np.diff(self.values) <= 0):
+            raise ValueError("values must ascend strictly, with positive multiplicities")
 
     @property
     def count(self):
-        return len(self.eigenvalues)
+        return int(self.mult.sum())
+
+    @property
+    def eigenvalues(self):
+        """Every eigenvalue, each value repeated by its multiplicity: an
+        array of `count` floats, O(|V_n|) memory (8 bytes per vertex; 170 MB
+        at sierpinski level 15).  No reader in the library uses it."""
+        return np.repeat(self.values, self.mult)
+
+    @property
+    def clusters(self):
+        """The (value, multiplicity) pairs as a list of Python numbers."""
+        return list(zip(self.values.tolist(), self.mult.tolist()))
 
     def cdf(self, xs):
         """Counting function x -> #{lam <= x} (unnormalized).
 
-        An eigenvalue within the width tolerance of x counts as <= x, so a
-        point on a degenerate eigenvalue counts its whole cluster, however
-        its copies are rounded."""
-        tol = self._width_tol()
-        return np.searchsorted(np.sort(self.eigenvalues), np.asarray(xs) + tol, side="right")
+        A value within the width tolerance of x counts as <= x, so a point
+        on a degenerate eigenvalue counts its whole multiplicity."""
+        below = np.searchsorted(self.values, np.asarray(xs) + self._width_tol(), side="right")
+        return np.concatenate([[0], np.cumsum(self.mult)])[below]
 
     def multiplicity_at(self, lam):
-        tol = self._width_tol()
-        return sum(m for v, m in self.clusters if abs(v - lam) <= tol)
+        """The multiplicity of the values within the width tolerance of lam."""
+        return int(self.mult[np.abs(self.values - lam) <= self._width_tol()].sum())
 
     def _width_tol(self):
-        if len(self.eigenvalues) == 0:
+        if self.values.size == 0:
             return CLUSTER_TOL
-        width = float(self.eigenvalues[-1] - self.eigenvalues[0]) or 1.0
+        width = float(self.values[-1] - self.values[0]) or 1.0
         return 10 * CLUSTER_TOL * width
 
 
@@ -209,19 +230,21 @@ def _cluster_ids(values, tol):
 
 
 def cluster_eigenvalues(values):
-    """Group an ascending eigenvalue list into (mean, multiplicity) runs at
-    gaps wider than CLUSTER_TOL times its width."""
+    """Group an ascending eigenvalue list into runs at gaps wider than
+    CLUSTER_TOL times its width: (means, multiplicities) as float64 and
+    int64 arrays."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
-        return []
-    ends = np.flatnonzero(np.diff(_cluster_ids(values, CLUSTER_TOL))) + 1
-    return [(float(chunk.mean()), len(chunk)) for chunk in np.split(values, ends)]
+        return np.zeros(0), np.zeros(0, dtype=np.int64)
+    ids = _cluster_ids(values, CLUSTER_TOL)
+    chunks = np.split(values, np.flatnonzero(np.diff(ids)) + 1)
+    return np.array([chunk.mean() for chunk in chunks]), np.bincount(ids)
 
 
 def neumann_spectrum(q_n, b_n, level=0) -> SpectrumReport:
     """All eigenvalues lam with (Q + lam I_b) f = 0."""
     lam = generalized_sym_eigvals(q_n, b_n)
-    return SpectrumReport(level, "neumann", lam, cluster_eigenvalues(lam))
+    return _report(level, "neumann", *cluster_eigenvalues(lam))
 
 
 def dirichlet_spectrum(q_n, b_n, boundary, level=0) -> SpectrumReport:
@@ -232,7 +255,7 @@ def dirichlet_spectrum(q_n, b_n, boundary, level=0) -> SpectrumReport:
         lam = np.zeros(0)
     else:
         lam = generalized_sym_eigvals(q_n[np.ix_(interior, interior)], b_n[interior])
-    return SpectrumReport(level, "dirichlet", lam, cluster_eigenvalues(lam))
+    return _report(level, "dirichlet", *cluster_eigenvalues(lam))
 
 
 def nd_spectrum(q_n, b_n, boundary, level=0) -> SpectrumReport:
@@ -250,8 +273,7 @@ def nd_spectrum(q_n, b_n, boundary, level=0) -> SpectrumReport:
 def _nd_report(lam, vecs, boundary, level=0) -> SpectrumReport:
     """nd_spectrum from the pencil's eigenpairs (lam ascending, vecs
     b-orthonormal columns), at the Neumann cluster means."""
-    clusters = cluster_eigenvalues(lam)
-    values, mult = np.array([v for v, _ in clusters]), np.array([m for _, m in clusters], dtype=np.int64)
+    values, mult = cluster_eigenvalues(lam)
     ranks = _boundary_ranks(vecs[list(boundary)].T, np.repeat(np.arange(mult.size), mult), mult.size)
     return _report(level, "nd", values, mult - ranks)
 
@@ -279,9 +301,7 @@ def _report(level, condition, values, mult) -> SpectrumReport:
     """The SpectrumReport of distinct values with multiplicities, those of
     multiplicity 0 dropped."""
     keep = mult > 0
-    values, mult = values[keep], mult[keep].astype(int)
-    clusters = [(float(v), int(m)) for v, m in zip(values, mult)]
-    return SpectrumReport(level, condition, np.repeat(values, mult), clusters)
+    return SpectrumReport(level, condition, values[keep], mult[keep])
 
 
 def nd_kernel_dimension(q_n, b_n, boundary, lam):
@@ -1151,26 +1171,28 @@ def level_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
 
 def dos_histogram(reports, num_copies, bins, lo=None, hi=None):
     """Per-level histograms with mass 1/N^n per eigenvalue: (edges, masses),
-    one row of masses per report.  An eigenvalue within its report's width
-    tolerance (as in cdf) of an edge is on it, however its copies round;
-    bins are [left, right), the last one closed."""
+    one row of masses per report.  A value within its report's width
+    tolerance (as in cdf) of an edge is on it; bins are [left, right), the
+    last one closed.  Each distinct value is binned once, weighted by its
+    multiplicity."""
     if bins < 1:
         raise ValueError("need at least one bin")
     reports = list(reports)
-    allvals = np.concatenate([np.zeros(0)] + [r.eigenvalues for r in reports if r.count])
+    filled = [r for r in reports if r.count]
     if lo is None:
-        lo = float(allvals.min()) if allvals.size else 0.0
+        lo = min((float(r.values[0]) for r in filled), default=0.0)
     if hi is None:
-        hi = float(allvals.max()) if allvals.size else 1.0
+        hi = max((float(r.values[-1]) for r in filled), default=1.0)
     if hi <= lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, bins + 1)
     masses = np.zeros((len(reports), bins))
     for r_i, rep in enumerate(reports):
         if rep.count:
-            vals = rep.eigenvalues
+            vals = rep.values
             edge = edges[np.clip(np.rint((vals - lo) / (hi - lo) * bins), 0, bins).astype(int)]
-            counts, _ = np.histogram(np.where(np.abs(vals - edge) <= rep._width_tol(), edge, vals), edges)
+            counts, _ = np.histogram(np.where(np.abs(vals - edge) <= rep._width_tol(), edge, vals), edges,
+                                     weights=rep.mult)
             masses[r_i] = counts / float(num_copies**rep.level)
     return edges, masses
 

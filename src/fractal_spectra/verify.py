@@ -4,7 +4,8 @@ Each check exercises one family of identities the library is supposed to
 satisfy (variational trace, Grassmann determinant identities, reduction
 composition, iterate consistency, closed coordinate forms, degree
 matrices, divisor orders with the balance certificate, Siegel invariance,
-and the Neumann-Dirichlet bookkeeping).  Checks return their worst
+the Neumann-Dirichlet bookkeeping, and one renormalization step taken on
+matrices, frames and coefficients).  Checks return their worst
 residual so failures are quantitative.
 """
 
@@ -29,6 +30,7 @@ from .renorm import (
     balance_report,
     bidegree_estimate,
     coords_eval,
+    g_map,
     gamma_bar_closed_form,
     gamma_bar_semi_closed_form,
     gasket_closed_form,
@@ -44,6 +46,7 @@ from .symplectic import (
     random_lagrangian,
     reduce_frame,
     subspace_distance,
+    to_sym,
     w_glue,
     w_trace,
 )
@@ -321,6 +324,29 @@ def check_siegel(cfg, rng) -> CheckResult:
                        f"min Im eigenvalue {worst:.2e}")
 
 
+def check_renorm_paths(cfg, rng) -> CheckResult:
+    """One renormalization step three ways at random Siegel points: on
+    matrices (t_map), on frames (g_map, defect 0 off the divisor) and on
+    coefficients (renorm_lift of exp_eta(Q), whose degree-1 block over its
+    degree-0 coefficient is T(Q)), agreeing relative to max(1, |T|)."""
+    structure = cfg.structure
+    k = structure.cell_size
+    worst, defects = 0.0, 0
+    for _ in range(20):
+        g = rng.standard_normal((k, k))
+        q = random_sym(rng, k, complex_=False) + 1j * (g @ g.T + 0.05 * np.eye(k))
+        want = t_map(q, structure)
+        frame, defect = g_map(from_sym(q), structure)
+        defects += defect
+        lift = renorm_lift(exp_eta(q), structure)
+        lifted = np.array([[lift.get(1 << i, 1 << j) for j in range(k)] for i in range(k)])
+        scale = max(1.0, float(np.max(np.abs(want))))
+        for got in (to_sym(frame), lifted / lift.get(0, 0)):
+            worst = max(worst, float(np.max(np.abs(got - want))) / scale)
+    return CheckResult("renorm-three-paths", worst <= 1e-9 and defects == 0, worst,
+                       f"g_map defects {defects}")
+
+
 def check_nd_bridge(cfg, rng) -> CheckResult:
     """The determinant bridge on random conservative networks and
     measures, N-D replication across levels, and the agreement of lift
@@ -360,7 +386,7 @@ def check_nd_bridge(cfg, rng) -> CheckResult:
     neumann1 = level_spectrum(structure, cfg.network, b, 1, "neumann")
     nd1 = reports[0]
     order_ok = True
-    for value, _ in neumann1.clusters[:8]:
+    for value in neumann1.values[:8]:
         order = vanishing_order(lambda lam: renorm_lift(phi(lam), structure), value)
         if order != nd1.multiplicity_at(value):
             order_ok = False
@@ -383,6 +409,7 @@ SUITES = {
         "closed-form": check_closed_form,
         "siegel-invariance": check_siegel,
         "nd-bridge": check_nd_bridge,
+        "renorm-three-paths": check_renorm_paths,
     },
     "degrees": {
         "degree-matrix": lambda cfg, rng: check_degrees(cfg),

@@ -161,6 +161,14 @@ def test_c13_end_to_end_verify_suite(capsys):
     _report(13, "end-to-end verify suite", 0.0, f"(all builtins {elapsed:.1f}s)")
 
 
+def test_c14_renorm_three_paths():
+    # t_map, g_map (defect 0) and the Grassmann lift give one T(Q) at
+    # random Siegel points of every builtin
+    worst, slowest = _run_check("renorm-three-paths", 114)
+    assert slowest < 2.0
+    _report(14, "renormalization on matrices, frames and coefficients", worst, f"({slowest:.3f}s)")
+
+
 @pytest.mark.parametrize("group, target", [
     ("trace-variational", "trace_map"),
     ("grassmann-boundary", "interior_reduce"),
@@ -168,6 +176,7 @@ def test_c13_end_to_end_verify_suite(capsys):
     ("iterate-consistency", "t_iterate"),
     ("closed-form", "coords_eval"),
     ("nd-bridge", "renorm_lift"),
+    ("renorm-three-paths", "t_map"),
 ])
 def test_check_fails_on_perturbed_output(group, target, monkeypatch):
     # a relative error of 1e-6 in one function the check relies on must fail it

@@ -1,6 +1,7 @@
 """Spectra by slicing along the Schur chain, held to the dense path."""
 
 import importlib.util
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from fractal_spectra.spectra import (
     chain_spectrum,
     cluster_eigenvalues,
     dirichlet_spectrum,
+    dos_histogram,
     level_spectrum,
     nd_kernel_dimension,
     nd_spectrum,
@@ -71,7 +73,7 @@ def builtin_dense():
             boundary = build_lattice(cfg.structure, n).boundary
             lam, vecs = generalized_sym_eig(q, b_n)
             cache[name, n] = {
-                "neumann": SpectrumReport(n, "neumann", lam, cluster_eigenvalues(lam)),
+                "neumann": SpectrumReport(n, "neumann", *cluster_eigenvalues(lam)),
                 "dirichlet": dirichlet_spectrum(q, b_n, boundary, n),
                 "nd": spectra._nd_report(lam, vecs, boundary, n),
             }
@@ -397,11 +399,65 @@ def test_cdf_counts_whole_cluster(gasket, triangle, solve):
     b4 = assemble_measure(gasket, np.ones(3), 4)
     lam = solve(q4, b4)
     lam = lam[0] if isinstance(lam, tuple) else lam
-    rep = SpectrumReport(4, "neumann", lam, cluster_eigenvalues(lam))
+    rep = SpectrumReport(4, "neumann", *cluster_eigenvalues(lam))
     assert rep.multiplicity_at(-3.0) == 42
     below = np.count_nonzero(lam < -3.0 - 1e-9)
     assert rep.cdf([-3.0])[0] == below + 42
 
+
+
+def assert_readers_match_expansion(rep, num_copies, rng):
+    """cdf, multiplicity_at and dos_histogram, which read only values and
+    mult, against the per-vertex rules they replace, applied to the
+    expansion rep.eigenvalues: at random points, at every value and at
+    every value +- the width tolerance."""
+    lam = np.sort(rep.eigenvalues)
+    tol = 10 * spectra.CLUSTER_TOL * (float(lam[-1] - lam[0]) or 1.0) if lam.size else spectra.CLUSTER_TOL
+    lo, hi = (float(lam[0]), float(lam[-1])) if lam.size else (0.0, 1.0)
+    xs = np.concatenate([rng.uniform(lo - 0.1 * (hi - lo) - 1, hi + 0.1 * (hi - lo) + 1, 300),
+                         rep.values, rep.values - tol, rep.values + tol])
+    np.testing.assert_array_equal(rep.cdf(xs), np.searchsorted(lam, xs + tol, side="right"))
+    for x in xs:
+        assert rep.multiplicity_at(x) == sum(m for v, m in rep.clusters if abs(v - x) <= tol)
+    if hi <= lo:
+        hi = lo + 1.0
+    edges, masses = dos_histogram([rep], num_copies, 64)
+    np.testing.assert_array_equal(edges, np.linspace(lo, hi, 65))
+    edge = edges[np.clip(np.rint((lam - lo) / (hi - lo) * 64), 0, 64).astype(int)]
+    counts, _ = np.histogram(np.where(np.abs(lam - edge) <= tol, edge, lam), edges)
+    np.testing.assert_array_equal(masses[0], counts / float(num_copies**rep.level))
+
+
+# Chain reports to level 7, and the cached dense ones of BUILTIN_LEVELS up
+# to it.  gamma_bar_semi stops at 5: its matrix chain takes about a second
+# per condition at level 6 and five at level 7, and the readers see only
+# values and mult, whichever engine made them.
+READER_LEVELS = {"sierpinski": 7, "gamma_bar": 7, "gamma_bar_semi": 5, "interval": 7}
+
+
+@pytest.mark.parametrize("name", sorted(READER_LEVELS))
+def test_readers_match_the_expansion(name, builtin_dense, rng):
+    cfg = load_config(name)
+    for n in range(READER_LEVELS[name] + 1):
+        dense = builtin_dense(name, n) if (name, n) in BUILTIN_LEVELS else {}
+        for cond in CONDITIONS:
+            reports = [chain_spectrum(cfg.structure, cfg.network, cfg.measure, n, cond)]
+            reports += [dense[cond]] if dense else []
+            for rep in reports:
+                assert_readers_match_expansion(rep, cfg.structure.num_copies, rng)
+
+
+def test_readers_never_expand():
+    # 1000 values of multiplicity 2^31 each, 2^40.97 eigenvalues in all:
+    # expanded, 17 TB of floats.
+    rep = SpectrumReport(30, "neumann", np.linspace(-3.0, 0.0, 1000), np.full(1000, 2**31))
+    start = time.perf_counter()
+    assert rep.count == 1000 * 2**31 > 2**40
+    assert rep.cdf([-4.0, -3.0, -1.5, 0.0]).tolist() == [0, 2**31, 500 * 2**31, 1000 * 2**31]
+    assert rep.multiplicity_at(0.0) == 2**31
+    _, masses = dos_histogram([rep], 3, 64)
+    assert abs(masses.sum() - rep.count / 3.0**30) <= 1e-12 * rep.count / 3.0**30
+    assert time.perf_counter() - start < 0.5
 
 def line_of(name):
     cfg = load_config(name)

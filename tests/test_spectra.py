@@ -152,7 +152,7 @@ def test_dos_single_eigenvalue():
 
 def test_dos_of_empty_reports():
     # The level-0 Dirichlet report has no eigenvalue: zero masses on [0, 1].
-    for reports in ([SpectrumReport(0, "dirichlet", np.zeros(0))], []):
+    for reports in ([SpectrumReport(0, "dirichlet", np.zeros(0), np.zeros(0))], []):
         edges, masses = dos_histogram(reports, 3, 4)
         assert edges.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert masses.shape == (len(reports), 4) and not masses.any()
@@ -185,13 +185,13 @@ def test_dos_cluster_on_an_edge_keeps_one_bin(gasket, triangle, n):
     edges, masses = dos_histogram([rep], 3, 64)
     assert abs(masses.sum() - rep.count / 3.0**n) <= 1e-12
     on_edge = np.abs(rep.eigenvalues + 1.5) <= 1e-9
-    rest = SpectrumReport(n, "neumann", rep.eigenvalues[~on_edge])
+    rest = SpectrumReport(n, "neumann", *cluster_eigenvalues(rep.eigenvalues[~on_edge]))
     _, others = dos_histogram([rest], 3, 64, lo=edges[0], hi=edges[-1])
     cluster = np.round((masses[0] - others[0]) * 3.0**n)
     assert cluster.tolist() == [0.0] * 32 + [rep.multiplicity_at(-1.5)] + [0.0] * 31
     width = rep.eigenvalues[-1] - rep.eigenvalues[0]
     for shift in (-1e-13, 1e-13):
-        moved = SpectrumReport(n, "neumann", rep.eigenvalues + shift * width)
+        moved = SpectrumReport(n, "neumann", rep.values + shift * width, rep.mult)
         assert np.array_equal(dos_histogram([moved], 3, 64, lo=edges[0], hi=edges[-1])[1], masses)
 
 
@@ -272,5 +272,5 @@ def test_green_proxy_finite_past_det_overflow(gasket, triangle):
 
 def test_cluster_eigenvalues_grouping():
     vals = np.array([0.0, 1e-12, 1.0, 1.0 + 1e-12, 2.0])
-    clusters = cluster_eigenvalues(vals)
+    clusters = list(zip(*cluster_eigenvalues(vals)))
     assert [m for _, m in clusters] == [2, 2, 1]
