@@ -99,6 +99,17 @@ class GrassmannElement:
         self.coeffs = clean
 
     @classmethod
+    def _trusted(cls, ground_size, coeffs):
+        """The element of a table the library built from checked data: its
+        keys come from compiled key tables (balanced, inside the ground
+        set), its values are Python complex and none is zero.  That is what
+        __post_init__ would make of it, so its pass is skipped."""
+        out = object.__new__(cls)
+        out.ground_size = ground_size
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
     def unit(cls, ground_size):
         return cls(ground_size, {(0, 0): 1.0})
 
@@ -136,7 +147,7 @@ def exp_eta(q) -> GrassmannElement:
         for key, d in zip(keys, np.linalg.det(q[index]).ravel().tolist()):
             if d != 0:
                 coeffs[key] = d
-    return GrassmannElement(q.shape[0], coeffs)
+    return GrassmannElement._trusted(q.shape[0], coeffs)
 
 
 @functools.cache
@@ -416,7 +427,9 @@ def _prune_lift(plan):
 
 def _scatter_add(idx, vals, size):
     """Complex vector of length size with vals summed into positions idx."""
-    return np.bincount(idx, vals.real, size) + 1j * np.bincount(idx, vals.imag, size)
+    out = np.empty(size, dtype=complex)
+    out.real, out.imag = np.bincount(idx, vals.real, size), np.bincount(idx, vals.imag, size)
+    return out
 
 
 def renorm_lift(x: GrassmannElement, structure) -> GrassmannElement:
@@ -444,7 +457,8 @@ def _run_lift(plan, x):
         z = _scatter_add(dst_idx, z[z_idx] * v[x_idx] * sign, size)
     out = _scatter_add(plan.reduce_rows, z[plan.reduce_cols] * plan.reduce_vals,
                        len(plan.cell_keys))
-    return GrassmannElement(x.ground_size, dict(zip(plan.cell_keys, out)))
+    return GrassmannElement._trusted(
+        x.ground_size, {key: c for key, c in zip(plan.cell_keys, out.tolist()) if c != 0})
 
 
 def phi_curve(q_rho, b):

@@ -8,6 +8,7 @@ eigen-decomposed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,19 +29,24 @@ ORTHONORMAL_TOL = 1e-12
 
 
 def check_symmetric(a):
-    """Return ``a`` as a complex array, raising NotSymmetric if a != a^T."""
+    """Return ``a`` as a complex array, raising NotSymmetric if a != a^T
+    and ValueError if an entry is NaN or infinite."""
     return _require_symmetric(np.asarray(a, dtype=complex))
 
 
 def _require_symmetric(a):
     """Raise NotSymmetric unless ``a`` is square with |a - a^T| <=
-    SYMMETRY_TOL * max(1, max|a|) entrywise; returns ``a`` in its own dtype,
-    so real input is checked in real arithmetic."""
+    SYMMETRY_TOL * max(1, max|a|) entrywise, and ValueError if an entry is
+    NaN or infinite (max|a| is then not finite, so the scale's pass finds
+    it); returns ``a`` in its own dtype, so real input is checked in real
+    arithmetic."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     if a.size:
-        scale = max(1.0, float(np.max(np.abs(a))))
-        if np.max(np.abs(a - a.T)) > SYMMETRY_TOL * scale:
+        top = float(np.abs(a).max())
+        if not math.isfinite(top):
+            raise ValueError("matrix must be finite; it has a NaN or infinite entry")
+        if np.abs(a - a.T).max() > SYMMETRY_TOL * max(1.0, top):
             raise NotSymmetric("matrix is not symmetric within tolerance")
     return a
 
@@ -97,9 +103,9 @@ def _pencil(q, b):
             raise ValueError("spectra need real weights; these have a nonzero imaginary part")
         b = b.real
     q, b = q.astype(float, copy=False), b.astype(float, copy=False)
-    if not (np.isfinite(q).all() and np.isfinite(b).all()):
-        raise ValueError("the pencil needs a finite Q and finite weights")
-    q = _require_symmetric(q)
+    if not np.isfinite(b).all():
+        raise ValueError("the pencil needs finite weights")
+    q = _require_symmetric(q)  # a NaN or infinite entry raises ValueError
     if b.ndim != 1 or b.shape[0] != q.shape[0]:
         raise ValueError("weight vector must match matrix dimension")
     if np.any(b <= 0):

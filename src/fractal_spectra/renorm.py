@@ -145,6 +145,8 @@ class CoordinateChart:
         coords = np.asarray(coords, dtype=complex)
         if coords.shape != (len(self.projectors),):
             raise ValueError("one coordinate per projector")
+        if not np.isfinite(coords).all():
+            raise ValueError("chart coordinates must be finite")
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for u, p in zip(coords, self.projectors):
             out = out + u * p

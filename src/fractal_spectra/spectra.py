@@ -96,6 +96,8 @@ KERNEL_ORACLE_TOL = 1e-7
 
 # Schur-chain spectra.  Each constant states its scale.
 #
+# Double-precision rounding unit, the base of the ulp-sized tolerances.
+EPS = float(np.finfo(float).eps)
 # Final bisection width, relative to the width of the bracket that holds
 # the whole spectrum (a small multiple of the spectral width): each distinct
 # eigenvalue is located to about this fraction of it.  Depth limit: the
@@ -110,7 +112,7 @@ BISECT_TOL = 1e-12
 # above x is exact if such a pivot is read at x + 0: as positive, its
 # magnitude kept, carried like the NEAR_TOL directions below.  A few ulps:
 # above it every sign is resolved.
-PIVOT_TOL = 8 * np.finfo(float).eps
+PIVOT_TOL = 8 * EPS
 # Interior directions with an eigenvalue d of at most this fraction of the
 # same scale are not eliminated but carried to the next step as extra
 # coordinates.  Eliminating a direction adds g g^T / d, rounded to
@@ -402,9 +404,13 @@ def _pencil_line(step, q, b):
         return None
     root = np.sqrt(b)
     nu = np.array([nu[g].mean() for g in groups])
-    # prod_g (y + nu_g), and for each g the product over the other poles
-    poles = np.array([_monic(np.delete(nu, g)) for g in range(nu.size)])
-    numerators = np.array([np.convolve([coef[1, c], coef[0, c]], _monic(nu)) for c in (0, 1)])
+    # prod_g (y + nu_g), and for each g the product over the other poles:
+    # the product over nu_0..nu_(g-1) is shared, then nu_(g+1).. follow
+    prefix = [np.ones(1)]
+    for r in nu:
+        prefix.append(np.convolve(prefix[-1], [1.0, r]))
+    poles = np.array([_monic(nu[g + 1:], prefix[g]) for g in range(nu.size)])
+    numerators = np.array([np.convolve([coef[1, c], coef[0, c]], prefix[-1]) for c in (0, 1)])
     numerators[:, 2:] -= np.array([coef[2:, c] @ poles for c in (0, 1)])
     # Row i, column k: binom(i + k, k) times the coefficient of y^(i + k).
     low = numerators[:, ::-1]
@@ -422,9 +428,8 @@ def _pencil_line(step, q, b):
                        critical)
 
 
-def _monic(roots):
-    """Coefficients of prod_r (y + r), highest degree first."""
-    out = np.ones(1)
+def _monic(roots, out):
+    """Coefficients of out(y) prod_r (y + r), highest degree first."""
     for r in roots:
         out = np.convolve(out, [1.0, r])
     return out
@@ -455,7 +460,7 @@ def _real_roots(c, scale):
     beyond 1 / eps of the scale."""
     size = np.abs(c).max(axis=1, initial=0.0)
     c = c[size > 0] / size[size > 0, None]
-    lead = np.argmax(np.abs(c) > np.finfo(float).eps, axis=1)
+    lead = np.argmax(np.abs(c) > EPS, axis=1)
     roots = [np.zeros(0)]
     for start in np.flatnonzero(np.bincount(lead)):
         rows = c[lead == start, start:]
@@ -517,7 +522,7 @@ def _line_candidates(line, n, neumann):
     for z in _real_roots(a[None], scale):
         # z repeats as often as it is a root of A; B may hold it fewer times
         if abs(np.polyval(b, z)) <= VANISH_TOL * np.polyval(np.abs(b), abs(z)):
-            a, b = np.polydiv(a, [1.0, -z])[0], np.polydiv(b, [1.0, -z])[0]
+            a, b = _deflate(a, z), _deflate(b, z)
             common.append(z)
     targets = np.concatenate([-line.nu, common])
     ys = np.sort(-line.mu) if neumann else np.zeros(0)
@@ -525,6 +530,17 @@ def _line_candidates(line, n, neumann):
         ys = np.concatenate([_real_roots(b - ys[:, None] * a, scale), targets])
         ys = _merge_runs(np.sort(ys), MERGE_TOL * scale)
     return ys
+
+
+def _deflate(p, z):
+    """The quotient of p (highest degree first) by y - z, by synthetic
+    division: q_0 = p_0, q_k = p_k + q_(k-1) z, the operations of
+    np.polydiv(p, [1, -z]) and so bitwise its quotient, without its
+    remainder's work."""
+    z, out = float(z), p[:1].tolist()
+    for c in p[1:-1].tolist():
+        out.append(c + out[-1] * z)
+    return np.array(out)
 
 
 def _sym(m):
@@ -698,7 +714,7 @@ def _advance(line, c, d, e):
     j = np.arange(1, k)[:, None]
     slope = np.sum(j * (tb[1:] * at - ta[1:] * bt) * pd[:-1], axis=0) / at**2
     # A few ulps of the size of each term, and the error e through R'.
-    ulps = 4 * k * np.finfo(float).eps
+    ulps = 4 * k * EPS
     terms = (sa[0] * sb[1:] + sb[0] * sa[1:]) * np.abs(pd[1:])
     known = ulps * np.sum(terms, axis=0) / np.abs(a0 * at) + np.abs(slope) * e
     image = tb[0] / a0
@@ -752,6 +768,11 @@ def _line_chain(step, line, n, xs):
     rq, rd = line.residues.T
     nu = line.nu[:, None]
     scale = max(np.abs(line.nu).max(initial=0.0), np.abs(line.mu).max())
+    # What is constant along the pass: each pivot's scale |(nu, 1)|, and the
+    # sizes of the step's terms that each step's rounding is taken against.
+    hyp_nu, hyp_mu = np.hypot(line.nu, 1.0), np.hypot(line.mu, 1.0)
+    form_size, residue_size = abs(fq) + abs(fd) + abs(mq) + abs(md), abs(rq) + abs(rd)
+    critical = line.critical.any()
     targets = np.concatenate([-line.nu, -line.mu])
     a, b = np.ones(xs.size), xs / step.gamma**n
     norm = np.hypot(a, b)
@@ -772,12 +793,12 @@ def _line_chain(step, line, n, xs):
         v = gap + off
         return v, known + PIVOT_TOL * (np.abs(gap) + np.abs(v))
 
-    def pivots(values):
-        """The pivots alpha v + beta, 1 where unsure, and the unsure ones.
-        A held point's pivot is alpha (y + v) from the two parts where they
-        know it better than the pair."""
+    def pivots(values, hyp):
+        """The pivots alpha v + beta, 1 where unsure, and the unsure ones,
+        with hyp = |(v, 1)|.  A held point's pivot is alpha (y + v) from
+        the two parts where they know it better than the pair."""
         t = values * a + b
-        tol = (1.0 + err) * (PIVOT_TOL * np.hypot(values, 1.0))
+        tol = (1.0 + err) * (PIVOT_TOL * hyp[:, None])
         bad = np.abs(t) <= tol
         if held.any():
             v, vk = parts(values)
@@ -787,26 +808,27 @@ def _line_chain(step, line, n, xs):
         return t, bad
 
     for m in range(n):
-        t, bad = pivots(nu)
+        t, bad = pivots(nu, hyp_nu)
         unsure = bad.any(axis=0)
         inner |= unsure
         near = np.abs(t).min(axis=0)
         # A point whose nearest pole -nu_g is critical is held from there,
         # with delta = y + nu_g from the two parts or the pair, whichever
         # knows it better, unless its base is nearer.
-        if line.critical.any():
+        if critical:
             g = np.argmin(np.abs(t), axis=0)
             crit = ~unsure & line.critical[g] & (a != 0)
             delta, dk = parts(line.nu[g])
             safe = np.where(crit, a, 1.0)
-            pair_known = (1.0 + err) * PIVOT_TOL * np.hypot(line.nu[g], 1.0) / np.abs(safe)
+            pair_known = (1.0 + err) * PIVOT_TOL * hyp_nu[g] / np.abs(safe)
             better = ~(dk <= pair_known)
             delta[better], dk[better] = (t[g, np.arange(xs.size)] / safe)[better], pair_known[better]
             start = crit & (~held | (np.abs(delta) < np.abs(off)))
             base[start], off[start], known[start] = -line.nu[g][start], delta[start], dk[start]
             held |= start
         ah = a * near / t
-        na, nb = near * (a * fq + b * mq) - rq @ (a * ah), near * (a * fd + b * md) - rd @ (a * ah)
+        aah = a * ah
+        na, nb = near * (a * fq + b * mq) - rq @ aah, near * (a * fd + b * md) - rd @ aah
         # The image of the direction's tangent (-b, a), times `near`; along
         # it t moves by a - nu b.
         w = (-2 * b - a * ((a - nu * b) / t)) * ah
@@ -814,7 +836,7 @@ def _line_chain(step, line, n, xs):
         counts[:, 2] += step.num_copies ** (n - 1 - m) * (line.mult @ (t < 0))
         norm = np.hypot(na, nb)
         norm[norm == 0] = 1.0  # a zero image leaves every pivot unsure
-        fresh = near * (abs(fq) + abs(fd) + abs(mq) + abs(md)) + (abs(rq) + abs(rd)) @ np.abs(a * ah)
+        fresh = near * form_size + residue_size @ np.abs(aah)
         err = (err * np.abs(na * tb - nb * ta) / norm + fresh) / norm
         a, b = na / norm, nb / norm
         if held.any():
@@ -829,7 +851,7 @@ def _line_chain(step, line, n, xs):
             base[i] = np.where(on, targets[j], c)
             held[i] = ok
             base[~held] = np.nan
-    t, bad = pivots(line.mu[:, None])
+    t, bad = pivots(line.mu[:, None], hyp_mu)
     counts[:, 0] = counts[:, 2]
     counts[:, 1] = counts[:, 2] + np.count_nonzero(t < 0, axis=0)
     return counts, inner, bad.any(axis=0), np.stack([a, b])

@@ -55,11 +55,14 @@ def omega_matrix(half_dim):
     return out
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class LagrangianFrame:
     """2K x K orthonormal frame spanning a Lagrangian subspace.
 
-    Rows 0..K-1 are E-components, rows K..2K-1 are E*-components.
+    Rows 0..K-1 are E-components, rows K..2K-1 are E*-components.  The
+    constructor checks the columns once (finite, rank K, isotropic within
+    FRAME_TOL) and stores their orthonormal basis read-only in a frozen
+    frame, so what it checked holds for the frame's lifetime.
     """
 
     columns: np.ndarray
@@ -68,16 +71,23 @@ class LagrangianFrame:
         cols = np.asarray(self.columns, dtype=complex)
         if cols.ndim != 2 or cols.shape[0] != 2 * cols.shape[1]:
             raise ValueError("frame must be 2K x K")
-        cols = orthonormalize(cols)
-        if cols.shape[1] != cols.shape[0] // 2:
-            raise ValueError("frame does not have full rank K")
+        if not np.isfinite(cols).all():
+            raise ValueError("frame must be finite; it has a NaN or infinite entry")
         k = cols.shape[1]
-        # omega on the columns, X^T Omega X = A^T B - B^T A for X = [A; B]
-        a, b = cols[:k], cols[k:]
-        if k and np.max(np.abs(a.T @ b - b.T @ a)) > FRAME_TOL:
-            raise ValueError("frame is not isotropic")
+        if k:
+            # orthonormalize's basis: rank K means every singular value is
+            # above RANK_TOL of the largest
+            cols, s, _ = np.linalg.svd(cols, full_matrices=False)
+            if not s[-1] > RANK_TOL * s[0]:
+                raise ValueError("frame does not have full rank K")
+            # omega on the columns, X^T Omega X = A^T B - B^T A for X = [A; B]
+            a, b = cols[:k], cols[k:]
+            if np.abs(a.T @ b - b.T @ a).max() > FRAME_TOL:
+                raise ValueError("frame is not isotropic")
+        else:
+            cols = cols.copy()
         cols.flags.writeable = False
-        self.columns = cols
+        object.__setattr__(self, "columns", cols)
 
     @property
     def half_dim(self):
@@ -96,8 +106,7 @@ def subspace_distance(l1: LagrangianFrame, l2: LagrangianFrame):
 def from_sym(q) -> LagrangianFrame:
     """Graph frame [I; Q] of a symmetric matrix."""
     q = check_symmetric(q)
-    k = q.shape[0]
-    return LagrangianFrame(np.vstack([np.eye(k), q]))
+    return LagrangianFrame(np.concatenate([np.eye(q.shape[0]), q]))
 
 
 def to_sym(frame: LagrangianFrame):
@@ -272,11 +281,17 @@ def _meet(rows, cols):
     relative to |c| it would count rounding as rank) is nonzero."""
     c = rows @ cols
     if c.ndim == 3:
-        c = np.concatenate(c, axis=1)
+        c = _side_by_side(c)
     if c.shape[0] == 0:
         return np.eye(c.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(c)
     return vh[np.count_nonzero(s > RANK_TOL):].conj().T
+
+
+def _side_by_side(blocks):
+    """The blocks of a stack, shape (N, r, c), side by side: (r, N c)."""
+    n, r, c = blocks.shape
+    return blocks.transpose(1, 0, 2).reshape(r, n * c)
 
 
 def _check_spaces(l: LagrangianFrame, w: CoisotropicSubspace):
@@ -377,10 +392,14 @@ def reduce_copies(l: LagrangianFrame, red: CopyReduction):
     k = l.half_dim
     if red.rows.shape[2] != 2 * k:
         raise ValueError("frame and subspace live in different spaces")
-    a, b = l.columns[:k], l.columns[k:]
-    if k and red.iso_scale * np.max(np.abs(a.T @ b - b.T @ a)) > FRAME_TOL:
-        raise ValueError("copies of the frame are not isotropic")
-    chart = np.concatenate(red.chart @ l.columns, axis=1)
+    # L's constructor bounded its isotropy defect by FRAME_TOL on these
+    # read-only columns; S scales it by iso_scale, so only a weight above 1
+    # leaves a bound to check
+    if red.iso_scale != 1.0 and k:
+        a, b = l.columns[:k], l.columns[k:]
+        if red.iso_scale * np.abs(a.T @ b - b.T @ a).max() > FRAME_TOL:
+            raise ValueError("copies of the frame are not isotropic")
+    chart = _side_by_side(red.chart @ l.columns)
     return _reduced_frame(chart, _meet(red.rows, l.columns), red.reduced_half_dim)
 
 

@@ -11,6 +11,7 @@ residual so failures are quantitative.
 
 from __future__ import annotations
 
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -429,7 +430,13 @@ def verify_config(cfg, suite="all"):
 
 
 def _guard(check, cfg, rng, group):
+    """Run one check.  Any exception it raises is a failed result naming its
+    type, so the other checks still run and the suite still fails.  One that
+    is not a FractalSpectraError is a crash (a MemoryError from a lift too
+    large to compile), and its traceback goes to stderr."""
     try:
         return check(cfg, rng)
-    except FractalSpectraError as exc:
+    except Exception as exc:
+        if not isinstance(exc, FractalSpectraError):
+            traceback.print_exc()
         return CheckResult(group, False, float("inf"), f"{type(exc).__name__}: {exc}")

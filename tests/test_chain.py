@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fractal_spectra import cli, spectra
-from fractal_spectra.config import load_config
+from fractal_spectra.config import BUILTIN_NAMES, load_config
 from fractal_spectra.errors import InvalidStructure, ResidueUnresolved
 from fractal_spectra.linalg import generalized_sym_eig, generalized_sym_eigvals
 from fractal_spectra.network import ElectricalNetwork, q_matrix
@@ -690,6 +690,28 @@ def test_candidates_match_the_companion_pass(name, top):
             want = _companion_candidates(line, n, neumann)
             assert got.shape == want.shape, (n, neumann)
             assert np.max(np.abs(got - want)) <= 1e-13 * scale, (n, neumann)
+
+
+def test_deflation_is_polydiv_bitwise(rng):
+    # _line_candidates divides each common zero out of A and B by synthetic
+    # division; the quotient is np.polydiv's to the bit, on every builtin
+    # line at every real root of A, divided out in turn as there, and on
+    # random polynomials.
+    pairs = []
+    for name in BUILTIN_NAMES:
+        *_, line = line_of(name)
+        if line is None:
+            continue
+        a, b = line.numerators
+        scale = max(np.abs(line.nu).max(initial=0.0), np.abs(line.mu).max())
+        for z in spectra._real_roots(a[None], scale):
+            pairs += [(a, z), (b, z)]
+            a, b = np.polydiv(a, [1.0, -z])[0], np.polydiv(b, [1.0, -z])[0]
+    assert len(pairs) >= 2  # the gasket's common zero y = -3 (the interval's A has no real root)
+    pairs += [(rng.standard_normal(d), rng.standard_normal()) for d in range(2, 9) for _ in range(20)]
+    for p, z in pairs:
+        got, want = spectra._deflate(p, z), np.polydiv(p, [1.0, -z])[0]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (p, z)
 
 
 @pytest.mark.parametrize("name,n", [("sierpinski", 7), ("interval", 10)])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fractal_spectra
-from fractal_spectra import cli
+from fractal_spectra import cli, grassmann
 from fractal_spectra.config import (
     BUILTIN_NAMES,
     dump_config,
@@ -313,6 +313,23 @@ def test_verify_negative_control(tmp_path, capsys):
     assert cli.main(["verify", "--config", str(bad), "--suite", "degrees"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_verify_reports_a_crash_as_a_fail_line(monkeypatch, capsys):
+    # A check that dies of an untyped error (the lift's table too large to
+    # allocate) is a FAIL line naming the error; the other checks still run
+    # and the run exits 1, with the crash's traceback on stderr.
+    def too_large(structure):
+        raise MemoryError("Unable to allocate 12.5 GiB")
+
+    monkeypatch.setattr(grassmann, "_compile_lift", too_large)
+    assert cli.main(["verify", "--config", "sierpinski", "--suite", "identities"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert failed and all("MemoryError: Unable to allocate 12.5 GiB" in line for line in failed)
+    assert any(line.startswith("PASS") for line in lines)
+    assert "Traceback" in err and "too_large" in err
 
 
 def test_exit_code_config_error(capsys):

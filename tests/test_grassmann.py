@@ -322,3 +322,32 @@ def test_lift_orders_match_nd_multiplicities(gasket, gbar, triangle, triangle_q)
             assert vanishing_order(curve, value) == nd.multiplicity_at(value)
     # gamma_bar has nontrivial level-1 N-D spectrum; the check is not vacuous
     assert level_spectrum(gbar, triangle, b, 1, "nd").count == 3
+
+
+def _bits(x):
+    """The keys of x in order and the bit patterns of its values."""
+    values = list(x.coeffs.values())
+    assert all(type(c) is complex for c in values)
+    return list(x.coeffs), np.array(values, dtype=complex).view(np.uint64).tolist()
+
+
+def test_library_elements_equal_their_public_rebuilds(rng):
+    # exp_eta and renorm_lift skip the public constructor's pass; rebuilding
+    # their elements through it keeps every key, in order, and every value
+    # to the bit: nothing was left for the pass to drop or convert.
+    for st in builtin_structures().values():
+        k = st.cell_size
+        sparse = np.zeros((k, k), dtype=complex)
+        sparse[0, 0] = 2.0 - 1.0j  # a support short of the cell, zero minors
+        for q in (random_sym(rng, k), random_sym(rng, k, complex_=False), sparse, np.zeros((k, k))):
+            for x in (exp_eta(q), renorm_lift(exp_eta(q), st)):
+                assert _bits(x) == _bits(GrassmannElement(x.ground_size, dict(x.coeffs)))
+                assert 0j not in x.coeffs.values()
+
+
+def test_public_constructor_still_checks_keys():
+    with pytest.raises(ValueError, match="unbalanced"):
+        GrassmannElement(2, {(0b01, 0b11): 1.0})
+    with pytest.raises(ValueError, match="outside ground set"):
+        GrassmannElement(2, {(0b100, 0b100): 1.0})
+    assert GrassmannElement(2, {(0b01, 0b01): 0.0, (0, 0): 1}).coeffs == {(0, 0): 1 + 0j}

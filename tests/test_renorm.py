@@ -23,7 +23,7 @@ from fractal_spectra.renorm import (
     t_iterate,
     t_map,
 )
-from fractal_spectra.network import VertexPartition, trace_map
+from fractal_spectra.network import VertexPartition, glue, trace_map
 from fractal_spectra.selfsim import (
     SelfSimilarStructure,
     assemble_q,
@@ -33,11 +33,13 @@ from fractal_spectra.selfsim import (
     sierpinski,
 )
 from fractal_spectra.symplectic import (
+    LagrangianFrame,
     from_sym,
     in_siegel,
     random_lagrangian,
     reduce_frame,
     subspace_distance,
+    tau_translate_frame,
     to_sym,
     w_glue,
     w_renorm,
@@ -400,3 +402,27 @@ def test_weighted_bridge_under_hypothesis_h(rng):
         lhs = pair(renorm_lift(phi(lam), st), "+")
         rhs = char_det(q1, b1, gamma * lam, "neumann")
         assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(0.0, np.inf)])
+def test_nonfinite_input_is_an_input_error(gasket, bad):
+    # One NaN or infinite entry raises ValueError naming "finite" at every
+    # entry of the renormalization path, before any SVD or solve sees it.
+    q = 1j * np.eye(3)
+    q[0, 1] = q[1, 0] = bad
+    frame = from_sym(1j * np.eye(3))
+    cols = np.array(frame.columns)
+    cols[4, 0] = bad
+    calls = {
+        "t_map": lambda: t_map(q, gasket),
+        "trace_map": lambda: trace_map(q, [0, 1]),
+        "from_sym": lambda: from_sym(q),
+        "g_map": lambda: g_map(LagrangianFrame(cols), gasket),
+        "exp_eta": lambda: exp_eta(q),
+        "glue": lambda: glue(q, VertexPartition(3, (0, 0, 1))),
+        "tau_translate_frame": lambda: tau_translate_frame(frame, q),
+        "chart": lambda: symmetric_chart(3).matrix([bad, 1j]),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="finite"):
+            call()

@@ -257,3 +257,20 @@ def test_coisotropic_validation_rejects_bad_chart():
     bad[0] *= 2.0
     with pytest.raises(ValueError):
         CoisotropicSubspace(w.frame, w.wo_frame, bad)
+
+
+def test_public_frame_constructor_still_checks():
+    with pytest.raises(ValueError, match="not isotropic"):
+        LagrangianFrame(np.vstack([np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])]))
+    with pytest.raises(ValueError, match="full rank"):
+        LagrangianFrame(np.vstack([np.array([[1.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2))]))
+    with pytest.raises(ValueError, match="full rank"):
+        LagrangianFrame(np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="2K x K"):
+        LagrangianFrame(np.eye(3))
+    # the checked columns stay what was checked
+    frame = from_sym(np.eye(2))
+    with pytest.raises(ValueError):
+        frame.columns[0, 0] = 2.0
+    with pytest.raises(AttributeError):
+        frame.columns = np.zeros((4, 2))
