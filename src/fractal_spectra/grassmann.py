@@ -319,8 +319,8 @@ def _balanced_keys(k):
 class _LiftPlan(NamedTuple):
     cell_keys: list  # dense order of the cell's balanced keys
     cell_index: dict  # key -> position in cell_keys
-    copies: tuple  # per copy: (z_idx, x_idx, dst_idx, sign, size)
-    reduce_rows: np.ndarray  # sparse reduction map, final key -> cell key
+    copies: tuple  # per copy: (z_idx, x_idx, _pairs(dst_idx), sign, size)
+    reduce_rows: np.ndarray  # sparse reduction map, final key -> cell key (_pairs)
     reduce_cols: np.ndarray
     reduce_vals: np.ndarray
 
@@ -381,7 +381,7 @@ def _compile_lift(structure):
         keys, dst = np.unique((zi[z_idx] | ii[m]) << nv | zj[z_idx] | ij[m],
                               return_inverse=True)
         sign = scale[m] * _merge_signs(zi[z_idx], zj[z_idx], ii[m], ij[m], nv)
-        copies.append((z_idx, x_pos[m], dst, sign, len(keys)))
+        copies.append((z_idx, x_pos[m], _pairs(dst), sign, len(keys)))
 
     # the boundary is vertices 0..K-1 in F order, so cell key (I, J) is
     # reduced from the level-1 key (I | interior, J | interior)
@@ -398,7 +398,7 @@ def _compile_lift(structure):
     col = np.minimum(np.searchsorted(keys, fi << nv | fj), len(keys) - 1)
     hit = keys[col] == fi << nv | fj
     vals = t_sign[t] * _merge_signs(fi, fj, wi[g], wj[g], nv) * wc[g]
-    return _LiftPlan(cell_keys, cell_index, tuple(copies), t[hit], col[hit], vals[hit])
+    return _LiftPlan(cell_keys, cell_index, tuple(copies), _pairs(t[hit]), col[hit], vals[hit])
 
 
 def _prune_lift(plan):
@@ -415,21 +415,29 @@ def _prune_lift(plan):
     reduce_cols = slot[plan.reduce_cols]
     sizes = [1] + [size for *_, size in plan.copies[:-1]]  # each copy's input
     copies = []
-    for (z_idx, x_idx, dst, sign, _), before in zip(reversed(plan.copies), reversed(sizes)):
+    for (z_idx, x_idx, pairs, sign, _), before in zip(reversed(plan.copies), reversed(sizes)):
+        dst = pairs[::2] // 2
         kept = read[dst]
         dst, size = slot[dst[kept]], np.count_nonzero(read)
         read = np.zeros(before, dtype=bool)
         read[z_idx[kept]] = True
         slot = np.cumsum(read) - 1
-        copies.append((slot[z_idx[kept]], x_idx[kept], dst, sign[kept], size))
+        copies.append((slot[z_idx[kept]], x_idx[kept], _pairs(dst), sign[kept], size))
     return plan._replace(copies=tuple(reversed(copies)), reduce_cols=reduce_cols)
 
 
-def _scatter_add(idx, vals, size):
-    """Complex vector of length size with vals summed into positions idx."""
-    out = np.empty(size, dtype=complex)
-    out.real, out.imag = np.bincount(idx, vals.real, size), np.bincount(idx, vals.imag, size)
-    return out
+def _pairs(idx):
+    """The positions of the (real, imaginary) float pairs of the complex
+    slots idx, in the float view of a complex vector."""
+    return (2 * idx[:, None] + np.arange(2)).ravel()
+
+
+def _scatter_add(pairs, vals, size):
+    """Complex vector of length size with vals summed into the slots whose
+    float pairs are `pairs` (_pairs): one bincount over the float view of
+    vals, which sums each real and each imaginary part over the same terms
+    in the same order as a bincount of each would."""
+    return np.bincount(pairs, vals.view(float), 2 * size).view(complex)
 
 
 def renorm_lift(x: GrassmannElement, structure) -> GrassmannElement:
@@ -453,8 +461,8 @@ def _run_lift(plan, x):
     for key, c in x.coeffs.items():
         v[plan.cell_index[key]] = c
     z = np.ones(1, dtype=complex)
-    for z_idx, x_idx, dst_idx, sign, size in plan.copies:
-        z = _scatter_add(dst_idx, z[z_idx] * v[x_idx] * sign, size)
+    for z_idx, x_idx, pairs, sign, size in plan.copies:
+        z = _scatter_add(pairs, z[z_idx] * v[x_idx] * sign, size)
     out = _scatter_add(plan.reduce_rows, z[plan.reduce_cols] * plan.reduce_vals,
                        len(plan.cell_keys))
     return GrassmannElement._trusted(
