@@ -24,6 +24,14 @@ w from U(0.5, 3), gamma from U(0.5, 3), one conductance per pair of cell
 vertices from U(0.5, 2) and the cell measure from U(0.5, 2); the measure
 weights are w / gamma.
 
+Uneven conductances (and gamma_bar's weak network) keep every drawn
+structure off the pencil line, so all 60 structures of the CI set take the
+matrix chain and the summary reads "engines": {"line": 0, "matrix": 60}.
+The line is held to dense by the tests: test_chain_matches_dense on the
+sierpinski and interval builtins, test_examples_chain_matches_dense on the
+SG3 and Vicsek configs (tests/data), test_line_nd_matches_dense, and
+test_line_spectra_match_matrix_chain against the matrix chain.
+
 Usage:
     python scripts/chain_oracle.py [--seed 7] [--structures 60] [--levels 1-5]
 """

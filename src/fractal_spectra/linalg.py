@@ -170,15 +170,18 @@ def numerical_rank(a):
 
 def is_positive_definite(a):
     """True iff the Hermitian matrix ``a`` has smallest eigenvalue >
-    DEFINITE_TOL."""
+    DEFINITE_TOL; ValueError if an entry is NaN or infinite (the scale's
+    pass finds it, as in _require_symmetric)."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if np.max(np.abs(a - a.conj().T)) > SYMMETRY_TOL * scale:
-        raise NotHermitian("matrix is not Hermitian within tolerance")
     if a.shape[0] == 0:
         return True
+    top = float(np.abs(a).max())
+    if not math.isfinite(top):
+        raise ValueError("matrix must be finite; it has a NaN or infinite entry")
+    if np.abs(a - a.conj().T).max() > SYMMETRY_TOL * max(1.0, top):
+        raise NotHermitian("matrix is not Hermitian within tolerance")
     w = np.linalg.eigvalsh(a)
     return bool(w[0] > DEFINITE_TOL)
 

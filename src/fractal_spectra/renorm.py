@@ -89,18 +89,13 @@ def g_map(l: LagrangianFrame, structure):
 
 
 def _copy_reduction(structure):
-    """W_renorm with the copy map of block_copy_frame folded in, cached:
-    S = [[I, 0], [Q0, diag(w_i I)]], the per-copy scaling lifts followed by
-    the weak-network shear (Q0 = 0 without one)."""
+    """W_renorm with the copy map of block_copy_frame folded in, cached: the
+    per-copy scaling lifts followed by the weak-network shear."""
     if "copy_reduction" not in structure._cache:
-        n, k = structure.num_copies, structure.cell_size
-        weights = structure.copy_weights()
-        s = np.zeros((2 * n * k, 2 * n * k))
-        s[: n * k, : n * k] = np.eye(n * k)
-        s[n * k :, n * k :] = np.diag(np.repeat(weights, k))
-        if structure.weak is not None:
-            s[n * k :, : n * k] = q_matrix(structure.weak)
-        structure._cache["copy_reduction"] = copy_reduction(w_renorm(structure), s, weights)
+        weak = None if structure.weak is None else q_matrix(structure.weak)
+        structure._cache["copy_reduction"] = copy_reduction(
+            w_renorm(structure), structure.copy_weights(), weak
+        )
     return structure._cache["copy_reduction"]
 
 

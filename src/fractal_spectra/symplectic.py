@@ -21,9 +21,13 @@ The reduction t_W(L) = (L cap W)/W^o is computed for every L from one
 kernel, L cap W = the null space of omega(W^o, .) on L: its image in the
 chart is the reduced frame, and what it holds beyond the reduced dimension
 p is the defect dim(L cap W^o), the indeterminacy indicator of the map.
-Reducing N copies of one frame under a fixed copy map (the renormalization
-step) reads the same kernel from W's rows and chart pulled back through
-the map once (CopyReduction), on the N plain copies of the frame.
+Every reduction has one format and one kernel: a CopyReduction holds W's
+rows (W^o)^T Omega and chart, one block per copy of the frame, and
+reduce_copies reads the kernel from it.  A CoisotropicSubspace holds its
+own one-copy reduction (trace, gluing and their compositions); the
+renormalization step reduces N copies of one frame by W_renorm with the
+copy map folded into W's rows and chart once (copy_reduction), never
+forming the map or the frame of the copies.
 """
 
 from __future__ import annotations
@@ -166,6 +170,28 @@ def random_lagrangian(k, rng, at_infinity=False) -> LagrangianFrame:
 
 
 @dataclass(eq=False)
+class CopyReduction:
+    """A reduction by W of N copies of one Lagrangian L of C^K + (C^K)*,
+    put into the ambient space of W by a copy map that carries copy i's
+    omega to w_i omega.  W's constraint rows and chart are pulled back
+    through the map once and split into one 2K-column block per copy
+    (E-rows, then E*-rows), so a reduction meets the N plain copies of L's
+    orthonormal columns and never forms the 2NK x NK frame of the copies.
+    A CoisotropicSubspace holds its own reduction: one copy, no map.
+
+    rows:      N x r x 2K, orthonormal rows spanning the pullback of
+               (W^o)^T Omega
+    chart:     N x 2p x 2K, the pullback of W's quotient chart
+    iso_scale: max(1, w_i), the factor the map puts on L's isotropy defect
+    """
+
+    rows: np.ndarray
+    chart: np.ndarray
+    reduced_half_dim: int
+    iso_scale: float
+
+
+@dataclass(eq=False)
 class CoisotropicSubspace:
     """W with cached W^o and an explicit quotient chart.
 
@@ -175,8 +201,8 @@ class CoisotropicSubspace:
               coordinates; ker(proj restricted to W) = W^o and the
               pullback of the canonical form of V_p along proj equals
               omega on W.
-    wo_omega: (W^o)^T Omega, formed once, orthonormal rows; every
-              reduction reads L cap W as its null space on L (_meet).
+    reduction: the one-copy CopyReduction of W, rows (W^o)^T Omega and
+               chart proj, formed once; every reduction by W reads it.
     """
 
     frame: np.ndarray
@@ -192,7 +218,6 @@ class CoisotropicSubspace:
         if self.frame.shape[1] != k + p or self.wo_frame.shape[1] != k - p:
             raise ValueError("dimension bookkeeping failed")
         om = omega_matrix(k)
-        self.wo_omega = self.wo_frame.T @ om
         if self.wo_frame.shape[1]:
             if np.max(np.abs(self.frame.T @ om @ self.wo_frame)) > FRAME_TOL:
                 raise ValueError("W^o is not omega-orthogonal to W")
@@ -203,6 +228,7 @@ class CoisotropicSubspace:
         native = self.frame.T @ om @ self.frame
         if np.max(np.abs(pulled - native)) > CHART_TOL:
             raise ValueError("quotient chart is not symplectic")
+        self.reduction = CopyReduction((self.wo_frame.T @ om)[None], self.proj[None], p, 1.0)
 
     @property
     def half_dim(self):
@@ -272,16 +298,16 @@ def compose(w: CoisotropicSubspace, w_next: CoisotropicSubspace) -> CoisotropicS
 
 
 def _meet(rows, cols):
-    """Coefficients on `cols` of an orthonormal basis of L cap W, with L
-    spanned by `cols` and W = (W^o)^omega cut out by the orthonormal `rows`
-    spanning (W^o)^T Omega: the null space of c = rows @ cols.  A stack of
-    row blocks, one per copy, meets the direct sum of as many copies of
-    `cols`: c is the blocks' products side by side.  Rows and columns are
+    """Coefficients on N copies of `cols` of an orthonormal basis of L cap W,
+    with L spanned by the copies of `cols` and W = (W^o)^omega cut out by the
+    orthonormal rows spanning (W^o)^T Omega, stacked N x r x 2K in `rows`,
+    one block per copy (N = 1 for a CoisotropicSubspace): the null space of
+    c, the blocks' products with `cols` side by side.  Rows and columns are
     orthonormal, so |c| <= 1 and a singular value above RANK_TOL (absolute:
     relative to |c| it would count rounding as rank) is nonzero."""
-    c = rows @ cols
-    if c.ndim == 3:
-        c = _side_by_side(c)
+    if rows.shape[2] != cols.shape[0]:
+        raise ValueError("frame and subspace live in different spaces")
+    c = _side_by_side(rows @ cols)
     if c.shape[0] == 0:
         return np.eye(c.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(c)
@@ -294,113 +320,76 @@ def _side_by_side(blocks):
     return blocks.transpose(1, 0, 2).reshape(r, n * c)
 
 
-def _check_spaces(l: LagrangianFrame, w: CoisotropicSubspace):
-    if l.half_dim != w.half_dim:
-        raise ValueError("frame and subspace live in different spaces")
-
-
 def reduce_frame(l: LagrangianFrame, w: CoisotropicSubspace) -> LagrangianFrame:
     """Symplectic reduction t_W(L) = (L cap W)/W^o in the chart of W.
 
     Total: defined at every L, including indeterminacy points of the
     rational extension (there the output is the distinguished value that
     continues the map along generic curves)."""
-    return reduce_with_defect(l, w)[0]
-
-
-def reduce_with_defect(l: LagrangianFrame, w: CoisotropicSubspace):
-    """(reduce_frame(l, w), reduction_defect(l, w)), both read from one
-    kernel L cap W."""
-    _check_spaces(l, w)
-    return _reduced_frame(w.proj @ l.columns, _meet(w.wo_omega, l.columns), w.reduced_half_dim)
-
-
-def _reduced_frame(chart, meet, p):
-    """(the reduced frame, the defect) from the chart image `chart` of L's
-    columns and the coefficients `meet` of L cap W on them (_meet).  Where
-    the defect is 0 the image of the kernel goes to the frame as it is,
-    whose constructor orthonormalizes it; a positive defect's image spans p
-    dimensions in more columns, trimmed here."""
-    reduced = chart @ meet
-    if reduced.shape[1] > p:
-        reduced = orthonormalize(reduced)
-    if reduced.shape[1] != p:
-        raise ValueError(
-            f"reduction produced rank {reduced.shape[1]}, expected {p}"
-        )
-    return LagrangianFrame(reduced), meet.shape[1] - p
+    return reduce_copies(l, w.reduction)[0]
 
 
 def reduction_defect(l: LagrangianFrame, w: CoisotropicSubspace):
     """dim(L cap W^o): zero exactly where the rational reduction is regular.
     (L cap W)/(L cap W^o) is the reduced Lagrangian, of dimension p."""
-    _check_spaces(l, w)
-    return _meet(w.wo_omega, l.columns).shape[1] - w.reduced_half_dim
+    return _meet(w.reduction.rows, l.columns).shape[1] - w.reduced_half_dim
 
 
-@dataclass(eq=False)
-class CopyReduction:
-    """The reduction by W of S(L + ... + L): N copies of one Lagrangian L
-    of C^K + (C^K)*, put into the ambient space of W by a copy map S that
-    carries copy i's omega to w_i omega.  W's constraint rows and chart are
-    pulled back through S once, so a reduction meets the N plain copies of
-    L's orthonormal columns and never forms the 2NK x NK frame of S's image.
+def copy_reduction(w: CoisotropicSubspace, weights, q0) -> CopyReduction:
+    """The reduction by W of N = len(weights) copies of a Lagrangian of
+    C^K + (C^K)*, NK = w.half_dim, under the copy map
+    S = [[I, 0], [Q0, diag(w_i I)]]: the scaling lift of Q -> w_i Q on copy
+    i, then the shear by the weak form `q0` (None without a weak network).
+    S is folded into W's rows and chart block by block, as
+    [E + E* Q0, E* w], and never formed.
 
-    rows:      N x r x 2K, orthonormal rows spanning (W^o)^T Omega S, split
-               into one 2K-column block per copy (E-rows, then E*-rows)
-    chart:     N x 2p x 2K, proj S in the same blocks
-    iso_scale: max(1, w_i), the factor S puts on L's isotropy defect
-    """
-
-    rows: np.ndarray
-    chart: np.ndarray
-    reduced_half_dim: int
-    iso_scale: float
-
-
-def copy_reduction(w: CoisotropicSubspace, copy_map, weights) -> CopyReduction:
-    """Fold the copy map `copy_map` (2NK x 2NK, NK = w.half_dim, N =
-    len(weights)) into W's rows and chart.  Raises ValueError unless S
-    carries copy i's omega to weights[i] omega (so copies of a Lagrangian
-    stay isotropic) and keeps every constraint row."""
-    s = np.asarray(copy_map)
+    Implied, so not checked: S carries copy i's omega to w_i omega because
+    q0 is symmetric (a q_matrix); S keeps every constraint row because it is
+    invertible (validate keeps every w_i > 0); and S fits W because W is
+    w_renorm of the structure that gives the weights and q0."""
     n, nk = len(weights), w.half_dim
     k = nk // n
-    if s.shape != (2 * nk, 2 * nk) or k * n != nk:
-        raise ValueError("copy map must act on the ambient space of W")
-    scaled = np.diag(np.repeat(np.asarray(weights, dtype=float), k))
-    om_w = np.block([[np.zeros((nk, nk)), scaled], [-scaled, np.zeros((nk, nk))]])
-    if np.max(np.abs(s.T @ omega_matrix(nk) @ s - om_w)) > FRAME_TOL * max(1.0, np.max(np.abs(s))) ** 2:
-        raise ValueError("copy map does not carry each copy's omega to w_i omega")
-    rows = orthonormalize((w.wo_omega @ s).conj().T).conj().T
-    if rows.shape[0] != w.wo_omega.shape[0]:
-        raise ValueError("copy map loses a constraint row of W")
+    scale = np.repeat(np.asarray(weights, dtype=float), k)
+
+    def fold(m):
+        e, dual = m[:, :nk], m[:, nk:]
+        if q0 is not None:
+            e = e + dual @ q0
+        return np.concatenate([e, dual * scale], axis=1)
+
+    rows = orthonormalize(fold(w.reduction.rows[0]).conj().T).conj().T
     # column indices of copy i: its E-rows, then its E*-rows
     idx = np.arange(nk).reshape(n, k)
     idx = np.concatenate([idx, idx + nk], axis=1)
     return CopyReduction(
         np.ascontiguousarray(rows[:, idx].transpose(1, 0, 2)),
-        np.ascontiguousarray((w.proj @ s)[:, idx].transpose(1, 0, 2)),
+        np.ascontiguousarray(fold(w.proj)[:, idx].transpose(1, 0, 2)),
         w.reduced_half_dim,
         max(1.0, float(np.max(weights))),
     )
 
 
 def reduce_copies(l: LagrangianFrame, red: CopyReduction):
-    """(reduced frame, defect) of S(L + ... + L) by W, read from one kernel
-    L cap W (_meet on the copies' blocks) like reduce_with_defect."""
-    k = l.half_dim
-    if red.rows.shape[2] != 2 * k:
-        raise ValueError("frame and subspace live in different spaces")
+    """(reduced frame, defect) of the copies of L by `red`, both read from
+    one kernel L cap W (_meet).  Where the defect is 0 the chart image of
+    the kernel goes to the frame as it is, whose constructor orthonormalizes
+    it; a positive defect's image spans p dimensions in more columns,
+    trimmed here."""
+    k, p = l.half_dim, red.reduced_half_dim
+    meet = _meet(red.rows, l.columns)
     # L's constructor bounded its isotropy defect by FRAME_TOL on these
-    # read-only columns; S scales it by iso_scale, so only a weight above 1
-    # leaves a bound to check
+    # read-only columns; the copy map scales it by iso_scale, so only a
+    # weight above 1 leaves a bound to check
     if red.iso_scale != 1.0 and k:
         a, b = l.columns[:k], l.columns[k:]
         if red.iso_scale * np.abs(a.T @ b - b.T @ a).max() > FRAME_TOL:
             raise ValueError("copies of the frame are not isotropic")
-    chart = _side_by_side(red.chart @ l.columns)
-    return _reduced_frame(chart, _meet(red.rows, l.columns), red.reduced_half_dim)
+    reduced = _side_by_side(red.chart @ l.columns) @ meet
+    if reduced.shape[1] > p:
+        reduced = orthonormalize(reduced)
+    if reduced.shape[1] != p:
+        raise ValueError(f"reduction produced rank {reduced.shape[1]}, expected {p}")
+    return LagrangianFrame(reduced), meet.shape[1] - p
 
 
 def in_siegel(l: LagrangianFrame):

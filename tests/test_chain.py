@@ -662,6 +662,39 @@ def test_closed_form_roots_match_the_companion_path(rng):
     assert np.max(np.abs(got - want) / (scale + np.abs(want))) <= 1e-9
 
 
+def test_companion_roots_find_planted_roots(rng):
+    # Rows of degree 3-6, one stack padded with leading zeros as
+    # _line_candidates passes them: planted simple real roots, double roots
+    # (split by rounding, read back twice at their mean) and complex pairs
+    # (no real root) come back as the sorted real roots, double ones twice.
+    # Real roots at least 0.4 apart, from a jittered grid on [-3, 3], at
+    # most one double root a row and complex pairs at least 0.5 off the
+    # axis: clusters of close roots would test the companion eigensolve's
+    # conditioning instead.  Over 24000 such rows the worst error was 1.4e-11.
+    scale = 3.0
+    grid = np.linspace(-3.0, 3.0, 13)
+    rows, want = [], []
+    for deg in range(3, 7):
+        for _ in range(20):
+            pairs = int(rng.integers(0, deg // 2 + 1))
+            doubles = int(rng.integers(0, min(1, (deg - 2 * pairs) // 2) + 1))
+            real = rng.choice(grid, deg - 2 * pairs - doubles, replace=False)
+            real = real + rng.uniform(-0.05, 0.05, real.size)
+            simple, double = real[doubles:], real[:doubles]
+            centre = rng.uniform(-3.0, 3.0, pairs) + 1j * rng.uniform(0.5, 2.0, pairs)
+            roots = np.concatenate([simple, double, double, centre, centre.conj()])
+            rows.append(rng.uniform(0.5, 2.0) * np.poly(roots).real)
+            want.append(np.concatenate([simple, double, double]))
+    for row, real in zip(rows, want):
+        got = spectra._real_roots(row[None], scale)
+        assert got.shape == real.shape, row
+        assert np.all(np.abs(got - np.sort(real)) <= 1e-9 * scale), row
+    stack = np.array([np.pad(row, (7 - row.size, 0)) for row in rows])
+    got, real = spectra._real_roots(stack, scale), np.sort(np.concatenate(want))
+    assert got.shape == real.shape
+    assert np.max(np.abs(got - real)) <= 1e-9 * scale
+
+
 def _companion_candidates(line, n, neumann):
     """_line_candidates with no common factor divided out and every row on
     the companion path."""
@@ -998,3 +1031,69 @@ def test_random_structures_match_dense(index):
         dense = dense_reports(st, q, b, n)
         for cond in CONDITIONS:
             assert_same_spectrum(chain_spectrum(st, q, b, n, cond), dense[cond], neumann_width(dense))
+
+
+# The level-3 Sierpinski gasket (SG3) and the Vicsek set, shipped as test
+# data.  Both take the pencil line, where their steps have degree 3 and up.
+DATA = Path(__file__).resolve().parent / "data"
+R3 = np.sqrt(3.0)
+EXAMPLES = {
+    # cell corners, and the offsets of the copies x / 3 + offset
+    "sg3": ([(0.0, 0.0), (1.0, 0.0), (0.5, R3 / 2)],
+            [(a / 3 + b / 6, b * R3 / 6) for a, b in ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2))]),
+    "vicsek": ([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
+               [(0.0, 0.0), (2 / 3, 0.0), (2 / 3, 2 / 3), (0.0, 2 / 3), (1 / 3, 1 / 3)]),
+}
+
+
+def example_path(name):
+    return str(DATA / f"{name}.json")
+
+
+@pytest.mark.parametrize("name,level1", [("sg3", 10), ("vicsek", 16)])
+def test_examples_glue_the_points_whose_images_coincide(name, level1):
+    # Each glue class is a set of copy points with one image, and the
+    # boundary takes the outer corners in cell order.
+    corners, offsets = EXAMPLES[name]
+    points = np.array([np.array(c) / 3 + o for o in offsets for c in corners])
+    dist = np.linalg.norm(points[:, None] - points[None], axis=2)
+    want = {frozenset(np.flatnonzero(row <= 1e-12).tolist()) for row in dist}
+    cfg = load_config(example_path(name))
+    st = cfg.structure
+    assert {frozenset(c) for c in st.glue_classes} == want
+    assert np.allclose(points[list(st.boundary_map)], corners, atol=1e-12)
+    assert num_vertices(st, 1) == level1
+    assert cfg.chart.ranks == (1, len(corners) - 1)
+
+
+@pytest.mark.parametrize("name,n", [(name, n) for name in ("sg3", "vicsek") for n in (1, 2, 3)])
+def test_examples_chain_matches_dense(name, n):
+    cfg, *_, line = line_of(example_path(name))
+    assert line is not None
+    dense = dense_reports(cfg.structure, cfg.network, cfg.measure, n)
+    for cond in CONDITIONS:
+        got = chain_spectrum(cfg.structure, cfg.network, cfg.measure, n, cond)
+        assert_same_spectrum(got, dense[cond], neumann_width(dense))
+
+
+def test_sg3_count_laws():
+    # |V_n| - nd_n = (22 4^(n-1) + 5) / 3 and (14 4^(n-1) + 1) / 3 distinct
+    # Neumann values at L1-5; L6 merges clusters (ROADMAP item 1).
+    cfg = load_config(example_path("sg3"))
+    for n in range(1, 6):
+        nd = chain_spectrum(cfg.structure, cfg.network, cfg.measure, n, "nd")
+        neumann = chain_spectrum(cfg.structure, cfg.network, cfg.measure, n, "neumann")
+        assert num_vertices(cfg.structure, n) - int(np.sum(nd.mult)) == (22 * 4 ** (n - 1) + 5) // 3
+        assert len(neumann.values) == (14 * 4 ** (n - 1) + 1) // 3
+
+
+def test_vicsek_count_laws():
+    # |V_n| - nd_n = (13 3^(n-1) + 5) / 2, 3^n + 1 distinct Neumann values
+    # and 4 3^(n-1) distinct Dirichlet values at L1-6; L7 merges clusters
+    # (ROADMAP item 1).
+    cfg = load_config(example_path("vicsek"))
+    for n in range(1, 7):
+        reps = {c: chain_spectrum(cfg.structure, cfg.network, cfg.measure, n, c) for c in CONDITIONS}
+        assert num_vertices(cfg.structure, n) - int(np.sum(reps["nd"].mult)) == (13 * 3 ** (n - 1) + 5) // 2
+        assert len(reps["neumann"].values) == 3 ** n + 1
+        assert len(reps["dirichlet"].values) == 4 * 3 ** (n - 1)

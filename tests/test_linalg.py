@@ -114,6 +114,19 @@ def test_is_positive_definite():
         is_positive_definite(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [
+    np.array([[np.nan]]),
+    np.diag([np.inf, 1.0]),
+    np.diag([-np.inf, 1.0]),
+    np.array([[1.0, complex(np.nan, np.nan)], [complex(np.nan, -np.nan), 1.0]]),
+    np.diag([complex(1.0, np.nan), 1.0]),
+])
+def test_is_positive_definite_rejects_non_finite_input(bad):
+    # NaN and infinite entries are an input error, not a "not definite"
+    with pytest.raises(ValueError, match="finite"):
+        is_positive_definite(bad)
+
+
 def test_pencil_reads_real_input_of_any_dtype():
     # float64 input is used as it is; complex input with a zero imaginary
     # part, integers and lists give the same transform, and the input is

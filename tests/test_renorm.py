@@ -188,7 +188,7 @@ def test_g_map_takes_one_meet(gasket, gbar, monkeypatch):
 def _reference_g_map(l, st):
     """The step g_map folds into one table: the explicit block-copy frame
     reduced by W_renorm."""
-    return symplectic.reduce_with_defect(block_copy_frame(l, st), w_renorm(st))
+    return symplectic.reduce_copies(block_copy_frame(l, st), w_renorm(st).reduction)
 
 
 def _weighted_gasket():
@@ -197,12 +197,20 @@ def _weighted_gasket():
                                 weights_w=(0.5, 1.0, 2.0), weights_b=(0.25, 0.5, 1.0))
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES + ("weighted",))
+def _weighted_gamma_bar():
+    # copy weights and a weak network: every block of the folded copy map
+    base = gamma_bar(1.0, 2.0)
+    return SelfSimilarStructure(base.cell_size, base.num_copies, base.glue_classes, base.boundary_map,
+                                weights_w=(0.5, 1.5, 2.0), weak=base.weak)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("weighted", "weighted_gamma_bar"))
 def test_g_map_matches_block_copy_reduction(name, rng):
     # Random points of the Siegel domain and random frames pushed to meet
     # the divisor at infinity, then Q = 0: the same defect and the same
     # Lagrangian as the reference composition.
-    st = _weighted_gasket() if name == "weighted" else load_config(name).structure
+    built = {"weighted": _weighted_gasket, "weighted_gamma_bar": _weighted_gamma_bar}
+    st = built[name]() if name in built else load_config(name).structure
     k = st.cell_size
     frames = []
     for t in range(6):
