@@ -29,7 +29,9 @@ structure off the pencil line, so all 60 structures of the CI set take the
 matrix chain and the summary reads "engines": {"line": 0, "matrix": 60}.
 The line is held to dense by the tests: test_chain_matches_dense on the
 sierpinski and interval builtins, test_examples_chain_matches_dense on the
-SG3 and Vicsek configs (tests/data), test_line_nd_matches_dense, and
+SG3 and Vicsek configs (tests/data),
+test_weighted_examples_on_the_line_match_dense on random copy weights,
+forms and measures of those two configs, test_line_nd_matches_dense, and
 test_line_spectra_match_matrix_chain against the matrix chain.
 
 Usage:

@@ -18,7 +18,7 @@ general-purpose reference kernel: dict convolutions over any element.  The
 renormalization lift glues N copies and traces out the interior; for a fixed
 structure that is a fixed multilinear map of the cell coefficients, so
 `_lift_plan` compiles it once into integer index tables (one gather-multiply-
-scatter per copy, then one sparse reduction map), keeps of each copy only
+scatter per copy, then one sparse reduction map), forming of each copy only
 the products that a later stage reads, and `renorm_lift` runs the tables on
 dense coefficient vectors.
 """
@@ -346,42 +346,35 @@ def _lift_plan(structure):
     sign carries the reindex parity, the merge parity and w_i^deg.  The
     reduction map folds the product with the weak-network exponential (the
     unit without a weak network) and the interior reduction into one sparse
-    matrix from the final keys to the cell keys.  The tables are compiled
-    over every reachable key (_compile_lift) and then pruned backwards from
-    the final keys the reduction reads (_prune_lift): each copy forms only
-    the products whose key the next stage reads, on the gasket 20/100/100
-    per copy instead of 20/236/1404."""
+    matrix from the final keys to the cell keys.  A key (I, J) of the
+    level-1 algebra is packed as the integer I << V | J, V its vertex count.
+
+    The compile first walks back from the final keys the reduction reads: a
+    key the product must hold before copy i is one of those keys less an
+    image of copy i, with no vertex outside copies 0..i-1.  Each copy then
+    forms only the products onto those keys, on the gasket 20/100/100 per
+    copy instead of the 20/236/1404 reachable ones, and on the Vicsek set
+    6/36/190/454/454 instead of 24,010,000 keys after four copies.  The
+    keys of each stage ascend and each copy's products run in (running
+    key, image) order, so every sum has the same terms in the same order
+    as over all reachable keys."""
     cache = structure._cache
-    if "lift_plan" not in cache:
-        cache["lift_plan"] = _prune_lift(_compile_lift(structure))
-    return cache["lift_plan"]
-
-
-def _compile_lift(structure):
-    """The unpruned tables of _lift_plan: each copy forms every key
-    reachable after it.  A key (I, J) of the level-1 algebra is packed as
-    the integer I << V | J, V its vertex count."""
+    if "lift_plan" in cache:
+        return cache["lift_plan"]
     lat = build_lattice(structure, 1)
     k, nv = structure.cell_size, lat.num_vertices
     cell_keys = _balanced_keys(k)
     cell_index = {key: pos for pos, key in enumerate(cell_keys)}
     w = structure.copy_weights()
-    keys = np.zeros(1, dtype=np.int64)  # the unit
-    copies = []
+    images = []  # per copy: cell key positions, packed image keys, sign * w_i^deg
     for i, cmap in enumerate(lat.copy_maps):
-        images = []  # (cell key position, image I, image J, sign * w_i^deg)
+        rows = []
         for pos, (ci, cj) in enumerate(cell_keys):
             image = _reindex_key(ci, cj, cmap)
             if image is not None:
                 (ii, ij), sign = image
-                images.append((pos, ii, ij, sign * w[i] ** ci.bit_count()))
-        x_pos, ii, ij, scale = (np.array(col) for col in zip(*images))
-        zi, zj = keys >> nv, keys & ((1 << nv) - 1)
-        z_idx, m = np.nonzero(((zi[:, None] & ii) | (zj[:, None] & ij)) == 0)
-        keys, dst = np.unique((zi[z_idx] | ii[m]) << nv | zj[z_idx] | ij[m],
-                              return_inverse=True)
-        sign = scale[m] * _merge_signs(zi[z_idx], zj[z_idx], ii[m], ij[m], nv)
-        copies.append((z_idx, x_pos[m], _pairs(dst), sign, len(keys)))
+                rows.append((pos, ii << nv | ij, sign * w[i] ** ci.bit_count()))
+        images.append(tuple(np.array(col) for col in zip(*rows)))
 
     # the boundary is vertices 0..K-1 in F order, so cell key (I, J) is
     # reduced from the level-1 key (I | interior, J | interior)
@@ -395,35 +388,39 @@ def _compile_lift(structure):
     # target (I, J) = (z key) * (weak key): z key = target ^ weak key
     t, g = np.nonzero(((wi & ~ti[:, None]) | (wj & ~tj[:, None])) == 0)
     fi, fj = ti[t] ^ wi[g], tj[t] ^ wj[g]
-    col = np.minimum(np.searchsorted(keys, fi << nv | fj), len(keys) - 1)
-    hit = keys[col] == fi << nv | fj
-    vals = t_sign[t] * _merge_signs(fi, fj, wi[g], wj[g], nv) * wc[g]
-    return _LiftPlan(cell_keys, cell_index, tuple(copies), _pairs(t[hit]), col[hit], vals[hit])
+    final = fi << nv | fj
 
-
-def _prune_lift(plan):
-    """The plan with every product that no later stage reads dropped.
-
-    Walks back from the final keys the reduction reads: a copy keeps the
-    products whose key is read, and the keys of the running product they
-    take are what the copy before it must form.  Live keys keep their
-    order and every kept product its place, so each sum is taken over the
-    same terms in the same order as in the full plan."""
-    read = np.zeros(plan.copies[-1][4], dtype=bool)
-    read[plan.reduce_cols] = True
-    slot = np.cumsum(read) - 1
-    reduce_cols = slot[plan.reduce_cols]
-    sizes = [1] + [size for *_, size in plan.copies[:-1]]  # each copy's input
+    need = [np.sort(final)]  # need[i]: the keys read after copy i, sorted
+    for i in range(len(images) - 1, 0, -1):
+        inside, here = _mask(np.concatenate(lat.copy_maps[:i])), _mask(lat.copy_maps[i])
+        inside, here = inside << nv | inside, here << nv | here
+        # an image fits a key if it holds the key's vertices outside copies
+        # 0..i-1 (new) and its others are the key's (old): a test on the
+        # key's part on copy i, made once per distinct part
+        part, inv = np.unique(need[0] & here, return_inverse=True)
+        new, old, img = (part & ~inside)[:, None], (part & inside)[:, None], images[i][1]
+        r, m = np.nonzero((((img ^ new) & ~old) == 0)[inv])
+        # each key once; np.unique without return_inverse loads numpy.ma (1 MB)
+        z = np.sort(need[0][r] ^ img[m])
+        need.insert(0, z[np.diff(z, prepend=-1) != 0])
+    low = (1 << nv) - 1  # the J half of a packed key
+    keys = np.zeros(1, dtype=np.int64)  # the unit
     copies = []
-    for (z_idx, x_idx, pairs, sign, _), before in zip(reversed(plan.copies), reversed(sizes)):
-        dst = pairs[::2] // 2
-        kept = read[dst]
-        dst, size = slot[dst[kept]], np.count_nonzero(read)
-        read = np.zeros(before, dtype=bool)
-        read[z_idx[kept]] = True
-        slot = np.cumsum(read) - 1
-        copies.append((slot[z_idx[kept]], x_idx[kept], _pairs(dst), sign[kept], size))
-    return plan._replace(copies=tuple(reversed(copies)), reduce_cols=reduce_cols)
+    for (x_pos, img, scale), read in zip(images, need):
+        z_idx, m = np.nonzero((keys[:, None] & img) == 0)
+        prod = keys[z_idx] | img[m]
+        kept = read[np.minimum(np.searchsorted(read, prod), len(read) - 1)] == prod
+        z_idx, m = z_idx[kept], m[kept]
+        z, img, keys, dst = keys[z_idx], img[m], *np.unique(prod[kept], return_inverse=True)
+        sign = scale[m] * _merge_signs(z >> nv, z & low, img >> nv, img & low, nv)
+        copies.append((z_idx, x_pos[m], _pairs(dst), sign, len(keys)))
+
+    col = np.minimum(np.searchsorted(keys, final), len(keys) - 1)
+    hit = keys[col] == final
+    t, g, fi, fj = t[hit], g[hit], fi[hit], fj[hit]
+    vals = t_sign[t] * _merge_signs(fi, fj, wi[g], wj[g], nv) * wc[g]
+    cache["lift_plan"] = _LiftPlan(cell_keys, cell_index, tuple(copies), _pairs(t), col[hit], vals)
+    return cache["lift_plan"]
 
 
 def _pairs(idx):

@@ -127,7 +127,8 @@ NEAR_TOL = 1e-4
 # symmetry makes equal.  The same rounding decides, once
 # per spectrum, whether a chain step keeps the pencil plane (_pencil_line)
 # and which of its poles are critical, and on the line, where the image of
-# a critical pole lands on a pivot's zero (_line_chain).
+# a critical pole lands on a pivot's zero (_line_chain), and which leading
+# coefficients of a candidate polynomial are rounding (_real_roots).
 DEGENERATE_TOL = 1e-12
 # Candidate eigenvalues on the pencil line (_line_candidates).  The counts
 # certify every candidate and bisection finds what none catches, so these
@@ -456,11 +457,12 @@ def _real_roots(c, scale):
     """The real roots of the polynomials in the rows of c (highest degree
     first): in closed form up to degree 2, beyond that from one batched
     companion-matrix eigensolve per degree.  Leading coefficients of
-    rounding size (eps of the row's largest) are dropped: their roots lie
-    beyond 1 / eps of the scale."""
+    rounding size (DEGENERATE_TOL of the row's largest) are dropped: their
+    roots lie beyond 1 / DEGENERATE_TOL of the scale, and a spurious one
+    would move the others by its rounding."""
     size = np.abs(c).max(axis=1, initial=0.0)
     c = c[size > 0] / size[size > 0, None]
-    lead = np.argmax(np.abs(c) > EPS, axis=1)
+    lead = np.argmax(np.abs(c) > DEGENERATE_TOL, axis=1)
     roots = [np.zeros(0)]
     for start in np.flatnonzero(np.bincount(lead)):
         rows = c[lead == start, start:]
@@ -833,7 +835,8 @@ def _line_chain(step, line, n, xs):
         # it t moves by a - nu b.
         w = (-2 * b - a * ((a - nu * b) / t)) * ah
         ta, tb = near * (-b * fq + a * mq) - rq @ w, near * (-b * fd + a * md) - rd @ w
-        counts[:, 2] += step.num_copies ** (n - 1 - m) * (line.mult @ (t < 0))
+        # int64 @ bool runs numpy's generic loop; int64 @ int64 its own
+        counts[:, 2] += step.num_copies ** (n - 1 - m) * (line.mult @ (t < 0).astype(np.int64))
         norm = np.hypot(na, nb)
         norm[norm == 0] = 1.0  # a zero image leaves every pivot unsure
         fresh = near * form_size + residue_size @ np.abs(aah)

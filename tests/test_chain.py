@@ -597,9 +597,12 @@ def test_candidates_certify_in_one_pass(n, monkeypatch):
     # Backward iteration of the step map (y -> y (2y + 5) on the Sierpinski
     # gasket) gives every eigenvalue: one pass counts the bracket's ends and
     # each candidate +- tol / 4, which finishes every bracket, and no point
-    # goes to the matrix chain.
+    # goes to the matrix chain.  The same holds on SG3 and the Vicsek set,
+    # whose steps have degree 3 to 6: a leading coefficient of rounding
+    # size (Vicsek's is 1.1e-15 of its row) must not add a spurious root.
     passes = count_passes(monkeypatch)
-    for name in {6: ["sierpinski"], 10: ["sierpinski", "interval"], 12: ["interval"]}[n]:
+    examples = [example_path("sg3"), example_path("vicsek")]
+    for name in {6: ["sierpinski", *examples], 10: ["sierpinski", "interval"], 12: ["interval"]}[n]:
         cfg, *_ = line_of(name)
         for cond in CONDITIONS:
             passes.clear()
@@ -1076,15 +1079,50 @@ def test_examples_chain_matches_dense(name, n):
         assert_same_spectrum(got, dense[cond], neumann_width(dense))
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_weighted_examples_on_the_line_match_dense(seed):
+    # SG3 with copy weight a on its corner copies (1, 3 and 6, counted from
+    # 1) and c on the others, and the Vicsek set with a on its four corners
+    # and c on its centre: a, c and gamma from U(0.5, 3), the measure
+    # weights w / gamma, and the config's form and measure each scaled by a
+    # factor from U(0.5, 2).  Every draw keeps the pencil plane, so the line
+    # engine runs on uneven copy weights, which no structure of the random
+    # chain oracle (scripts/chain_oracle.py) reaches; the chain equals dense
+    # at L1-3 under all three conditions.
+    rng = np.random.default_rng([seed, 29])
+    corners = {"sg3": (0, 2, 5), "vicsek": (0, 1, 2, 3)}
+    for draw in range(8):
+        name = ("sg3", "vicsek")[draw % 2]
+        cfg = load_config(example_path(name))
+        base = cfg.structure
+        a, c, gamma = rng.uniform(0.5, 3.0, 3)
+        w = [a if i in corners[name] else c for i in range(base.num_copies)]
+        st = SelfSimilarStructure(base.cell_size, base.num_copies, base.glue_classes,
+                                  base.boundary_map, weights_w=w, weights_b=[x / gamma for x in w])
+        form, mass = rng.uniform(0.5, 2.0, 2)
+        net = cfg.network
+        rho = ElectricalNetwork(net.size, {e: form * v for e, v in net.conductances.items()},
+                                tuple(form * v for v in net.dissipative))
+        b = mass * np.asarray(cfg.measure, dtype=float)
+        assert spectra._pencil_line(spectra._chain_plan(st), *spectra._cell_data(st, rho, b)) is not None
+        for n in (1, 2, 3):
+            dense = dense_reports(st, rho, b, n)
+            for cond in CONDITIONS:
+                got = chain_spectrum(st, rho, b, n, cond)
+                assert_same_spectrum(got, dense[cond], neumann_width(dense))
+
+
 def test_sg3_count_laws():
-    # |V_n| - nd_n = (22 4^(n-1) + 5) / 3 and (14 4^(n-1) + 1) / 3 distinct
-    # Neumann values at L1-5; L6 merges clusters (ROADMAP item 1).
+    # |V_n| - nd_n = (22 4^(n-1) + 5) / 3 at L1-6, and (14 4^(n-1) + 1) / 3
+    # distinct Neumann values at L1-5; L6 merges Neumann clusters (ROADMAP
+    # item 1).  The N-D read refuses from L7.
     cfg = load_config(example_path("sg3"))
-    for n in range(1, 6):
+    for n in range(1, 7):
         nd = chain_spectrum(cfg.structure, cfg.network, cfg.measure, n, "nd")
-        neumann = chain_spectrum(cfg.structure, cfg.network, cfg.measure, n, "neumann")
         assert num_vertices(cfg.structure, n) - int(np.sum(nd.mult)) == (22 * 4 ** (n - 1) + 5) // 3
-        assert len(neumann.values) == (14 * 4 ** (n - 1) + 1) // 3
+        if n < 6:
+            neumann = chain_spectrum(cfg.structure, cfg.network, cfg.measure, n, "neumann")
+            assert len(neumann.values) == (14 * 4 ** (n - 1) + 1) // 3
 
 
 def test_vicsek_count_laws():

@@ -322,7 +322,7 @@ def test_verify_reports_a_crash_as_a_fail_line(monkeypatch, capsys):
     def too_large(structure):
         raise MemoryError("Unable to allocate 12.5 GiB")
 
-    monkeypatch.setattr(grassmann, "_compile_lift", too_large)
+    monkeypatch.setattr(grassmann, "_lift_plan", too_large)
     assert cli.main(["verify", "--config", "sierpinski", "--suite", "identities"]) == 1
     out, err = capsys.readouterr()
     lines = out.splitlines()

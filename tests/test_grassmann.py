@@ -1,15 +1,23 @@
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractal_spectra import grassmann
+from fractal_spectra import grassmann, verify
+from fractal_spectra.config import load_config
 from fractal_spectra.errors import OrderUnstable, ZeroScale
 from fractal_spectra.grassmann import (
     GrassmannElement,
+    _balanced_keys,
+    _LiftPlan,
+    _mask,
+    _merge_signs,
+    _pairs,
+    _reindex_key,
     exp_eta,
     glue_morphism,
     interior_reduce,
@@ -31,6 +39,7 @@ from fractal_spectra.selfsim import (
     assemble_q,
     build_lattice,
     builtin_structures,
+    level_step,
 )
 from fractal_spectra.spectra import char_det, level_spectrum
 from fractal_spectra.verify import random_sym
@@ -266,6 +275,50 @@ def test_compiled_lift_matches_dict_kernel(rng):
             assert (got - want).norm() <= 1e-12 * want.norm(), name
 
 
+def _compile_lift(structure):
+    """The unpruned tables of _lift_plan: each copy forms every key
+    reachable after it.  A key (I, J) of the level-1 algebra is packed as
+    the integer I << V | J, V its vertex count."""
+    lat = build_lattice(structure, 1)
+    k, nv = structure.cell_size, lat.num_vertices
+    cell_keys = _balanced_keys(k)
+    cell_index = {key: pos for pos, key in enumerate(cell_keys)}
+    w = structure.copy_weights()
+    keys = np.zeros(1, dtype=np.int64)  # the unit
+    copies = []
+    for i, cmap in enumerate(lat.copy_maps):
+        images = []  # (cell key position, image I, image J, sign * w_i^deg)
+        for pos, (ci, cj) in enumerate(cell_keys):
+            image = _reindex_key(ci, cj, cmap)
+            if image is not None:
+                (ii, ij), sign = image
+                images.append((pos, ii, ij, sign * w[i] ** ci.bit_count()))
+        x_pos, ii, ij, scale = (np.array(col) for col in zip(*images))
+        zi, zj = keys >> nv, keys & ((1 << nv) - 1)
+        z_idx, m = np.nonzero(((zi[:, None] & ii) | (zj[:, None] & ij)) == 0)
+        keys, dst = np.unique((zi[z_idx] | ii[m]) << nv | zj[z_idx] | ij[m],
+                              return_inverse=True)
+        sign = scale[m] * _merge_signs(zi[z_idx], zj[z_idx], ii[m], ij[m], nv)
+        copies.append((z_idx, x_pos[m], _pairs(dst), sign, len(keys)))
+
+    # the boundary is vertices 0..K-1 in F order, so cell key (I, J) is
+    # reduced from the level-1 key (I | interior, J | interior)
+    imask = _mask(lat.interior())
+    ki, kj = (np.array(col) for col in zip(*cell_keys))
+    ti, tj = imask | ki, imask | kj
+    t_sign = _merge_signs(imask, imask, ki, kj, nv)
+    weak_exp = exp_eta(level_step(structure).weak)
+    wi, wj = (np.array(col) for col in zip(*weak_exp.coeffs))
+    wc = np.array(list(weak_exp.coeffs.values()), dtype=complex)
+    # target (I, J) = (z key) * (weak key): z key = target ^ weak key
+    t, g = np.nonzero(((wi & ~ti[:, None]) | (wj & ~tj[:, None])) == 0)
+    fi, fj = ti[t] ^ wi[g], tj[t] ^ wj[g]
+    col = np.minimum(np.searchsorted(keys, fi << nv | fj), len(keys) - 1)
+    hit = keys[col] == fi << nv | fj
+    vals = t_sign[t] * _merge_signs(fi, fj, wi[g], wj[g], nv) * wc[g]
+    return _LiftPlan(cell_keys, cell_index, tuple(copies), _pairs(t[hit]), col[hit], vals[hit])
+
+
 @pytest.mark.parametrize("name,full,pruned", [
     ("sierpinski", [20, 236, 1404], [20, 100, 100]),
     ("gamma_bar", [20, 400, 8000], [20, 328, 1184]),
@@ -276,7 +329,7 @@ def test_pruned_lift_plan_forms_only_read_keys(name, full, pruned, rng):
     # later stage reads, and the coefficients stay bitwise those of the
     # full tables: every kept sum has the same terms in the same order.
     st_ = builtin_structures()[name]
-    whole = grassmann._compile_lift(st_)
+    whole = _compile_lift(st_)
     plan = grassmann._lift_plan(st_)
     assert [z_idx.size for z_idx, *_ in whole.copies] == full
     assert [z_idx.size for z_idx, *_ in plan.copies] == pruned
@@ -300,6 +353,32 @@ def test_determinant_bridge(gasket, gbar, triangle_q):
             assert abs(pair(lifted, "+") - want_p) <= 1e-8 * abs(want_p)
             want_m = char_det(q1, b1, lam, "dirichlet", lat.boundary)
             assert abs(pair(lifted, "-") - want_m) <= 1e-8 * abs(want_m)
+
+
+@pytest.mark.parametrize("name,products", [
+    ("sg3", [20, 104, 332, 686, 332, 104]),
+    ("vicsek", [6, 36, 190, 454, 454]),
+])
+def test_lift_on_the_new_examples(name, products, rng):
+    # The lift of the level-3 gasket (K = 3, N = 6) and of the Vicsek set
+    # (K = 4, N = 5): one step three ways agrees, and the top and unit
+    # pairings of the lifted spectral curve are the level-1 Neumann and
+    # Dirichlet determinants.  Each copy forms only the products a later
+    # stage reads; the Vicsek set reaches 24,010,000 keys after four copies.
+    cfg = load_config(str(Path(__file__).resolve().parent / "data" / f"{name}.json"))
+    st_ = cfg.structure
+    assert [z_idx.size for z_idx, *_ in grassmann._lift_plan(st_).copies] == products
+    assert verify.check_renorm_paths(cfg, rng).passed
+    q, b = q_matrix(cfg.network), np.asarray(cfg.measure, dtype=float)
+    phi = phi_curve(q, b)
+    q1, b1 = assemble_q(st_, q, 1), assemble_measure(st_, b, 1)
+    boundary = build_lattice(st_, 1).boundary
+    for lam in (0.3 + 0.2j, -1.2, 2.0 - 1.0j):  # -1.5 is a Dirichlet eigenvalue of both
+        lifted = renorm_lift(phi(lam), st_)
+        want_p = char_det(q1, b1, lam, "neumann")
+        assert abs(pair(lifted, "+") - want_p) <= 1e-8 * abs(want_p)
+        want_m = char_det(q1, b1, lam, "dirichlet", boundary)
+        assert abs(pair(lifted, "-") - want_m) <= 1e-8 * abs(want_m)
 
 
 def test_vanishing_order_basics():
