@@ -338,7 +338,7 @@ def divisor_orders(structure, chart: CoordinateChart, loci):
                 return pairs
 
             curve = lift_curve(structure, chart, path)
-            order = vanishing_order(curve, 0.0, (1e-2, 1e-3, 1e-4))
+            order = vanishing_order(curve, 0.0)
             best = order if best is None else min(best, order)
         orders.append(best)
     return orders

@@ -189,6 +189,8 @@ class SpectrumReport:
             raise ValueError("values and mult must be 1-D arrays of one length")
         if np.any(self.mult <= 0) or np.any(np.diff(self.values) <= 0):
             raise ValueError("values must ascend strictly, with positive multiplicities")
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must be finite")
 
     @property
     def count(self):
@@ -973,9 +975,11 @@ def _cell_data(structure, rho, b):
 
 
 def _level_size(structure, n):
-    """|V_n|, checked: the chain's counts are int64, so a level with 2^63
-    vertices or more (sierpinski L40, interval L63) raises ValueError
-    instead of counts that wrap."""
+    """|V_n|, checked: n must be >= 0, and the chain's counts are int64,
+    so a level with 2^63 vertices or more (sierpinski L40, interval L63)
+    raises ValueError instead of counts that wrap."""
+    if n < 0:
+        raise ValueError("level must be >= 0")
     size = num_vertices(structure, n)
     if size >= 2**63:
         raise ValueError(f"level {n} has {size} vertices; spectra need fewer than 2^63")
@@ -994,8 +998,9 @@ def chain_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
     counts at the candidates of _line_candidates: that one pass decides
     which hold eigenvalues, and the rest is bisected.  A point on a pole of
     the trace map is read where it is, as the limit from above (PIVOT_TOL),
-    so every point gives a count and every bracket shrinks.  A level with
-    2^63 vertices or more raises ValueError (_level_size).
+    so every point gives a count and every bracket shrinks.  A negative
+    level, or one with 2^63 vertices or more, raises ValueError
+    (_level_size).
 
     Neumann-Dirichlet multiplicities are nd(lam) = mult_D(lam) less the
     rank of the residue of the level-n trace at lam.  On the line that
@@ -1173,8 +1178,8 @@ def level_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
     engine: LINE_MIN_VERTICES vertices where the step of (rho, b) keeps the
     pencil plane (_pencil_line), CHAIN_MIN_VERTICES otherwise.  Below it
     level n is assembled and solved densely.  An unknown condition, and a
-    level too large for int64 counts (_level_size), raise before either
-    path starts."""
+    level that is negative or too large for int64 counts (_level_size),
+    raise before either path starts."""
     if condition not in ("neumann", "dirichlet", "nd"):
         raise ValueError(f"unknown condition {condition!r}")
     q, b = _cell_data(structure, rho, b)
@@ -1199,7 +1204,7 @@ def dos_histogram(reports, num_copies, bins, lo=None, hi=None):
     one row of masses per report.  A value within its report's width
     tolerance (as in cdf) of an edge is on it; bins are [left, right), the
     last one closed.  Each distinct value is binned once, weighted by its
-    multiplicity."""
+    multiplicity.  Given bounds lo and hi must be finite."""
     if bins < 1:
         raise ValueError("need at least one bin")
     reports = list(reports)
@@ -1208,6 +1213,8 @@ def dos_histogram(reports, num_copies, bins, lo=None, hi=None):
         lo = min((float(r.values[0]) for r in filled), default=0.0)
     if hi is None:
         hi = max((float(r.values[-1]) for r in filled), default=1.0)
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError(f"histogram bounds must be finite, got {lo!r} and {hi!r}")
     if hi <= lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, bins + 1)

@@ -403,6 +403,44 @@ def test_lift_orders_match_nd_multiplicities(gasket, gbar, triangle, triangle_q)
     assert level_spectrum(gbar, triangle, b, 1, "nd").count == 3
 
 
+def _example(name):
+    """A builtin config by name, or a shipped example from tests/data."""
+    if name in ("sg3", "vicsek"):
+        name = str(Path(__file__).resolve().parent / "data" / f"{name}.json")
+    cfg = load_config(name)
+    b = np.asarray(cfg.measure, dtype=float)
+    return cfg.structure, cfg.network, b, phi_curve(q_matrix(cfg.network), b)
+
+
+@pytest.mark.parametrize("name", [
+    "sierpinski", "gamma_bar", "gamma_bar_semi", "interval", "sg3", "vicsek",
+])
+def test_lift_orders_match_nd_on_every_example(name):
+    # The level-1 lift vanishes at each Neumann value to the order of its
+    # N-D multiplicity, on each config's own network and measure; on the
+    # Vicsek set that is order 7 at -4.
+    st_, rho, b, phi = _example(name)
+    nd = level_spectrum(st_, rho, b, 1, "nd")
+    for value in level_spectrum(st_, rho, b, 1, "neumann").values:
+        curve = lambda lam: renorm_lift(phi(lam), st_)
+        assert vanishing_order(curve, value) == nd.multiplicity_at(value)
+
+
+def test_level2_lift_orders_on_sg3():
+    # Two steps of the level-3 gasket's lift vanish at its 19 level-2
+    # Neumann values to their N-D multiplicities, 13 at -3 among them.
+    st_, rho, b, phi = _example("sg3")
+    neumann = level_spectrum(st_, rho, b, 2, "neumann")
+    nd = level_spectrum(st_, rho, b, 2, "nd")
+    assert len(neumann.values) == 19
+    want = {-3.0: 13, -2.5: 3, -1.5 - np.sqrt(0.5): 1, -1.5: 3, -1.5 + np.sqrt(0.5): 1}
+    curve = lambda lam: renorm_lift(renorm_lift(phi(lam), st_), st_)
+    for value in neumann.values:
+        mult = next((m for v, m in want.items() if abs(v - value) <= 1e-9), 0)
+        assert nd.multiplicity_at(value) == mult
+        assert vanishing_order(curve, value) == mult
+
+
 def _bits(x):
     """The keys of x in order and the bit patterns of its values."""
     values = list(x.coeffs.values())

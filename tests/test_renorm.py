@@ -273,7 +273,7 @@ def test_iterated_lift_orders_match_level2_nd(gasket, triangle, triangle_q):
     nd2 = level_spectrum(gasket, triangle, np.ones(3), 2, "nd")
     assert [(round(v, 6), m) for v, m in nd2.clusters] == [(-3.0, 3), (-2.5, 1)]
     for lam0, want in ((-3.0, 3), (-2.5, 1), (-1.0, 0)):
-        assert vanishing_order(r2, lam0, scales=(1e-2, 1e-3, 1e-4)) == want
+        assert vanishing_order(r2, lam0) == want
 
 
 def test_coords_eval_rejects_wrong_chart(gasket):

@@ -158,6 +158,44 @@ def test_dos_of_empty_reports():
         assert masses.shape == (len(reports), 4) and not masses.any()
 
 
+def test_input_checks_raise(gasket, triangle, triangle_q):
+    with pytest.raises(ValueError, match="one length"):
+        SpectrumReport(1, "neumann", [-3.0, 0.0], [1])
+    for values, mult in (([0.0, -3.0], [1, 1]), ([-3.0, 0.0], [1, 0])):
+        with pytest.raises(ValueError, match="ascend"):
+            SpectrumReport(1, "neumann", values, mult)
+    with pytest.raises(ValueError, match="condition"):
+        char_det(triangle_q, np.ones(3), 0.5, "nd")
+    with pytest.raises(ValueError, match="unknown condition"):
+        spectra.chain_spectrum(gasket, triangle, np.ones(3), 2, "robin")
+    rep = SpectrumReport(1, "neumann", [-3.0, 0.0], [2, 1])
+    for bins in (0, -1):
+        with pytest.raises(ValueError, match="bin"):
+            dos_histogram([rep], 3, bins)
+
+
+def test_spectrum_report_needs_finite_values():
+    # NaN passes the ordering check, and an infinite value makes the width
+    # tolerance of cdf and multiplicity_at infinite
+    for values, mult in (([np.nan], [1]), ([-np.inf, 0.0], [1, 1]), ([0.0, np.inf], [1, 1])):
+        with pytest.raises(ValueError, match="finite"):
+            SpectrumReport(1, "neumann", values, mult)
+
+
+def test_dos_histogram_needs_finite_bounds():
+    # a non-finite bound makes NaN or infinite edges
+    rep = SpectrumReport(1, "neumann", [-3.0, 0.0], [2, 1])
+    for lo, hi in ((np.nan, None), (None, np.inf), (-np.inf, 0.0), (-1.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            dos_histogram([rep], 3, 4, lo=lo, hi=hi)
+
+
+def test_chain_spectrum_needs_a_level(gasket, triangle):
+    for condition in ("neumann", "dirichlet", "nd"):
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            spectra.chain_spectrum(gasket, triangle, np.ones(3), -1, condition)
+
+
 def test_dos_total_mass(gasket, triangle):
     rep = level_spectrum(gasket, triangle, np.ones(3), 3, "neumann")
     edges, masses = dos_histogram([rep], 3, 16)
