@@ -17,8 +17,8 @@ bound the tests hold the builtins to).  Both paths rank N-D directions by
 one rule (spectra._boundary_ranks), so their N-D lists are held to each
 other like the Neumann and Dirichlet ones.
 
-The draw: structures take, in turn, the gluings of sierpinski,
-gamma_bar(1, 2) (with its weak network) and interval.  One
+The draw: structures take, in turn, the gluings of the shipped sierpinski,
+gamma_bar (with its weak network) and interval configs.  One
 default_rng(seed) draws, per structure and in this order, the copy weights
 w from U(0.5, 3), gamma from U(0.5, 3), one conductance per pair of cell
 vertices from U(0.5, 2) and the cell measure from U(0.5, 2); the measure
@@ -46,23 +46,16 @@ import sys
 import numpy as np
 
 from fractal_spectra import spectra
+from fractal_spectra.config import load_config
 from fractal_spectra.network import ElectricalNetwork, q_matrix
-from fractal_spectra.selfsim import (
-    SelfSimilarStructure,
-    assemble_measure,
-    assemble_q,
-    build_lattice,
-    gamma_bar,
-    interval,
-    sierpinski,
-)
+from fractal_spectra.selfsim import SelfSimilarStructure, assemble_measure, assemble_q
 
 CONDITIONS = ("neumann", "dirichlet", "nd")
 
 
 def draw(rng, count):
     """(structure, cell form, cell measure) for each random structure."""
-    bases = (sierpinski(), gamma_bar(1.0, 2.0), interval())
+    bases = tuple(load_config(name).structure for name in ("sierpinski", "gamma_bar", "interval"))
     out = []
     for i in range(count):
         base = bases[i % len(bases)]
@@ -82,7 +75,7 @@ def draw(rng, count):
 def dense_reports(st, q, b, n):
     q_n = assemble_q(st, q, n).real
     b_n = assemble_measure(st, b, n)
-    boundary = build_lattice(st, n).boundary
+    boundary = range(st.cell_size)
     return q_n, b_n, boundary, {
         "neumann": spectra.neumann_spectrum(q_n, b_n, n),
         "dirichlet": spectra.dirichlet_spectrum(q_n, b_n, boundary, n),

@@ -45,7 +45,6 @@ from .linalg import (
     generalized_sym_eigvals,
     is_positive_definite,
     kernel_basis,
-    sym_eig,
 )
 from .network import (
     ElectricalNetwork,
@@ -81,11 +80,8 @@ from .selfsim import (
     assemble_network,
     assemble_q,
     build_lattice,
-    builtin_structures,
     gamma_bar,
     gamma_bar_semi,
-    interval,
-    sierpinski,
     validate,
 )
 from .spectra import (

@@ -3,8 +3,9 @@
 A config carries the combinatorial structure (K, N, glue classes,
 boundary), the cell network and measure, optional per-copy weights, an
 optional weak network, and an optional coordinate chart.  The shipped
-builtin configs additionally record the parameter family they were
-generated from, which the verify suites use to select expected values.
+configs are the only definition of the builtins; they additionally record
+the parameter family they were generated from, which the verify suites
+use to select expected values.
 """
 
 from __future__ import annotations
@@ -165,84 +166,6 @@ def parse_config(raw: dict, name="config") -> StructureConfig:
         family=str(raw.get("family", "")),
         params=dict(raw.get("params", {})),
     )
-
-
-def serialize_config(cfg: StructureConfig) -> dict:
-    """Back to the JSON dict form (1-based indices, singletons omitted)."""
-    k = cfg.structure.cell_size
-    glue = [
-        [[p // k + 1, p % k + 1] for p in cls]
-        for cls in cfg.structure.glue_classes
-        if len(cls) > 1
-    ]
-    out = {
-        "name": cfg.name,
-        "K": k,
-        "N": cfg.structure.num_copies,
-        "glue": glue,
-        "boundary": [[p // k + 1, p % k + 1] for p in cfg.structure.boundary_map],
-        "network": {
-            "edges": [
-                [i + 1, j + 1, rho]
-                for (i, j), rho in sorted(cfg.network.conductances.items())
-            ],
-            "dissipative": list(cfg.network.dissipative),
-        },
-        "measure": [float(v) for v in cfg.measure],
-    }
-    if cfg.structure.weights_w is not None:
-        out["weights"] = {
-            "w": list(cfg.structure.weights_w),
-            "b": list(cfg.structure.weights_b or ()),
-        }
-    if cfg.structure.weak is not None:
-        weak = cfg.structure.weak
-        out["weak"] = {
-            "edges": [
-                [[a // k + 1, a % k + 1], [b // k + 1, b % k + 1], rho]
-                for (a, b), rho in sorted(weak.conductances.items())
-            ],
-            "dissipative": [
-                [[p // k + 1, p % k + 1], v]
-                for p, v in enumerate(weak.dissipative)
-                if v != 0.0
-            ],
-        }
-    if cfg.chart is not None:
-        out["chart"] = [p.tolist() for p in cfg.chart.projectors]
-    if cfg.family:
-        out["family"] = cfg.family
-    if cfg.params:
-        out["params"] = cfg.params
-    return out
-
-
-def _lines_list(items, indent):
-    pad = " " * indent
-    if not items:
-        return "[]"
-    body = (",\n" + pad).join(json.dumps(it) for it in items)
-    return "[\n" + pad + body + "\n" + " " * (indent - 1) + "]"
-
-
-def dump_config(cfg: StructureConfig) -> str:
-    """One semantic item (glue class, edge, projector) per line."""
-    d = serialize_config(cfg)
-    parts = []
-    for key, val in d.items():
-        if key in ("glue", "chart"):
-            parts.append(f' "{key}": {_lines_list(val, 2)}')
-        elif key in ("network", "weak"):
-            sub = []
-            for sk, sv in val.items():
-                if sk in ("edges", "dissipative") and sv and isinstance(sv[0], list):
-                    sub.append(f'  "{sk}": {_lines_list(sv, 3)}')
-                else:
-                    sub.append(f'  "{sk}": {json.dumps(sv)}')
-            parts.append(f' "{key}": {{\n' + ",\n".join(sub) + "\n }")
-        else:
-            parts.append(f' "{key}": {json.dumps(val)}')
-    return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
 def load_config(source) -> StructureConfig:

@@ -226,11 +226,12 @@ def interior_reduce(x: GrassmannElement, interior) -> GrassmannElement:
     Lifts the boundary trace: on exp_eta(Q) it yields
     det(Q_interior) * exp_eta(Q_boundary).  The result lives on the
     complement, compacted in increasing order."""
-    interior = sorted(set(interior))
+    on_interior = set(interior)
+    interior = sorted(on_interior)
     if any(t < 0 or t >= x.ground_size for t in interior):
         raise ValueError("interior must be a subset of the ground set")
     imask = _mask(interior)
-    rest = [t for t in range(x.ground_size) if t not in set(interior)]
+    rest = [t for t in range(x.ground_size) if t not in on_interior]
     slot = {t: s for s, t in enumerate(rest)}
     out = {}
     for (i, j), c in x.coeffs.items():
@@ -255,9 +256,10 @@ def reduced_product(x: GrassmannElement, y: GrassmannElement, interior):
     if x.ground_size != y.ground_size:
         raise ValueError("ground sets differ")
     n = x.ground_size
-    interior = sorted(set(interior))
+    on_interior = set(interior)
+    interior = sorted(on_interior)
     imask = _mask(interior)
-    rest = [t for t in range(n) if t not in set(interior)]
+    rest = [t for t in range(n) if t not in on_interior]
     if len(y.coeffs) > len(x.coeffs):
         x, y = y, x
     out = {}

@@ -76,16 +76,6 @@ class Subspace:
         return self.basis.shape[1]
 
 
-def sym_eig(a):
-    """Eigen-decompose a real symmetric matrix.
-
-    Returns (eigenvalues ascending, orthonormal eigenvector columns).
-    """
-    a = _require_symmetric(np.asarray(a, dtype=float))
-    w, v = np.linalg.eigh(a)
-    return w, v
-
-
 def _pencil(q, b):
     """Validate the pencil (Q + lam I_b) and return its symmetric transform
     D^{-1/2} Q D^{-1/2} together with d = diag(D^{-1/2}), D = I_b.  The

@@ -178,9 +178,10 @@ def _split(q, boundary):
     boundary = list(boundary)
     if not boundary:
         raise ValueError("boundary set must be nonempty")
-    if len(set(boundary)) != len(boundary) or not all(0 <= b < k for b in boundary):
+    on_boundary = set(boundary)
+    if len(on_boundary) != len(boundary) or not all(0 <= b < k for b in boundary):
         raise ValueError("boundary must be a subset of vertex indices")
-    interior = [i for i in range(k) if i not in set(boundary)]
+    interior = [i for i in range(k) if i not in on_boundary]
     return boundary, interior
 
 

@@ -116,7 +116,9 @@ class CoordinateChart:
         k = ps[0].shape[0]
         total = np.zeros((k, k))
         for i, p in enumerate(ps):
-            if p.shape != (k, k) or np.max(np.abs(p - p.T)) > PROJECTOR_TOL:
+            if p.shape != (k, k):
+                raise ValueError(f"projector {i} has shape {p.shape}, expected {(k, k)}")
+            if np.max(np.abs(p - p.T)) > PROJECTOR_TOL:
                 raise ValueError(f"projector {i} is not symmetric")
             if np.max(np.abs(p @ p - p)) > PROJECTOR_TOL:
                 raise ValueError(f"projector {i} is not idempotent")

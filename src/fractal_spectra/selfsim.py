@@ -176,17 +176,6 @@ class Lattice:
         inner = self.parent.cell_map(address[1:])
         return self.copy_maps[address[0]][inner]
 
-    def parent_copy_map(self):
-        """For each vertex, the sorted tuple of copies whose sublattice
-        contains it."""
-        if self.level == 0:
-            return tuple(() for _ in range(self.num_vertices))
-        out = [set() for _ in range(self.num_vertices)]
-        for i, cm in enumerate(self.copy_maps):
-            for v in cm:
-                out[v].add(i)
-        return tuple(tuple(sorted(s)) for s in out)
-
     def interior(self):
         return range(len(self.boundary), self.num_vertices)
 
@@ -323,33 +312,8 @@ def assemble_measure(structure: SelfSimilarStructure, b, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Builtin structures
+# Parametric families (the builtins themselves are the shipped configs)
 # ---------------------------------------------------------------------------
-
-def _classes_from_pairs(k, n, pairs):
-    """Partition of {copies} x F into the given disjoint point pairs
-    (0-based (copy, vertex) tuples) and singletons, sorted by least point;
-    validate rejects pairs that share a point."""
-    glued = [tuple(sorted(point_index(i, x, k) for i, x in pair)) for pair in pairs]
-    paired = {p for pair in glued for p in pair}
-    return tuple(sorted(glued + [(p,) for p in range(k * n) if p not in paired]))
-
-
-def sierpinski() -> SelfSimilarStructure:
-    """Three triangles glued pairwise at opposite corners.
-
-    Copy i keeps vertex i as an outer corner; vertex j of copy i is
-    identified with vertex i of copy j.  This is the standard pairing
-    convention for the figure-defined gasket."""
-    pairs = [((0, 1), (1, 0)), ((1, 2), (2, 1)), ((0, 2), (2, 0))]
-    return SelfSimilarStructure(
-        cell_size=3,
-        num_copies=3,
-        glue_classes=_classes_from_pairs(3, 3, pairs),
-        boundary_map=(point_index(0, 0, 3), point_index(1, 1, 3), point_index(2, 2, 3)),
-        name="sierpinski",
-    )
-
 
 def _gamma_bar_weak(k, r_a, r_b, v_a, v_b):
     """Weak network of the triangle-group examples: two triangles on the
@@ -401,26 +365,3 @@ def gamma_bar_semi(r, r_prime, v, v_prime) -> SelfSimilarStructure:
         weak=_gamma_bar_weak(3, float(r) / 3.0, float(r_prime) / 3.0, float(v), float(v_prime)),
         name="gamma_bar_semi",
     )
-
-
-def interval() -> SelfSimilarStructure:
-    """Unit-interval smoke structure: two 2-cells glued end to end."""
-    pairs = [((0, 1), (1, 0))]
-    return SelfSimilarStructure(
-        cell_size=2,
-        num_copies=2,
-        glue_classes=_classes_from_pairs(2, 2, pairs),
-        boundary_map=(point_index(0, 0, 2), point_index(1, 1, 2)),
-        name="interval",
-    )
-
-
-def builtin_structures() -> dict:
-    """Ready-made structures, keyed by name (default parameters for the
-    weak-connection examples match the shipped config files)."""
-    return {
-        "sierpinski": sierpinski(),
-        "gamma_bar": gamma_bar(1.0, 2.0),
-        "gamma_bar_semi": gamma_bar_semi(2.0, 4.0, 1.0, 2.0),
-        "interval": interval(),
-    }

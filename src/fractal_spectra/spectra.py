@@ -52,12 +52,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStructure, ResidueUnresolved, SingularInterior
-from .linalg import _pencil, generalized_sym_eig, generalized_sym_eigvals, kernel_basis
+from .linalg import _pencil, generalized_sym_eig, generalized_sym_eigvals
 from .network import ElectricalNetwork, q_matrix
 from .selfsim import (
     assemble_measure,
     assemble_q,
-    build_lattice,
     level_step,
     num_vertices,
 )
@@ -91,8 +90,6 @@ RESIDUE_TOL = 1e-4
 # leaves the midpoint of each of the five brackets with the largest ones
 # unsure, and the matrix chain's pass at one such point took over 4 GB.
 RESIDUE_MARGIN = 4.0
-# nd_kernel_dimension: singular values <= this * the largest count as zero.
-KERNEL_ORACLE_TOL = 1e-7
 
 # Schur-chain spectra.  Each constant states its scale.
 #
@@ -255,7 +252,8 @@ def neumann_spectrum(q_n, b_n, level=0) -> SpectrumReport:
 def dirichlet_spectrum(q_n, b_n, boundary, level=0) -> SpectrumReport:
     """Spectrum of the pencil restricted to {f : f = 0 on the boundary}."""
     q_n, b_n = np.asarray(q_n), np.asarray(b_n)
-    interior = [i for i in range(q_n.shape[0]) if i not in set(boundary)]
+    on_boundary = set(boundary)
+    interior = [i for i in range(q_n.shape[0]) if i not in on_boundary]
     if not interior:
         lam = np.zeros(0)
     else:
@@ -309,17 +307,6 @@ def _report(level, condition, values, mult) -> SpectrumReport:
     return SpectrumReport(level, condition, values[keep], mult[keep])
 
 
-def nd_kernel_dimension(q_n, b_n, boundary, lam):
-    """Oracle: dim ker of the stacked matrix [Q + lam I_b ; boundary rows]."""
-    q_n = np.asarray(q_n, dtype=complex)
-    n = q_n.shape[0]
-    rows = np.zeros((len(boundary), n))
-    for r, b in enumerate(boundary):
-        rows[r, b] = 1.0
-    stacked = np.vstack([q_n + lam * np.diag(np.asarray(b_n)), rows])
-    return kernel_basis(stacked, tol=KERNEL_ORACLE_TOL).dim
-
-
 def char_det(q_n, b_n, lam, condition="neumann", boundary=()):
     """det(Q + lam I_b), or its interior principal minor for 'dirichlet'.
 
@@ -330,7 +317,8 @@ def char_det(q_n, b_n, lam, condition="neumann", boundary=()):
     q_n = np.asarray(q_n, dtype=complex)
     m = q_n + lam * np.diag(np.asarray(b_n))
     if condition == "dirichlet":
-        interior = [i for i in range(q_n.shape[0]) if i not in set(boundary)]
+        on_boundary = set(boundary)
+        interior = [i for i in range(q_n.shape[0]) if i not in on_boundary]
         if not interior:
             return 1.0 + 0j
         m = m[np.ix_(interior, interior)]
@@ -1191,7 +1179,7 @@ def level_spectrum(structure, rho, b, n, condition="neumann") -> SpectrumReport:
             return _chain_spectrum(structure, step, q, b, line, n, condition)
     q_n = assemble_q(structure, q, n).real
     b_n = assemble_measure(structure, b, n)
-    boundary = build_lattice(structure, n).boundary
+    boundary = range(structure.cell_size)  # every level's, as build_lattice numbers it
     if condition == "neumann":
         return neumann_spectrum(q_n, b_n, n)
     if condition == "dirichlet":

@@ -242,7 +242,8 @@ class CoisotropicSubspace:
 def w_trace(k, boundary) -> CoisotropicSubspace:
     """W = C^F + (C^{dF})*; reduction by it is the boundary trace."""
     boundary = list(boundary)
-    interior = [i for i in range(k) if i not in set(boundary)]
+    on_boundary = set(boundary)
+    interior = [i for i in range(k) if i not in on_boundary]
     dual = [k + b for b in boundary]
     eye = np.eye(2 * k)
     return CoisotropicSubspace(

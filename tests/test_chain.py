@@ -20,7 +20,6 @@ from fractal_spectra.selfsim import (
     build_lattice,
     gamma_bar,
     num_vertices,
-    sierpinski,
 )
 from fractal_spectra.spectra import (
     CHAIN_MIN_VERTICES,
@@ -31,7 +30,6 @@ from fractal_spectra.spectra import (
     dirichlet_spectrum,
     dos_histogram,
     level_spectrum,
-    nd_kernel_dimension,
     nd_spectrum,
     neumann_spectrum,
 )
@@ -112,7 +110,7 @@ def test_chain_matches_dense(name, n, builtin_dense):
 
 
 @pytest.mark.parametrize("name", ["sierpinski", "gamma_bar", "gamma_bar_semi", "interval"])
-def test_chain_nd_matches_stacked_kernel(name):
+def test_chain_nd_matches_stacked_kernel(name, nd_kernel_dimension):
     cfg = load_config(name)
     st = cfg.structure
     for n in (1, 2):
@@ -132,7 +130,7 @@ def test_chain_nd_matches_stacked_kernel(name):
 def test_chain_weighted_under_hypothesis_h(triangle, weights_w, weights_b, b):
     # No symmetry is left once the cell measure is uneven: eigenvalues come
     # within 1e-7 of poles of the trace map without sitting on them.
-    base = sierpinski()
+    base = load_config("sierpinski").structure
     st = SelfSimilarStructure(
         3, 3, base.glue_classes, base.boundary_map, weights_w=weights_w, weights_b=weights_b,
     )
@@ -146,7 +144,7 @@ def test_chain_weighted_under_hypothesis_h(triangle, weights_w, weights_b, b):
 
 
 def test_chain_uneven_conductances(rng):
-    base = sierpinski()
+    base = load_config("sierpinski").structure
     st = SelfSimilarStructure(
         3, 3, base.glue_classes, base.boundary_map,
         weights_w=(1.0, 2.0, 3.0), weights_b=(0.5, 1.0, 1.5),
@@ -161,7 +159,7 @@ def test_chain_uneven_conductances(rng):
 
 
 def test_weights_without_h_take_dense_path(triangle, monkeypatch):
-    base = sierpinski()
+    base = load_config("sierpinski").structure
     st = SelfSimilarStructure(
         3, 3, base.glue_classes, base.boundary_map, weights_w=(1.0, 2.0, 3.0),
     )
@@ -546,7 +544,7 @@ def test_line_spectra_of_scaled_cell(gasket, triangle, monkeypatch):
 
 
 def test_weak_networks_and_uneven_conductances_take_matrix_chain(rng, monkeypatch):
-    base = sierpinski()
+    base = load_config("sierpinski").structure
     uneven = SelfSimilarStructure(
         3, 3, base.glue_classes, base.boundary_map,
         weights_w=(1.0, 2.0, 3.0), weights_b=(0.5, 1.0, 1.5),
@@ -905,7 +903,7 @@ def test_line_nd_matches_dense(name, n, monkeypatch):
     # the pencil plane, so nothing else holds this read to dense.  "scaled"
     # is the gasket cell with conductances times 1.7 and measure times 0.6.
     if name == "scaled":
-        st = sierpinski()
+        st = load_config("sierpinski").structure
         rho = ElectricalNetwork(3, {(0, 1): 1.7, (0, 2): 1.7, (1, 2): 1.7})
         b = np.full(3, 0.6)
     else:
@@ -999,9 +997,9 @@ def test_line_nd_tells_a_pole_from_a_zero(monkeypatch):
     # which leaves nd 1.  At -3 (y = -3, the common zero of the step's A
     # and B) it passes through a zero, its lower pair negative definite:
     # no pole, rank 0, and all 3 are N-D.
-    _, plan, q, b, line = line_of("sierpinski")
+    cfg, plan, q, b, line = line_of("sierpinski")
     reads = line_nd_reads(monkeypatch)
-    rep = spectra._chain_spectrum(sierpinski(), plan, q, b, line, 2, "nd")
+    rep = spectra._chain_spectrum(cfg.structure, plan, q, b, line, 2, "nd")
     assert [m for _, m in rep.clusters] == [3, 1]
     np.testing.assert_allclose([v for v, _ in rep.clusters], [-3.0, -2.5], atol=1e-10)
     ((lo, hi, rank, unsure),) = reads

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractal_spectra import grassmann, verify
-from fractal_spectra.config import load_config
+from fractal_spectra.config import BUILTIN_NAMES, load_config
 from fractal_spectra.errors import OrderUnstable, ZeroScale
 from fractal_spectra.grassmann import (
     GrassmannElement,
@@ -38,7 +38,6 @@ from fractal_spectra.selfsim import (
     assemble_measure,
     assemble_q,
     build_lattice,
-    builtin_structures,
     level_step,
 )
 from fractal_spectra.spectra import char_det, level_spectrum
@@ -257,7 +256,7 @@ def _dict_kernel_lift(x, structure):
 
 
 def test_compiled_lift_matches_dict_kernel(rng):
-    structures = builtin_structures()
+    structures = {name: load_config(name).structure for name in BUILTIN_NAMES}
     base = structures["gamma_bar"]
     structures["gamma_bar_weighted"] = SelfSimilarStructure(
         base.cell_size, base.num_copies, base.glue_classes, base.boundary_map,
@@ -328,7 +327,7 @@ def test_pruned_lift_plan_forms_only_read_keys(name, full, pruned, rng):
     # Each copy of the compiled lift forms only the products whose key a
     # later stage reads, and the coefficients stay bitwise those of the
     # full tables: every kept sum has the same terms in the same order.
-    st_ = builtin_structures()[name]
+    st_ = load_config(name).structure
     whole = _compile_lift(st_)
     plan = grassmann._lift_plan(st_)
     assert [z_idx.size for z_idx, *_ in whole.copies] == full
@@ -452,7 +451,8 @@ def test_library_elements_equal_their_public_rebuilds(rng):
     # exp_eta and renorm_lift skip the public constructor's pass; rebuilding
     # their elements through it keeps every key, in order, and every value
     # to the bit: nothing was left for the pass to drop or convert.
-    for st in builtin_structures().values():
+    for name in BUILTIN_NAMES:
+        st = load_config(name).structure
         k = st.cell_size
         sparse = np.zeros((k, k), dtype=complex)
         sparse[0, 0] = 2.0 - 1.0j  # a support short of the cell, zero minors

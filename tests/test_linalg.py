@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fractal_spectra.errors import NonPositiveWeight, NotHermitian, NotSymmetric
 from fractal_spectra.linalg import (
@@ -10,36 +8,8 @@ from fractal_spectra.linalg import (
     generalized_sym_eigvals,
     is_positive_definite,
     kernel_basis,
-    sym_eig,
 )
 from fractal_spectra.verify import random_sym
-
-
-def test_sym_eig_identity():
-    w, v = sym_eig(np.eye(3))
-    assert np.allclose(w, [1, 1, 1])
-    assert np.allclose(v @ v.T, np.eye(3))
-
-
-def test_sym_eig_offdiag():
-    w, _ = sym_eig(np.array([[0.0, -1.0], [-1.0, 0.0]]))
-    assert np.allclose(w, [-1.0, 1.0])
-
-
-def test_sym_eig_path_laplacian():
-    a = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-    w, _ = sym_eig(a)
-    assert np.allclose(w, [0.0, 1.0, 3.0], atol=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 12), st.integers(0, 2**31 - 1))
-def test_sym_eig_reconstruction(dim, seed):
-    rng = np.random.default_rng(seed)
-    a = random_sym(rng, dim, complex_=False)
-    w, v = sym_eig(a)
-    assert np.all(np.diff(w) >= -1e-12)
-    assert np.linalg.norm(v @ np.diag(w) @ v.T - a) <= 1e-9 * max(1, np.linalg.norm(a))
 
 
 def test_generalized_diag():

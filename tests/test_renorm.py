@@ -30,7 +30,6 @@ from fractal_spectra.selfsim import (
     build_lattice,
     gamma_bar,
     gamma_bar_semi,
-    sierpinski,
 )
 from fractal_spectra.symplectic import (
     LagrangianFrame,
@@ -192,7 +191,7 @@ def _reference_g_map(l, st):
 
 
 def _weighted_gasket():
-    base = sierpinski()
+    base = load_config("sierpinski").structure
     return SelfSimilarStructure(3, 3, base.glue_classes, base.boundary_map,
                                 weights_w=(0.5, 1.0, 2.0), weights_b=(0.25, 0.5, 1.0))
 
@@ -370,7 +369,7 @@ def test_chart_validation():
 
 
 def test_weighted_structure_consistency(rng):
-    base = sierpinski()
+    base = load_config("sierpinski").structure
     st = SelfSimilarStructure(
         3, 3, base.glue_classes, base.boundary_map,
         weights_w=(0.5, 1.0, 2.0), weights_b=(0.25, 0.5, 1.0),
@@ -394,7 +393,7 @@ def test_weighted_bridge_under_hypothesis_h(rng):
     from fractal_spectra.selfsim import assemble_measure
     from fractal_spectra.spectra import char_det
 
-    base = sierpinski()
+    base = load_config("sierpinski").structure
     st = SelfSimilarStructure(
         3, 3, base.glue_classes, base.boundary_map,
         weights_w=(1.0, 0.5, 2.0), weights_b=(0.5, 0.25, 1.0),

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from fractal_spectra.config import BUILTIN_NAMES, load_config
 from fractal_spectra.errors import InvalidStructure, NonPositiveWeight
 from fractal_spectra.network import q_matrix
 from fractal_spectra.renorm import t_map
@@ -13,10 +14,9 @@ from fractal_spectra.selfsim import (
     assemble_network,
     assemble_q,
     build_lattice,
-    builtin_structures,
     gamma_bar,
+    gamma_bar_semi,
     point_index,
-    sierpinski,
     validate,
 )
 from fractal_spectra.network import trace_map
@@ -93,7 +93,7 @@ def test_assemble_measure_cases(gasket):
 
 
 def test_assemble_measure_with_copy_weights(triangle):
-    base = sierpinski()
+    base = load_config("sierpinski").structure
     st = SelfSimilarStructure(
         3, 3, base.glue_classes, base.boundary_map,
         weights_w=(0.5, 0.25, 0.25), weights_b=(0.5, 0.25, 0.25),
@@ -106,7 +106,7 @@ def test_assemble_measure_with_copy_weights(triangle):
 
 
 def test_hypothesis_h_fails_when_unbalanced():
-    base = sierpinski()
+    base = load_config("sierpinski").structure
     st = SelfSimilarStructure(
         3, 3, base.glue_classes, base.boundary_map,
         weights_w=(0.5, 0.25, 0.25), weights_b=(1.0, 1.0, 1.0),
@@ -241,7 +241,7 @@ def test_boundary_consistency_with_renorm(gasket, gbar, gsemi, rng):
 
 
 def test_builtin_structures_shapes():
-    b = builtin_structures()
+    b = {name: load_config(name).structure for name in BUILTIN_NAMES}
     assert set(b) == {"sierpinski", "gamma_bar", "gamma_bar_semi", "interval"}
     gk = b["sierpinski"]
     assert gk.cell_size == 3 and gk.num_copies == 3
@@ -251,6 +251,26 @@ def test_builtin_structures_shapes():
     assert len(gb.weak.conductances) == 6
     assert sum(1 for v in gb.weak.dissipative if v != 0) == 6
     assert all(len(c) == 1 for c in gb.glue_classes)
+
+
+def test_shipped_gasket_pairing_convention():
+    # copy i keeps vertex i as an outer corner; vertex j of copy i is
+    # identified with vertex i of copy j
+    st = load_config("sierpinski").structure
+    want = {frozenset({point_index(i, j, 3), point_index(j, i, 3)}) for i in range(3) for j in range(3)}
+    assert {frozenset(c) for c in st.glue_classes} == want
+    assert st.boundary_map == tuple(point_index(i, i, 3) for i in range(3))
+
+
+@pytest.mark.parametrize("name", ["gamma_bar", "gamma_bar_semi"])
+def test_shipped_family_config_is_its_family_at_its_params(name):
+    cfg = load_config(name)
+    assert cfg.family == name
+    family = {"gamma_bar": gamma_bar, "gamma_bar_semi": gamma_bar_semi}[name]
+    got, want = cfg.structure, family(**cfg.params)
+    for field in ("cell_size", "num_copies", "glue_classes", "boundary_map", "weights_w", "weights_b", "weak",
+                  "name"):
+        assert getattr(got, field) == getattr(want, field), field
 
 
 def test_gamma_bar_group_case_specialization(rng):
@@ -274,8 +294,6 @@ def test_cell_map_addresses(gasket):
     for addr in product(range(3), repeat=2):
         seen.update(int(v) for v in lat2.cell_map(addr))
     assert seen == set(range(lat2.num_vertices))
-    copies = lat2.parent_copy_map()
-    assert all(len(c) >= 1 for c in copies)
 
 
 def test_point_index_layout():

@@ -13,7 +13,6 @@ from fractal_spectra.spectra import (
     dos_histogram,
     green_proxy,
     level_spectrum,
-    nd_kernel_dimension,
     nd_spectrum,
     neumann_spectrum,
 )
@@ -60,7 +59,7 @@ def test_nd_level0_empty(triangle_q):
     assert rep.count == 0
 
 
-def test_nd_level1_matches_stacked_kernel(gasket, gbar, triangle):
+def test_nd_level1_matches_stacked_kernel(gasket, gbar, triangle, nd_kernel_dimension):
     b = np.ones(3)
     for st in (gasket, gbar):
         q1 = assemble_network(st, triangle, 1).real
@@ -72,7 +71,7 @@ def test_nd_level1_matches_stacked_kernel(gasket, gbar, triangle):
             assert rep.multiplicity_at(value) == nd_kernel_dimension(q1, b1, bnd, value)
 
 
-def test_nd_without_boundary_is_neumann(gasket, triangle):
+def test_nd_without_boundary_is_neumann(gasket, triangle, nd_kernel_dimension):
     # With no boundary every Neumann eigenfunction vanishes on it, as the
     # stacked-kernel oracle says; the level-2 gasket has degenerate clusters.
     q2 = assemble_network(gasket, triangle, 2).real
